@@ -2,9 +2,8 @@
 
 Times the cold Fiedler solve (hierarchy build included) with scipy
 blocked from the import machinery, so the numbers reflect the pure-
-numpy deployment the ``lobpcg`` / ``shift_invert`` backends exist for,
-and records seconds plus inner/outer iteration counts into
-``results/BENCH_spectral.json``.
+numpy deployment the ``lobpcg`` backend exists for, and records
+seconds plus iteration counts into ``results/BENCH_spectral.json``.
 
 The quick tier (always on) runs 64² grids; the 256² acceptance run —
 preconditioned LOBPCG at least 5x faster than flat Lanczos, λ₂ exact to
@@ -63,12 +62,11 @@ def _cold_fiedler(side, backend):
     return seconds, relative_error
 
 
-def _solver_stats(side, backend):
-    """Iteration counters of one deflated k=1 solve at this size."""
+def _solver_stats(side):
+    """LOBPCG's iteration counters of one deflated k=1 solve."""
     import repro.linalg.backends as backends
     from repro.geometry import Grid
     from repro.graph import grid_graph, laplacian
-    from repro.linalg.lanczos import smallest_eigenpairs_shift_invert
     from repro.linalg.lobpcg import smallest_eigenpairs_lobpcg
 
     lap = laplacian(grid_graph(Grid((side, side))))
@@ -76,19 +74,14 @@ def _solver_stats(side, backend):
     deflate = [np.ones(n) / np.sqrt(n)]
     preconditioner = backends.multilevel_preconditioner_for(lap)
     stats = {}
-    if backend == "shift_invert":
-        smallest_eigenpairs_shift_invert(
-            lap.matvec, n, 1, upper_bound=lap.gershgorin_upper_bound(),
-            deflate=deflate, preconditioner=preconditioner, stats=stats)
-    else:
-        smallest_eigenpairs_lobpcg(
-            lap.matvec, n, 1, upper_bound=lap.gershgorin_upper_bound(),
-            deflate=deflate, preconditioner=preconditioner,
-            matmat=lap.matmat, stats=stats)
+    smallest_eigenpairs_lobpcg(
+        lap.matvec, n, 1, upper_bound=lap.gershgorin_upper_bound(),
+        deflate=deflate, preconditioner=preconditioner,
+        matmat=lap.matmat, stats=stats)
     return stats
 
 
-@pytest.mark.parametrize("backend", ["lanczos", "lobpcg", "shift_invert"])
+@pytest.mark.parametrize("backend", ["lanczos", "lobpcg"])
 def test_preconditioned_quick(benchmark, save_json, no_scipy, backend):
     side = 64
     seconds, relative_error = once(benchmark, _cold_fiedler, side, backend)
@@ -101,7 +94,7 @@ def test_preconditioned_quick(benchmark, save_json, no_scipy, backend):
         "lambda2_rel_error": relative_error,
     }
     if backend != "lanczos":
-        stats = _solver_stats(side, backend)
+        stats = _solver_stats(side)
         record.update({f"solver_{k}": v for k, v in stats.items()})
     save_json(record)
     assert relative_error < 1e-6
@@ -109,7 +102,7 @@ def test_preconditioned_quick(benchmark, save_json, no_scipy, backend):
 
 @pytest.mark.skipif(not FULL, reason="set REPRO_BENCH_FULL=1 to run")
 def test_preconditioned_full_256(save_json, no_scipy):
-    """The shift-invert tentpole's acceptance run, pinned.
+    """The preconditioned-solver acceptance run, pinned.
 
     Cold 256² Fiedler solve on the numpy-only leg, three ways: the
     V-cycle-preconditioned LOBPCG backend, today's flat Lanczos (which
@@ -137,7 +130,7 @@ def test_preconditioned_full_256(save_json, no_scipy):
         if note:
             record["note"] = note
         if label == "lobpcg":
-            stats = _solver_stats(side, backend)
+            stats = _solver_stats(side)
             record.update({f"solver_{k}": v for k, v in stats.items()})
         save_json(record)
         results[label] = seconds

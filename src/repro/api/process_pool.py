@@ -1,8 +1,9 @@
-"""ProcessPoolFrontend: the sharded frontend surface, across processes.
+"""ProcessPoolFrontend: the serving surface over a worker-process fleet.
 
 :class:`~repro.service.ShardedIndexFrontend` partitions the fingerprint
 keyspace over per-shard services *within one process*;
-``ProcessPoolFrontend`` serves the same surface over a
+``ProcessPoolFrontend`` is the transport that carries the shared
+surface (:class:`~repro.serve.frontend.MessageFrontend`) to a
 :class:`~repro.serve.ProcessFleet` of worker *processes* — same
 deterministic routing (:func:`~repro.service.routing.shard_of_domain`),
 same batching semantics (shard-grouped ``order_many`` with per-shard
@@ -26,26 +27,19 @@ Choose by deployment shape — see the README's serving section.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.ordering import LinearOrder
 from repro.errors import InvalidParameterError
 from repro.obs import span
 from repro.parallel import ensure_workers, map_in_threads
-from repro.geometry.grid import Grid
-from repro.graph.adjacency import Graph
-from repro.service.artifacts import OrderArtifact
 from repro.service.ordering import ServiceStats, normalize_requests
-from repro.service.routing import coerce_domain, shard_of_domain
-from repro.serve.protocol import (
-    IndexQueryMessage,
-    OrderManyMessage,
-    OrderRequestMessage,
-)
+from repro.serve.frontend import MessageFrontend
+from repro.serve.protocol import OrderManyMessage
 from repro.serve.supervisor import ProcessFleet
 
 
-class ProcessPoolFrontend:
+class ProcessPoolFrontend(MessageFrontend):
     """Routes ordering and query traffic across worker processes.
 
     Serves the same surface as
@@ -78,6 +72,8 @@ class ProcessPoolFrontend:
     ...     front.order_grid(Grid((6, 6))).n
     36
     """
+
+    _index_span = "pool.index_op"
 
     def __init__(self, shards: int = 4, *,
                  workers: Optional[int] = None,
@@ -122,7 +118,7 @@ class ProcessPoolFrontend:
         self.close()
 
     # ------------------------------------------------------------------
-    # Routing
+    # Transport
     # ------------------------------------------------------------------
     @property
     def num_shards(self) -> int:
@@ -134,55 +130,13 @@ class ProcessPoolFrontend:
         """How many worker processes serve those shards."""
         return self._fleet.num_workers
 
-    def shard_of(self, domain) -> int:
-        """The shard owning ``domain`` — identical to the in-process
-        frontend's routing, by construction (one shared formula)."""
-        return shard_of_domain(domain, self._fleet.num_shards)
-
     def worker_of(self, domain) -> int:
         """The worker process serving ``domain``."""
         return self._fleet.worker_of_shard(self.shard_of(domain))
 
-    # ------------------------------------------------------------------
-    # Ordering traffic
-    # ------------------------------------------------------------------
-    def order_grid(self, grid: Grid, config=None) -> LinearOrder:
-        """Routed :meth:`~repro.service.OrderingService.order_grid`."""
-        return self._order_one(grid, config, expect=Grid,
-                               want_artifact=False)
-
-    def grid_artifact(self, grid: Grid, config=None) -> OrderArtifact:
-        """Routed :meth:`~repro.service.OrderingService.grid_artifact`."""
-        return self._order_one(grid, config, expect=Grid,
-                               want_artifact=True)
-
-    def order_graph(self, graph: Graph, config=None) -> LinearOrder:
-        """Routed :meth:`~repro.service.OrderingService.order_graph`."""
-        return self._order_one(graph, config, expect=Graph,
-                               want_artifact=False)
-
-    def graph_artifact(self, graph: Graph, config=None) -> OrderArtifact:
-        """Routed :meth:`~repro.service.OrderingService.graph_artifact`."""
-        return self._order_one(graph, config, expect=Graph,
-                               want_artifact=True)
-
-    def _order_one(self, domain, config, *, expect: type,
-                   want_artifact: bool):
-        domain = coerce_domain(domain)
-        # The entry point fixes the domain kind (order_grid vs
-        # order_graph), exactly as on the in-process frontends — the
-        # worker dispatches on the value's type, so a mismatched call
-        # must fail here, not silently serve the other family.
-        if not isinstance(domain, expect):
-            raise InvalidParameterError(
-                f"expected a {expect.__name__} domain, "
-                f"got {type(domain).__name__}"
-            )
-        return self._fleet.request(
-            self.shard_of(domain),
-            OrderRequestMessage(domain=domain, config=config,
-                                want_artifact=want_artifact),
-        )
+    def _call(self, message: Any) -> Any:
+        # Single-domain messages go to the worker owning that domain.
+        return self._fleet.request(self.shard_of(message.domain), message)
 
     def order_many(self, requests: Sequence, *,
                    parallelism: Optional[int] = None
@@ -200,12 +154,8 @@ class ProcessPoolFrontend:
         """
         normalized = normalize_requests(requests)
         groups: Dict[int, List[int]] = {}
-        shard_of_index: List[int] = []
         for i, request in enumerate(normalized):
-            shard = self.shard_of(request.domain)
-            shard_of_index.append(shard)
-            groups.setdefault(self._fleet.worker_of_shard(shard),
-                              []).append(i)
+            groups.setdefault(self.worker_of(request.domain), []).append(i)
         results: List[Optional[LinearOrder]] = [None] * len(normalized)
 
         def run_worker(item: Tuple[int, List[int]]) -> None:
@@ -213,8 +163,7 @@ class ProcessPoolFrontend:
             message = OrderManyMessage(tuple(
                 (normalized[i].domain, normalized[i].config)
                 for i in indices))
-            orders = self._fleet.request(shard_of_index[indices[0]],
-                                         message)
+            orders = self._fleet.request_worker(worker, message)
             for i, order in zip(indices, orders):
                 results[i] = order
 
@@ -226,52 +175,11 @@ class ProcessPoolFrontend:
         return results
 
     # ------------------------------------------------------------------
-    # Index traffic
-    # ------------------------------------------------------------------
-    def query_many(self, domain, queries: Sequence, *,
-                   parallelism: Optional[int] = None) -> List:
-        """Routed :meth:`~repro.api.SpectralIndex.query_many`, executed
-        inside the owning worker (results cross back as pickles)."""
-        ensure_workers(parallelism)  # validate before shipping
-        return self._index_op(domain, "query_many", (list(queries),),
-                              {"parallelism": parallelism})
-
-    def range(self, domain, box, **kwargs):
-        """Routed :meth:`~repro.api.SpectralIndex.range`."""
-        return self._index_op(domain, "range", (box,), kwargs)
-
-    def nn(self, domain, cell, k: int, **kwargs):
-        """Routed :meth:`~repro.api.SpectralIndex.nn`."""
-        return self._index_op(domain, "nn", (cell, k), kwargs)
-
-    def join(self, domain, cells_a, cells_b, *, epsilon: int,
-             window: int, **kwargs):
-        """Routed :meth:`~repro.api.SpectralIndex.join`."""
-        kwargs = dict(kwargs, epsilon=epsilon, window=window)
-        return self._index_op(domain, "join", (cells_a, cells_b),
-                              kwargs)
-
-    def _index_op(self, domain, op: str, args: Tuple, kwargs: dict):
-        domain = coerce_domain(domain)
-        shard = self.shard_of(domain)
-        with span("pool.index_op", op=op, shard=shard):
-            return self._fleet.request(
-                shard,
-                IndexQueryMessage(domain=domain, op=op,
-                                  args=tuple(args),
-                                  kwargs=dict(kwargs)),
-            )
-
-    # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def stats(self) -> List[ServiceStats]:
         """Per-shard service stats, in shard order, fleet-wide."""
         return self._fleet.shard_stats()
-
-    def combined_stats(self) -> ServiceStats:
-        """All shards' counters summed into one snapshot."""
-        return self._fleet.combined_stats()
 
     def health(self) -> List:
         """Per-worker :class:`~repro.serve.protocol.WorkerHealth`

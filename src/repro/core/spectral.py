@@ -125,8 +125,7 @@ class SpectralLPM:
         ``"inverse_manhattan"``.
     backend:
         Eigensolver backend: ``"auto"``, ``"dense"``, ``"lanczos"``,
-        ``"shift_invert"``, ``"lobpcg"``, ``"scipy"``, or
-        ``"multilevel"``.  Guidance:
+        ``"lobpcg"``, ``"scipy"``, or ``"multilevel"``.  Guidance:
 
         * ``"auto"`` (default) — dense up to
           :data:`~repro.linalg.backends.DENSE_CUTOFF` vertices, then
@@ -140,13 +139,10 @@ class SpectralLPM:
           tested against.  O(n^3), so only for small graphs.
         * ``"lanczos"`` — thick-restart Lanczos, pure numpy.  Exact (to
           solver tolerance) and dependency-free at any size.
-        * ``"shift_invert"`` — inner-outer shift-invert Lanczos, pure
-          numpy: few outer iterations, each an inner deflated-CG solve
-          preconditioned by the multilevel V-cycle.
-        * ``"lobpcg"`` — blocked LOBPCG with the same multilevel
-          V-cycle preconditioner; the fastest pure-numpy option on
-          large graphs.  Both preconditioned backends fall back to
-          ``"lanczos"`` when a solve misses its residual tolerance.
+        * ``"lobpcg"`` — blocked LOBPCG with a multilevel V-cycle
+          preconditioner; the fastest pure-numpy option on large
+          graphs.  Falls back to ``"lanczos"`` when a solve misses its
+          residual tolerance.
         * ``"scipy"`` — fastest exact option for large graphs; requires
           the ``[perf]`` extra.
         * ``"multilevel"`` — coarsen-solve-refine approximation: orders

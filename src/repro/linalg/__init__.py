@@ -13,11 +13,9 @@ from repro.linalg.backends import (
     smallest_eigenpairs,
     solver_invocations,
 )
-from repro.linalg.cg import CGResult, conjugate_gradient
 from repro.linalg.lanczos import (
     LanczosResult,
     lanczos_symmetric,
-    smallest_eigenpairs_shift_invert,
     smallest_eigenpairs_shifted,
 )
 from repro.linalg.lobpcg import (
@@ -38,7 +36,6 @@ from repro.linalg.tridiagonal import tridiagonal_eigh
 
 __all__ = [
     "BACKENDS",
-    "CGResult",
     "CSRMatrix",
     "DEFAULT_SOLVER_TOL",
     "DENSE_CUTOFF",
@@ -50,7 +47,6 @@ __all__ = [
     "MULTILEVEL_QUALITY_RTOL",
     "ShiftedOperator",
     "canonical_in_span",
-    "conjugate_gradient",
     "cutoff_from_env",
     "deflation_matrix",
     "deterministic_start",
@@ -62,7 +58,6 @@ __all__ = [
     "scipy_available",
     "smallest_eigenpairs",
     "smallest_eigenpairs_lobpcg",
-    "smallest_eigenpairs_shift_invert",
     "smallest_eigenpairs_shifted",
     "solver_invocations",
     "tridiagonal_eigh",

@@ -1,7 +1,7 @@
 """Eigensolver backend registry.
 
 The Fiedler pipeline needs "the ``k`` smallest eigenpairs of a symmetric
-PSD sparse matrix".  Six interchangeable backends provide it:
+PSD sparse matrix".  Five interchangeable backends provide it:
 
 ``dense``
     ``numpy.linalg.eigh`` on the dense matrix.  Exact and simple; the
@@ -12,16 +12,9 @@ PSD sparse matrix".  Six interchangeable backends provide it:
     numpy, BLAS-level reorthogonalization, scales to large sparse
     graphs; iteration count grows like ``O(sqrt(lambda_max/lambda_2))``
     on the clustered bottom spectra Laplacians have.
-``shift_invert``
-    Inner-outer shift-invert Lanczos, pure numpy: the outer Lanczos
-    iterates ``(A - sigma I)^{-1}`` with each application an inner
-    deflated-CG solve (:mod:`repro.linalg.cg`), preconditioned by the
-    multilevel V-cycle when the matrix is recognisably a graph
-    Laplacian.  ``O(1)``-ish outer iterations; the ARPACK trick without
-    ARPACK.
 ``lobpcg``
     Blocked LOBPCG (:mod:`repro.linalg.lobpcg`) preconditioned by the
-    same multilevel V-cycle
+    multilevel V-cycle
     (:class:`repro.core.multilevel.MultilevelPreconditioner`).  The
     fastest pure-numpy option on large Laplacians.
 ``scipy``
@@ -39,11 +32,10 @@ PSD sparse matrix".  Six interchangeable backends provide it:
     pointer to the right entry point.  Results carry a documented
     quality tolerance instead of solver-precision guarantees.
 
-``shift_invert`` and ``lobpcg`` are exact-accuracy backends with a
-safety net: when a solve misses its residual tolerance (bad
-preconditioner fit, non-Laplacian input, loss of definiteness in the
-inner CG) they *fall back to the plain Lanczos path* instead of
-returning an unverified pair — the same miss-tolerance-then-fall-back
+``lobpcg`` is an exact-accuracy backend with a safety net: when a
+solve misses its residual tolerance (bad preconditioner fit,
+non-Laplacian input) it *falls back to the plain Lanczos path* instead
+of returning an unverified pair — the same miss-tolerance-then-fall-back
 contract the multilevel quality gate implements at the Fiedler level.
 
 Backend selection under ``auto``
@@ -83,10 +75,7 @@ from repro.errors import (
     ConvergenceError,
     InvalidParameterError,
 )
-from repro.linalg.lanczos import (
-    smallest_eigenpairs_shift_invert,
-    smallest_eigenpairs_shifted,
-)
+from repro.linalg.lanczos import smallest_eigenpairs_shifted
 from repro.linalg.lobpcg import smallest_eigenpairs_lobpcg
 from repro.linalg.operators import DeflatedOperator, deflation_matrix
 from repro.linalg.sparse import CSRMatrix
@@ -150,8 +139,7 @@ MULTILEVEL_QUALITY_RTOL = 0.05
 #: to the spectrum's Gershgorin scale) when no explicit ``tol`` is given.
 DEFAULT_SOLVER_TOL = 1e-9
 
-BACKENDS = ("auto", "dense", "lanczos", "shift_invert", "lobpcg",
-            "scipy", "multilevel")
+BACKENDS = ("auto", "dense", "lanczos", "lobpcg", "scipy", "multilevel")
 
 # Process-wide count of eigensolver invocations.  The ordering service's
 # contract — "a warm cache pays zero eigensolves" — is asserted against
@@ -306,33 +294,6 @@ def multilevel_preconditioner_for(matrix: CSRMatrix):
     return preconditioner
 
 
-def _smallest_shift_invert(matrix: CSRMatrix, k: int,
-                           deflate: Sequence[np.ndarray],
-                           tol: float = DEFAULT_SOLVER_TOL,
-                           stats: dict | None = None
-                           ) -> Tuple[np.ndarray, np.ndarray]:
-    bound = matrix.gershgorin_upper_bound()
-    preconditioner = multilevel_preconditioner_for(matrix)
-    cycles_before = getattr(preconditioner, "cycles", 0)
-    try:
-        return smallest_eigenpairs_shift_invert(
-            matrix.matvec, matrix.n, k, upper_bound=bound,
-            deflate=deflate, tol=tol,
-            preconditioner=preconditioner, stats=stats,
-        )
-    except ConvergenceError:
-        # Miss-tolerance-falls-back contract: the inner-outer iteration
-        # could not certify the pairs (singular unprojected nullspace,
-        # indefinite shift, inexact inner solves); the flat Lanczos
-        # sweep is slower but assumption-free.
-        if stats is not None:
-            stats["fallback"] = "lanczos"
-        return _smallest_lanczos(matrix, k, deflate, tol, stats=stats)
-    finally:
-        if stats is not None and preconditioner is not None:
-            stats["v_cycles"] = preconditioner.cycles - cycles_before
-
-
 def _smallest_lobpcg(matrix: CSRMatrix, k: int,
                      deflate: Sequence[np.ndarray],
                      tol: float = DEFAULT_SOLVER_TOL,
@@ -349,7 +310,10 @@ def _smallest_lobpcg(matrix: CSRMatrix, k: int,
             preconditioner=preconditioner, stats=stats,
         )
     except ConvergenceError:
-        # Same fall-back contract as _smallest_shift_invert.
+        # Miss-tolerance-falls-back contract: the preconditioned
+        # iteration could not certify the pairs (bad preconditioner
+        # fit, non-Laplacian input); the flat Lanczos sweep is slower
+        # but assumption-free.
         if stats is not None:
             stats["fallback"] = "lanczos"
         return _smallest_lanczos(matrix, k, deflate, tol, stats=stats)
@@ -449,7 +413,7 @@ def smallest_eigenpairs(matrix: CSRMatrix, k: int, backend: str = "auto",
         the bottom of the spectrum *of the deflated operator*.
     tol:
         Residual tolerance of the iterative in-house backends
-        (``lanczos``, ``shift_invert``, ``lobpcg``), relative to the
+        (``lanczos``, ``lobpcg``), relative to the
         spectrum's Gershgorin scale; ``None`` means
         :data:`DEFAULT_SOLVER_TOL`.  The ``dense`` and ``scipy``
         backends solve to machine/ARPACK precision regardless, so
@@ -520,7 +484,7 @@ def _run_backend(matrix: CSRMatrix, k: int, backend: str,
     n = matrix.n
     if backend == "dense":
         return _smallest_dense(matrix, k, deflate)
-    if backend in ("lanczos", "shift_invert", "lobpcg"):
+    if backend in ("lanczos", "lobpcg"):
         if k > n - len(deflate):
             if stats is not None:
                 stats["dense_fallback"] = True
@@ -528,9 +492,6 @@ def _run_backend(matrix: CSRMatrix, k: int, backend: str,
         if backend == "lanczos":
             return _smallest_lanczos(matrix, k, deflate, tol,
                                      stats=stats)
-        if backend == "shift_invert":
-            return _smallest_shift_invert(matrix, k, deflate, tol,
-                                          stats=stats)
         return _smallest_lobpcg(matrix, k, deflate, tol, x0=x0,
                                 stats=stats)
     return _smallest_scipy(matrix, k, deflate)

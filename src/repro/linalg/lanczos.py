@@ -385,131 +385,3 @@ def smallest_eigenpairs_shifted(matvec: MatVec, n: int, k: int,
     vectors = result.vectors[:, ::-1]
     return values, vectors
 
-
-def smallest_eigenpairs_shift_invert(matvec: MatVec, n: int, k: int,
-                                     upper_bound: float,
-                                     deflate: Sequence[np.ndarray] = (),
-                                     sigma: float = 0.0,
-                                     tol: float = 1e-9,
-                                     preconditioner=None,
-                                     max_dim: int | None = None,
-                                     inner_rtol: float | None = None,
-                                     stats: dict | None = None
-                                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``k`` smallest eigenpairs via inner-outer shift-invert Lanczos.
-
-    Runs the outer Lanczos iteration on ``(A - sigma I)^{-1}`` (restricted
-    to the complement of ``deflate``) with each operator application an
-    inner deflated-CG solve (:meth:`~repro.linalg.operators
-    .ShiftedOperator.solve`).  Inverting around ``sigma`` at the bottom of
-    the spectrum turns the tightly clustered small eigenvalues — plain
-    Lanczos's worst case, where it needs ``O(sqrt(kappa))`` iterations —
-    into well-separated dominant ones, so the outer iteration converges
-    in ``O(1)``-ish steps and the cost moves into the inner solves, which
-    a good preconditioner (the multilevel V-cycle) makes cheap.
-
-    Parameters
-    ----------
-    matvec, n, k, deflate:
-        As in :func:`smallest_eigenpairs_shifted`.  ``A`` must be SPD on
-        the complement of ``deflate`` — the deflated singular Laplacian
-        qualifies, which is the production case.
-    upper_bound:
-        An upper bound on the spectrum (Gershgorin is fine); sets the
-        residual scale of the final quality check so the accepted
-        accuracy matches the plain Lanczos backend's.
-    sigma:
-        The shift; must keep ``A - sigma I`` positive definite on the
-        complement of ``deflate``.  The default 0 is inverse iteration —
-        optimal separation for PSD operators with the nullspace deflated.
-    tol:
-        Relative residual target (same convention as
-        :func:`lanczos_symmetric`, applied to the *original* operator).
-    preconditioner:
-        Optional SPD approximation of ``(A - sigma I)^{-1}`` for the
-        inner CG solves.
-    max_dim:
-        Outer Krylov basis size; defaults to
-        ``min(n_eff, max(2k + 8, 16))`` — deliberately small, every
-        basis column costs a full inner solve.
-    inner_rtol:
-        Relative tolerance of the inner solves; defaults to
-        ``min(tol, 1e-9) * 0.1`` so inner error stays below the outer
-        convergence target.
-    stats:
-        Optional dict that receives ``outer_iterations`` (inner solves
-        performed), ``inner_iterations`` (total CG iterations) and
-        ``max_inner_iterations``.
-
-    Raises
-    ------
-    ConvergenceError
-        When an inner solve fails or the final residuals (measured on
-        the original operator) miss the tolerance — callers fall back to
-        the plain Lanczos path.
-    """
-    if upper_bound <= 0:
-        upper_bound = 1.0
-    if inner_rtol is None:
-        inner_rtol = min(tol, 1e-9) * 0.1
-    d = deflation_matrix(deflate, n)
-    shifted = ShiftedOperator(matvec, n, sigma)
-    counters = {"outer_iterations": 0, "inner_iterations": 0,
-                "max_inner_iterations": 0}
-
-    def project(x: np.ndarray) -> np.ndarray:
-        if d.shape[1]:
-            return x - d @ (d.T @ x)
-        return x
-
-    def inverted(x: np.ndarray) -> np.ndarray:
-        # y = (A - sigma I)^{-1} P x:  (sigma I - A) y = -P x.
-        result = shifted.solve(-project(x), rtol=inner_rtol,
-                               preconditioner=preconditioner,
-                               project=project, definite="negative")
-        counters["outer_iterations"] += 1
-        counters["inner_iterations"] += result.iterations
-        counters["max_inner_iterations"] = max(
-            counters["max_inner_iterations"], result.iterations)
-        return project(result.x)
-
-    if max_dim is None:
-        n_eff = n - d.shape[1]
-        max_dim = min(n_eff, max(2 * k + 8, 16))
-    try:
-        result = lanczos_symmetric(inverted, n, k, deflate=deflate,
-                                   max_dim=max_dim, tol=tol)
-    finally:
-        if stats is not None:
-            stats.update(counters)
-    # Largest theta of the inverted operator <-> smallest lambda of A.
-    theta = result.values[::-1]
-    vectors = result.vectors[:, ::-1]
-    if (theta <= 0).any():
-        # The inverted operator is PD on the subspace; a non-positive
-        # Ritz value means the inner solves were too inexact to trust.
-        raise ConvergenceError(
-            "shift-invert Lanczos produced a non-positive Ritz value of "
-            "the inverted operator; inner solves too inexact",
-            iterations=counters["outer_iterations"],
-            residual=float("nan"),
-        )
-    values = sigma + 1.0 / theta
-    # Quality gate on the *original* operator, at the same scale the
-    # plain Lanczos backend uses (residuals of c I - A with c the upper
-    # bound): inner-solve inexactness must not ship a bad pair.
-    scale = max(float(upper_bound), 1.0)
-    residuals = np.empty(k)
-    for j in range(k):
-        y = vectors[:, j]
-        image = project(matvec(y))
-        residuals[j] = np.linalg.norm(image - values[j] * y)
-    if not (residuals <= tol * scale * 100).all():
-        raise ConvergenceError(
-            "shift-invert Lanczos missed the residual tolerance on the "
-            f"original operator (worst {residuals.max():.2e} vs "
-            f"{tol * scale * 100:.2e})",
-            iterations=counters["outer_iterations"],
-            residual=float(residuals.max()),
-        )
-    return values, vectors

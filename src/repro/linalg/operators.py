@@ -180,63 +180,6 @@ class ShiftedOperator(_OperatorBase):
         x = np.asarray(x, dtype=np.float64)
         return self._c * x - self._matvec(x)
 
-    def solve(self, b: np.ndarray, rtol: float = 1e-10, atol: float = 0.0,
-              maxiter: int | None = None,
-              preconditioner=None, project=None,
-              definite: str = "positive"):
-        """Solve ``(c I - A) x = b`` by conjugate gradients.
-
-        The inner solve of the shift-invert eigensolve: applied with
-        ``c = sigma`` at or below the bottom of the spectrum it
-        evaluates ``(sigma I - A)^{-1} b`` matrix-free.
-
-        Parameters
-        ----------
-        b:
-            Right-hand side.
-        rtol, atol, maxiter, preconditioner, project:
-            Passed to :func:`repro.linalg.cg.conjugate_gradient`; the
-            preconditioner should approximate the inverse of whichever
-            of ``+-(c I - A)`` is SPD, and ``project`` keeps the
-            iteration inside a deflated subspace (required when the
-            shifted operator is singular on the full space, e.g. a
-            Laplacian at ``c = 0``).
-        definite:
-            Which sign of the operator is positive definite on the
-            iteration subspace: ``"positive"`` runs CG on ``c I - A``
-            directly (``c`` above the spectrum), ``"negative"`` runs it
-            on ``A - c I`` with the sign folded into the right-hand side
-            (``c`` at or below the spectrum — the shift-invert case).
-
-        Returns
-        -------
-        :class:`repro.linalg.cg.CGResult` whose ``x`` solves the
-        *original* equation ``(c I - A) x = b`` either way.
-        """
-        from repro.linalg.cg import conjugate_gradient
-
-        if definite not in ("positive", "negative"):
-            raise InvalidParameterError(
-                f"definite must be 'positive' or 'negative', "
-                f"got {definite!r}"
-            )
-        if definite == "positive":
-            return conjugate_gradient(
-                self.matvec, b, rtol=rtol, atol=atol, maxiter=maxiter,
-                preconditioner=preconditioner, project=project,
-            )
-        # (c I - A) x = b  <=>  (A - c I) x = -b, and A - c I is the SPD
-        # one; CG solves the negated system and x transfers unchanged.
-        b = np.asarray(b, dtype=np.float64)
-
-        def negated(x: np.ndarray) -> np.ndarray:
-            return -self.matvec(x)
-
-        return conjugate_gradient(
-            negated, -b, rtol=rtol, atol=atol, maxiter=maxiter,
-            preconditioner=preconditioner, project=project,
-        )
-
 
 def canonical_in_span(basis: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """A deterministic unit vector in the span of ``basis`` columns.

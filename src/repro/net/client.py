@@ -1,11 +1,12 @@
-"""``RemoteFrontend`` — the serving surface over a socket.
+"""``RemoteFrontend`` — the socket transport of the serving surface.
 
-Drop-in for :class:`~repro.api.ProcessPoolFrontend` /
-:class:`~repro.service.ShardedIndexFrontend`: the same methods, the
-same errors (server-side failures re-raise here as their original
-types), and bit-identical results — the server runs the same service
-code, so ``remote.query_many(...) == local.query_many(...)`` holds
-element for element.
+The surface itself (:class:`~repro.serve.frontend.MessageFrontend`) is
+shared with :class:`~repro.api.ProcessPoolFrontend`; this module
+supplies the connection behind its ``_call``.  Server-side failures
+re-raise here as their original types, and results are bit-identical —
+the server runs the same service code, so
+``remote.query_many(...) == local.query_many(...)`` holds element for
+element.
 
 One persistent connection per frontend, created eagerly so
 misconfiguration fails at construction, not first use.  Transport
@@ -31,8 +32,6 @@ import time
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
-from repro.geometry.grid import Grid
-from repro.graph.adjacency import Graph
 from repro.net.errors import (
     ConnectionLostError,
     FrameError,
@@ -49,22 +48,18 @@ from repro.net.framing import (
     send_frame,
 )
 from repro.net.messages import ServerHealth, ServerHello, WorkerMetricsRequest
-from repro.obs import collector, registry, span, tracing_enabled
+from repro.obs import registry, span, tracing_enabled
 from repro.obs.tracing import current_context
 from repro.parallel import ensure_workers
+from repro.serve.frontend import MessageFrontend
 from repro.serve.protocol import (
-    ErrorResponse,
     HealthRequest,
-    IndexQueryMessage,
     MetricsRequest,
-    OrderManyMessage,
-    OrderRequestMessage,
     PingRequest,
     StatsRequest,
     TracedRequest,
-    TracedResponse,
+    unwrap_response,
 )
-from repro.service.routing import routing_fingerprint, shard_of_domain
 
 _ROUNDTRIP_SECONDS = registry().histogram(
     "repro_net_client_roundtrip_seconds",
@@ -98,7 +93,7 @@ def _connect(host: str, port: int, connect_timeout: float,
         raise
 
 
-class RemoteFrontend:
+class RemoteFrontend(MessageFrontend):
     """Client to a :class:`~repro.net.server.SpectralServer`.
 
     Parameters
@@ -235,7 +230,7 @@ class RemoteFrontend:
                     attempt += 1
 
     def _call(self, message: Any) -> Any:
-        """One remote call: trace wrap, round trip, error unwrap."""
+        """One remote call: trace wrap, round trip, reply unwrap."""
         traced = tracing_enabled()
         if traced:
             with span("net.client",
@@ -255,75 +250,17 @@ class RemoteFrontend:
             start = time.monotonic()
             response = self._roundtrip(message)
             _ROUNDTRIP_SECONDS.observe(time.monotonic() - start)
-        if isinstance(response, TracedResponse):
-            if response.spans:
-                collector().ingest(response.spans)
-            response = response.response
-        if isinstance(response, ErrorResponse):
-            response.raise_()
-        return response.payload
+        return unwrap_response(response)
 
-    # ------------------------------------------------------------------
-    # Ordering surface
-    # ------------------------------------------------------------------
-    def order_grid(self, grid: Grid, config: Any = None) -> Any:
-        """Remote counterpart of ``ShardedIndexFrontend.order_grid``."""
-        self._expect(grid, Grid, "order_grid")
-        return self._call(OrderRequestMessage(domain=grid, config=config))
-
-    def grid_artifact(self, grid: Grid, config: Any = None) -> Any:
-        self._expect(grid, Grid, "grid_artifact")
-        return self._call(OrderRequestMessage(
-            domain=grid, config=config, want_artifact=True))
-
-    def order_graph(self, graph: Graph, config: Any = None) -> Any:
-        self._expect(graph, Graph, "order_graph")
-        return self._call(OrderRequestMessage(domain=graph, config=config))
-
-    def graph_artifact(self, graph: Graph, config: Any = None) -> Any:
-        self._expect(graph, Graph, "graph_artifact")
-        return self._call(OrderRequestMessage(
-            domain=graph, config=config, want_artifact=True))
-
-    def order_many(self, requests: Sequence,
-                   parallelism: Optional[int] = None) -> List:
-        """Order a batch in one round trip.
+    def query_many(self, domain: Any, queries: Sequence[Any], *,
+                   parallelism: Optional[int] = None) -> List[Any]:
+        """Routed :meth:`~repro.api.SpectralIndex.query_many`.
 
         ``parallelism`` is validated for surface compatibility but the
         degree of concurrency is the server's decision.
         """
         ensure_workers(parallelism)
-        from repro.service.ordering import normalize_requests
-
-        normalized = tuple((r.domain, r.config)
-                           for r in normalize_requests(requests))
-        if not normalized:
-            return []
-        return self._call(OrderManyMessage(requests=normalized))
-
-    # ------------------------------------------------------------------
-    # Query surface
-    # ------------------------------------------------------------------
-    def range(self, domain: Any, box: Any, **kwargs: Any) -> Any:
-        return self._query(domain, "range", (box,), kwargs)
-
-    def nn(self, domain: Any, cell: Any, k: int, **kwargs: Any) -> Any:
-        return self._query(domain, "nn", (cell, k), kwargs)
-
-    def join(self, domain: Any, a: Any, b: Any, *, epsilon: float,
-             window: Any, **kwargs: Any) -> Any:
-        kwargs = dict(kwargs, epsilon=epsilon, window=window)
-        return self._query(domain, "join", (a, b), kwargs)
-
-    def query_many(self, domain: Any, queries: Any,
-                   parallelism: Optional[int] = None) -> Any:
-        ensure_workers(parallelism)
-        return self._query(domain, "query_many", (list(queries),), {})
-
-    def _query(self, domain: Any, op: str, args: tuple,
-               kwargs: dict) -> Any:
-        return self._call(IndexQueryMessage(
-            domain=domain, op=op, args=tuple(args), kwargs=dict(kwargs)))
+        return self._index_op(domain, "query_many", (list(queries),), {})
 
     # ------------------------------------------------------------------
     # Introspection
@@ -336,17 +273,6 @@ class RemoteFrontend:
     def stats(self) -> Any:
         """Per-shard ``ServiceStats`` from the backing frontend."""
         return self._call(StatsRequest())
-
-    def combined_stats(self) -> Any:
-        """All shards' counters summed into one ``ServiceStats`` —
-        the exact ``ProcessPoolFrontend.combined_stats`` shape."""
-        from repro.service.ordering import ServiceStats
-
-        combined = ServiceStats()
-        for stats in self.stats():
-            for name, value in stats.as_dict().items():
-                setattr(combined, name, getattr(combined, name) + value)
-        return combined
 
     def health(self) -> ServerHealth:
         return self._call(HealthRequest())
@@ -361,14 +287,8 @@ class RemoteFrontend:
         return self._call(WorkerMetricsRequest())
 
     # ------------------------------------------------------------------
-    # Topology helpers (computed locally — same functions both sides)
+    # Topology (from the server's hello)
     # ------------------------------------------------------------------
-    def shard_of(self, domain: Any) -> int:
-        return shard_of_domain(domain, self.num_shards)
-
-    def fingerprint_of(self, domain: Any) -> str:
-        return routing_fingerprint(domain)
-
     @property
     def num_shards(self) -> int:
         return self._hello.num_shards
@@ -399,13 +319,6 @@ class RemoteFrontend:
         with self._lock:
             state = "closed" if self._closed else "connected"
         return f"RemoteFrontend({self._host}:{self._port}, {state})"
-
-    @staticmethod
-    def _expect(domain: Any, kind: type, method: str) -> None:
-        if not isinstance(domain, kind):
-            raise InvalidParameterError(
-                f"{method} expects a {kind.__name__}, "
-                f"got {type(domain).__name__}")
 
 
 def scrape_metrics(host: str, port: int, *, workers: bool = False,

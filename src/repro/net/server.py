@@ -1,12 +1,14 @@
 """The socket front: threaded transport + admission + cross-client
 coalescing over any serving frontend.
 
-:class:`SpectralServer` listens on a TCP socket and dispatches framed
-requests (:mod:`repro.net.framing`) into a backing frontend — the
+:class:`SpectralServer` listens on a TCP socket and answers framed
+requests (:mod:`repro.net.framing`) from a backing frontend — the
 multi-process :class:`~repro.api.ProcessPoolFrontend` in deployment,
 the in-process :class:`~repro.service.ShardedIndexFrontend` (or any
-duck-typed stand-in) in tests.  Three serving properties live at this
-tier, not in the transport:
+duck-typed stand-in) in tests — through the same
+:func:`~repro.serve.protocol.serve_message` table the fleet workers
+use.  Three serving properties live at this tier, not in the
+transport:
 
 **Admission control.**  Ordering and query requests pass through a
 bounded pending queue (``queue_depth``, default from
@@ -41,6 +43,7 @@ on the success path.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import queue
 import socket
@@ -74,18 +77,18 @@ from repro.net.messages import (
 from repro.obs import Timer, dump_metrics, registry, remote_capture, span
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
+    SERVED_MESSAGES,
     ErrorResponse,
     HealthRequest,
-    IndexQueryMessage,
     MetricsRequest,
     OkResponse,
-    OrderManyMessage,
     OrderRequestMessage,
     PingRequest,
     StatsRequest,
     TracedRequest,
     TracedResponse,
     error_response,
+    serve_message,
 )
 from repro.service.fingerprint import domain_fingerprint, order_key
 from repro.service.routing import coerce_domain
@@ -98,12 +101,6 @@ HANDSHAKE_TIMEOUT_SECONDS = 10.0
 #: How long ``close()`` waits for admitted requests to finish before
 #: tearing connections down anyway.
 DRAIN_GRACE_SECONDS = 10.0
-
-#: Index operations the server forwards to the backing frontend.
-#: ``workload`` (supported worker-side) is deliberately absent: the
-#: pool frontend does not expose it, and the remote surface mirrors
-#: the pool frontend exactly.
-SERVED_INDEX_OPS = ("range", "nn", "join", "query_many")
 
 _CONNECTIONS = registry().counter(
     "repro_net_connections_total",
@@ -167,13 +164,18 @@ class _WorkItem:
 
 
 class _NetFlight:
-    """One in-progress order other connections can wait on."""
+    """One in-progress order other connections can wait on.
 
-    __slots__ = ("event", "artifact")
+    ``waiters`` counts the requests currently waiting on it; the server
+    reads and writes it under its ``_flights_lock``.
+    """
+
+    __slots__ = ("event", "artifact", "waiters")
 
     def __init__(self) -> None:
         self.event = threading.Event()
         self.artifact: Any = None
+        self.waiters = 0
 
 
 class SpectralServer:
@@ -297,6 +299,12 @@ class SpectralServer:
         """Requests admitted but not yet replied to (queued + running)."""
         with self._state_lock:
             return self._pending
+
+    @property
+    def flight_waiters(self) -> int:
+        """Requests waiting on another connection's in-flight order."""
+        with self._flights_lock:
+            return sum(flight.waiters for flight in self._flights.values())
 
     def close(self) -> None:
         """Drain and shut down.  Idempotent.
@@ -446,8 +454,7 @@ class SpectralServer:
             with self._state_lock:
                 self._requests_handled += 1
             return
-        if not isinstance(inner, (OrderRequestMessage, OrderManyMessage,
-                                  IndexQueryMessage)):
+        if not isinstance(inner, SERVED_MESSAGES):
             self._reply(conn, seq, error_response(InvalidParameterError(
                 f"unknown request type {type(inner).__name__}")))
             return
@@ -541,27 +548,13 @@ class SpectralServer:
         try:
             if isinstance(message, OrderRequestMessage):
                 payload = self._order(message, deadline)
-            elif isinstance(message, OrderManyMessage):
-                payload = self._frontend.order_many(
-                    list(message.requests))
-            elif isinstance(message, IndexQueryMessage):
-                payload = self._index_op(message)
-            else:  # pragma: no cover - guarded by _route
-                raise InvalidParameterError(
-                    f"unknown request type {type(message).__name__}")
+            else:
+                payload = serve_message(self._frontend, message)
             return OkResponse(payload)
         except BaseException as exc:
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             return error_response(exc)
-
-    def _index_op(self, message: IndexQueryMessage) -> Any:
-        if message.op not in SERVED_INDEX_OPS:
-            raise InvalidParameterError(
-                f"op must be one of {SERVED_INDEX_OPS}, "
-                f"got {message.op!r}")
-        handler = getattr(self._frontend, message.op)
-        return handler(message.domain, *message.args, **message.kwargs)
 
     # ------------------------------------------------------------------
     # Cross-client coalescing
@@ -569,54 +562,54 @@ class SpectralServer:
     def _order(self, message: OrderRequestMessage,
                deadline: float) -> Any:
         domain = coerce_domain(message.domain)
-        want_artifact = message.want_artifact
         config = message.config
         # Only plain-config grid/graph orders coalesce: a shipped
         # SpectralLPM instance may be non-cacheable, and only grids and
         # graphs have the order_key fingerprint the caches share.
-        if (isinstance(domain, (Grid, Graph))
+        if not (isinstance(domain, (Grid, Graph))
                 and (config is None
                      or isinstance(config, SpectralConfig))):
-            key = order_key(config or SpectralConfig(),
-                            domain_fingerprint(domain))
-        else:
-            artifact = self._artifact(domain, config)
-            return artifact if want_artifact else artifact.order
+            return serve_message(self._frontend, message)
+        key = order_key(config or SpectralConfig(),
+                        domain_fingerprint(domain))
+        # The leader always fetches the full artifact: the flight's
+        # waiters may want either shape, and the order *is*
+        # artifact.order, so bit-identity holds by construction.
+        leader = dataclasses.replace(message, want_artifact=True)
         while True:
             with self._flights_lock:
                 flight = self._flights.get(key)
                 if flight is None:
                     mine = _NetFlight()
                     self._flights[key] = mine
+                else:
+                    flight.waiters += 1
             if flight is None:
                 try:
-                    artifact = self._artifact(domain, config)
+                    artifact = serve_message(self._frontend, leader)
                     mine.artifact = artifact
                 finally:
                     with self._flights_lock:
                         self._flights.pop(key, None)
                     mine.event.set()
-                return artifact if want_artifact else artifact.order
+                break
             remaining = deadline - time.monotonic()
-            if remaining <= 0 or not flight.event.wait(remaining):
+            try:
+                landed = remaining > 0 and flight.event.wait(remaining)
+            finally:
+                with self._flights_lock:
+                    flight.waiters -= 1
+            if not landed:
                 raise ServerBusy(
                     "coalesced order still in flight at the request "
                     "deadline", reason="deadline")
             if flight.artifact is not None:
                 _COALESCED.inc()
                 artifact = flight.artifact
-                return artifact if want_artifact else artifact.order
+                break
             # The leader failed; loop — one waiter becomes the next
             # leader, so a transient failure never wedges the key.
-
-    def _artifact(self, domain: Any, config: Any) -> Any:
-        # Always the full artifact, even for order-only callers: the
-        # flight's waiters may want either shape, and the order *is*
-        # artifact.order (the same derivation the fleet worker uses),
-        # so bit-identity is preserved by construction.
-        if isinstance(domain, Grid):
-            return self._frontend.grid_artifact(domain, config)
-        return self._frontend.graph_artifact(domain, config)
+        return artifact if message.want_artifact else artifact.order
 
     # ------------------------------------------------------------------
     # Introspection

@@ -20,13 +20,18 @@ expensive to compute, cheap to ship.
 
 Layers:
 
-* :mod:`repro.serve.protocol` — the pickled request/response values;
+* :mod:`repro.serve.protocol` — the pickled request/response values,
+  and :func:`~repro.serve.protocol.serve_message`, the one table that
+  answers ordering and query messages from a serving surface;
+* :mod:`repro.serve.frontend` — :class:`MessageFrontend`, the serving
+  surface written once over a ``_call(message)`` transport;
 * :mod:`repro.serve.worker` — the worker process main loop;
 * :mod:`repro.serve.supervisor` — spawn, dispatch, crash detection,
   restart-and-rehydrate, graceful shutdown;
 * :mod:`repro.serve.cli` — the ``repro-serve`` console script;
-* :class:`repro.api.ProcessPoolFrontend` — the facade serving the same
-  surface as the in-process sharded frontend over this fleet.
+* :class:`repro.api.ProcessPoolFrontend` — the pipe transport under
+  that surface, over this fleet (:class:`repro.net.RemoteFrontend` is
+  the socket one).
 """
 
 from repro.serve.protocol import PROTOCOL_VERSION

@@ -40,6 +40,7 @@ from repro.geometry.grid import Grid
 from repro.net.config import parse_address
 from repro.obs import Timer
 from repro.serve.supervisor import ProcessFleet
+from repro.service.ordering import ServiceStats
 
 
 def _listen_address(spec: str):
@@ -236,12 +237,13 @@ def _serve_socket(fleet: ProcessFleet, args) -> int:
 
 
 def _print_stats(fleet: ProcessFleet) -> None:
-    for shard, stats in enumerate(fleet.shard_stats()):
+    shard_stats = fleet.shard_stats()
+    for shard, stats in enumerate(shard_stats):
         row = stats.as_dict()
         print(f"  shard {shard}: computed={row['computed']} "
               f"disk={row['disk_hits']} memory={row['memory_hits']} "
               f"solver_calls={row['solver_calls']}")
-    combined = fleet.combined_stats()
+    combined = ServiceStats.total(shard_stats)
     print(f"  total solver calls: {combined.solver_calls}")
 
 

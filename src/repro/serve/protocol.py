@@ -14,7 +14,12 @@ exception, ships it back pickled when it survives pickling (the normal
 case — the library's exception types are plain), and otherwise ships
 its type name and traceback text inside a
 :class:`~repro.errors.WorkerError`.  The dispatcher re-raises either
-way, so a remote failure reads like a local one.
+way (:func:`unwrap_response`), so a remote failure reads like a local
+one.
+
+Workers and the socket server answer ordering and query messages
+through one table, :func:`serve_message`; its client-side mirror is
+:class:`~repro.serve.frontend.MessageFrontend`.
 """
 
 from __future__ import annotations
@@ -22,9 +27,13 @@ from __future__ import annotations
 import pickle
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import WorkerError
+from repro.errors import InvalidParameterError, WorkerError
+from repro.geometry.grid import Grid
+from repro.graph.adjacency import Graph
+from repro.obs import collector
+from repro.service.routing import coerce_domain
 
 #: Bumped on any incompatible protocol change; worker and dispatcher
 #: refuse to talk across versions (both sides are always deployed from
@@ -96,12 +105,12 @@ class OrderManyMessage:
 
 @dataclass(frozen=True)
 class IndexQueryMessage:
-    """A query against the worker-local index of one domain.
+    """A query against the index of one domain.
 
-    ``op`` is one of ``"range"`` / ``"nn"`` / ``"join"`` /
-    ``"query_many"`` / ``"workload"``, applied to the
-    :class:`~repro.api.SpectralIndex` the worker builds (and caches)
-    over its own shard service.
+    ``op`` is one of :data:`INDEX_OPS`, called on the serving surface as
+    ``surface.<op>(domain, *args, **kwargs)`` — which runs it on the
+    :class:`~repro.api.SpectralIndex` that surface builds (and caches)
+    over the owning shard's service.
     """
 
     domain: object
@@ -111,7 +120,7 @@ class IndexQueryMessage:
 
 
 #: Operations :class:`IndexQueryMessage` accepts.
-INDEX_OPS = ("range", "nn", "join", "query_many", "workload")
+INDEX_OPS = ("range", "nn", "join", "query_many")
 
 
 @dataclass(frozen=True)
@@ -210,6 +219,26 @@ class TracedResponse:
     spans: Tuple = ()
 
 
+def unwrap_response(response: Any) -> Any:
+    """The payload of a reply, or the shipped failure re-raised.
+
+    Spans a :class:`TracedResponse` carries are ingested into this
+    process's collector first, so the remote side's spans join the
+    caller's trace whether the request succeeded or not.
+    """
+    if isinstance(response, TracedResponse):
+        if response.spans:
+            collector().ingest(response.spans)
+        response = response.response
+    if isinstance(response, ErrorResponse):
+        response.raise_()
+    if not isinstance(response, OkResponse):
+        raise WorkerError(
+            f"malformed response {type(response).__name__}"
+        )
+    return response.payload
+
+
 @dataclass(frozen=True)
 class WorkerHello:
     """The ping payload: who the worker is and what it owns."""
@@ -239,3 +268,63 @@ class WorkerHealth:
     stores: Dict[int, str]
     status: str = "ok"
     protocol_version: int = PROTOCOL_VERSION
+
+
+# ---------------------------------------------------------------------------
+# Serving: message -> surface method
+# ---------------------------------------------------------------------------
+def _serve_order(surface, message: OrderRequestMessage):
+    # Always the full artifact: the order *is* artifact.order, so either
+    # reply shape is derived from one call.
+    domain = coerce_domain(message.domain)
+    if isinstance(domain, Grid):
+        artifact = surface.grid_artifact(domain, message.config)
+    elif isinstance(domain, Graph):
+        artifact = surface.graph_artifact(domain, message.config)
+    else:
+        raise InvalidParameterError(
+            f"an order request needs a Grid or Graph domain, "
+            f"got {type(domain).__name__}"
+        )
+    return artifact if message.want_artifact else artifact.order
+
+
+def _serve_order_many(surface, message: OrderManyMessage):
+    return surface.order_many(list(message.requests))
+
+
+def _serve_index_query(surface, message: IndexQueryMessage):
+    if message.op not in INDEX_OPS:
+        raise InvalidParameterError(
+            f"op must be one of {INDEX_OPS}, got {message.op!r}"
+        )
+    return getattr(surface, message.op)(message.domain, *message.args,
+                                        **message.kwargs)
+
+
+_HANDLERS = {
+    OrderRequestMessage: _serve_order,
+    OrderManyMessage: _serve_order_many,
+    IndexQueryMessage: _serve_index_query,
+}
+
+#: The ordering and query messages :func:`serve_message` answers.
+SERVED_MESSAGES = tuple(_HANDLERS)
+
+
+def serve_message(surface, message):
+    """Answer one ordering or query message from ``surface``.
+
+    ``surface`` is anything with the sharded-frontend methods
+    (``grid_artifact`` / ``graph_artifact`` / ``order_many`` /
+    ``range`` / ``nn`` / ``join`` / ``query_many``); only those public
+    methods are called, so a wrapper intercepting them sees every
+    request.  Any other message raises
+    :class:`~repro.errors.InvalidParameterError`.
+    """
+    handler = _HANDLERS.get(type(message))
+    if handler is None:
+        raise InvalidParameterError(
+            f"unknown request type {type(message).__name__}"
+        )
+    return handler(surface, message)

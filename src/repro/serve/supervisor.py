@@ -34,22 +34,20 @@ from repro.errors import (
     InvalidParameterError,
     WorkerError,
 )
-from repro.obs import Timer, collector, registry, span, tracing_enabled
+from repro.obs import Timer, registry, span, tracing_enabled
 from repro.parallel import ensure_workers, map_in_threads
 from repro.service.ordering import ServiceStats
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
-    ErrorResponse,
     HealthRequest,
     MetricsRequest,
-    OkResponse,
     PingRequest,
     ShutdownRequest,
     StatsRequest,
     TracedRequest,
-    TracedResponse,
     WorkerHealth,
     WorkerHello,
+    unwrap_response,
 )
 from repro.serve.worker import worker_main
 
@@ -129,10 +127,9 @@ class ProcessFleet:
 
     Examples
     --------
-    >>> from repro.geometry import Grid
     >>> with ProcessFleet(shards=2) as fleet:       # doctest: +SKIP
-    ...     fleet.order_domain(Grid((6, 6))).n
-    36
+    ...     len(fleet.hellos())
+    2
     """
 
     def __init__(self, shards: int = 4, *,
@@ -387,17 +384,7 @@ class ProcessFleet:
                     response = self._roundtrip(handle, wire)
             finally:
                 _DISPATCH_SECONDS.observe(timer.seconds)
-        if isinstance(response, TracedResponse):
-            if response.spans:
-                collector().ingest(response.spans)
-            response = response.response
-        if isinstance(response, ErrorResponse):
-            response.raise_()
-        if not isinstance(response, OkResponse):  # pragma: no cover
-            raise WorkerError(
-                f"malformed worker response {type(response).__name__}"
-            )
-        return response.payload
+        return unwrap_response(response)
 
     def _roundtrip(self, handle: _WorkerHandle, message):
         with handle.lock:
@@ -470,14 +457,6 @@ class ProcessFleet:
             merged.update(worker_stats)
         return [merged.get(shard, ServiceStats())
                 for shard in range(self._num_shards)]
-
-    def combined_stats(self) -> ServiceStats:
-        """All shards' counters summed into one snapshot."""
-        combined = ServiceStats()
-        for stats in self.shard_stats():
-            for name, value in stats.as_dict().items():
-                setattr(combined, name, getattr(combined, name) + value)
-        return combined
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "open"

@@ -1,11 +1,14 @@
-"""The worker process: per-shard services behind one request loop.
+"""The worker process: its shards' serving surface behind one request loop.
 
 A worker owns one or more keyspace shards.  For each it hydrates an
 :class:`~repro.service.OrderingService` over that shard's on-disk
 :class:`~repro.service.ArtifactStore` directory — which is the whole
 restart story: a freshly spawned worker answers every previously-seen
 request from disk, paying **zero eigensolves** (the fleet test pins
-this through the services' ``solver_calls`` counters).
+this through the services' ``solver_calls`` counters).  A
+:class:`~repro.service.ShardedIndexFrontend` over those services
+answers the requests, through the server's table
+(:func:`~repro.serve.protocol.serve_message`).
 
 The loop is deliberately single-threaded: one request in flight per
 pipe means no worker-side locking beyond what the services already
@@ -25,26 +28,17 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.caching import LRUCache
 from repro.errors import InvalidParameterError
 from repro.obs import dump_metrics, remote_capture, span
-from repro.service.ordering import OrderingService, normalize_requests
-from repro.service.routing import (
-    coerce_domain,
-    routing_fingerprint,
-    shard_of_domain,
-)
+from repro.service.ordering import OrderingService
+from repro.service.sharding import ShardedIndexFrontend
 from repro.serve.protocol import (
-    INDEX_OPS,
     ErrorResponse,
     HealthRequest,
-    IndexQueryMessage,
     MetricsRequest,
     OkResponse,
-    OrderManyMessage,
-    OrderRequestMessage,
     PingRequest,
     ShutdownRequest,
     StatsRequest,
@@ -53,11 +47,49 @@ from repro.serve.protocol import (
     WorkerHealth,
     WorkerHello,
     error_response,
+    serve_message,
 )
+
+#: Requests about the worker itself, answered by the named method.
+_INTROSPECTION = {
+    PingRequest: "hello",
+    StatsRequest: "stats",
+    HealthRequest: "health",
+    MetricsRequest: "metrics",
+}
+
+
+class _OwnedShards(ShardedIndexFrontend):
+    """The sharded surface, refusing domains of shards not owned here.
+
+    It spans every shard of the keyspace, so its routing is the
+    dispatcher's exactly; the shards this worker does not own hold
+    memory-only services that the ownership check keeps unreachable.
+    """
+
+    def __init__(self, worker_id: int, owned: Tuple[int, ...],
+                 services: Sequence[OrderingService],
+                 **kwargs) -> None:
+        super().__init__(services=services, **kwargs)
+        self._worker_id = worker_id
+        self._owned = owned
+
+    def shard_of(self, domain) -> int:
+        shard = super().shard_of(domain)
+        if shard not in self._owned:
+            raise InvalidParameterError(
+                f"worker {self._worker_id} owns shards {self._owned}, "
+                f"not shard {shard} — dispatcher/worker routing disagree"
+            )
+        return shard
+
+    def index_for(self, domain, mapping="spectral", **build_kwargs):
+        self.shard_of(domain)  # the index table routes by fingerprint
+        return super().index_for(domain, mapping, **build_kwargs)
 
 
 class ShardWorker:
-    """The in-process half of a worker: services, indexes, dispatch.
+    """The in-process half of a worker: identity, health, dispatch.
 
     Factored out of the pipe loop so tests can drive it synchronously
     (same code path, no processes) and so the CLI's in-process fallback
@@ -72,45 +104,31 @@ class ShardWorker:
         self.worker_id = int(worker_id)
         self.shard_ids = tuple(int(s) for s in shard_ids)
         self.num_shards = int(num_shards)
-        self._services: Dict[int, OrderingService] = {
-            shard: OrderingService(
-                memory_entries=memory_entries,
-                store=store_dirs.get(shard),
-                hierarchy_entries=hierarchy_entries,
-            )
-            for shard in self.shard_ids
-        }
-        self._index_defaults = dict(index_defaults or {})
-        # The defaults are fixed for the worker's lifetime; their key
-        # component is too.
-        self._defaults_key = tuple(sorted(
-            (name, repr(value))
-            for name, value in self._index_defaults.items()))
-        # Bounded, like the sharded frontend's table: a worker serving
-        # a stream of distinct domains must not hoard views forever.
-        self._indexes: LRUCache = LRUCache(max_indexes)
+        self._front = _OwnedShards(
+            self.worker_id, self.shard_ids,
+            [OrderingService(memory_entries=memory_entries,
+                             store=(store_dirs.get(shard)
+                                    if shard in self.shard_ids else None),
+                             hierarchy_entries=hierarchy_entries)
+             for shard in range(self.num_shards)],
+            index_defaults=index_defaults,
+            max_indexes=max_indexes,
+        )
         self._started = time.monotonic()
         self.requests_handled = 0
 
     # ------------------------------------------------------------------
     @property
     def services(self) -> Dict[int, OrderingService]:
-        """The per-shard services, keyed by shard id."""
-        return self._services
+        """The per-shard services, keyed by (owned) shard id."""
+        return {shard: self._front.services[shard]
+                for shard in self.shard_ids}
 
-    def _service_for(self, domain) -> Tuple[int, OrderingService]:
-        domain = coerce_domain(domain)
-        shard = shard_of_domain(domain, self.num_shards)
-        service = self._services.get(shard)
-        if service is None:
-            raise InvalidParameterError(
-                f"worker {self.worker_id} owns shards {self.shard_ids}, "
-                f"not shard {shard} — dispatcher/worker routing disagree"
-            )
-        return shard, service
+    def _index_for(self, domain):
+        return self._front.index_for(domain)
 
     # ------------------------------------------------------------------
-    # Request handlers
+    # Introspection
     # ------------------------------------------------------------------
     def hello(self) -> WorkerHello:
         return WorkerHello(worker_id=self.worker_id,
@@ -120,7 +138,7 @@ class ShardWorker:
 
     def stats(self) -> Dict[int, object]:
         return {shard: service.stats
-                for shard, service in self._services.items()}
+                for shard, service in self.services.items()}
 
     def health(self) -> WorkerHealth:
         """Liveness detail: identity, uptime, per-shard store probes.
@@ -131,7 +149,7 @@ class ShardWorker:
         next disk miss.
         """
         stores: Dict[int, str] = {}
-        for shard, service in self._services.items():
+        for shard, service in self.services.items():
             store = service.store
             if store is None:
                 stores[shard] = "ok (memory-only)"
@@ -158,63 +176,6 @@ class ShardWorker:
     def metrics(self) -> str:
         """This process's metrics in Prometheus text format."""
         return dump_metrics()
-
-    def order_one(self, message: OrderRequestMessage):
-        from repro.geometry.grid import Grid
-
-        domain = coerce_domain(message.domain)
-        _, service = self._service_for(domain)
-        if isinstance(domain, Grid):
-            artifact = service.grid_artifact(domain, message.config)
-        else:
-            artifact = service.graph_artifact(domain, message.config)
-        return artifact if message.want_artifact else artifact.order
-
-    def order_many(self, message: OrderManyMessage) -> List:
-        """Batched orders, re-grouped per owned shard.
-
-        Each shard's service sees its sub-batch in one
-        :meth:`~repro.service.OrderingService.order_many` call, so the
-        one-topology-build amortization survives the process hop.
-        """
-        normalized = normalize_requests(
-            (coerce_domain(domain), config)
-            for domain, config in message.requests)
-        by_shard: Dict[int, List[int]] = {}
-        for i, request in enumerate(normalized):
-            shard, _ = self._service_for(request.domain)
-            by_shard.setdefault(shard, []).append(i)
-        results: List = [None] * len(normalized)
-        for shard, indices in by_shard.items():
-            orders = self._services[shard].order_many(
-                [normalized[i] for i in indices])
-            for i, order in zip(indices, orders):
-                results[i] = order
-        return results
-
-    def index_query(self, message: IndexQueryMessage):
-        if message.op not in INDEX_OPS:
-            raise InvalidParameterError(
-                f"op must be one of {INDEX_OPS}, got {message.op!r}"
-            )
-        index = self._index_for(message.domain)
-        return getattr(index, message.op)(*message.args,
-                                          **message.kwargs)
-
-    def _index_for(self, domain):
-        # Imported lazily, mirroring the sharded frontend: repro.serve
-        # must stay importable without pulling the whole facade in.
-        from repro.api.index import SpectralIndex
-
-        domain = coerce_domain(domain)
-        shard, service = self._service_for(domain)
-        key = (routing_fingerprint(domain), self._defaults_key)
-        index = self._indexes.get(key)
-        if index is None:
-            index = SpectralIndex.build(domain, service=service,
-                                        **self._index_defaults)
-            self._indexes.put(key, index)
-        return index
 
     # ------------------------------------------------------------------
     def handle(self, request) -> Tuple[object, bool]:
@@ -243,34 +204,17 @@ class ShardWorker:
 
     def _dispatch(self, request) -> Tuple[object, bool]:
         self.requests_handled += 1
+        if isinstance(request, ShutdownRequest):
+            return OkResponse("bye"), False
         try:
-            if isinstance(request, ShutdownRequest):
-                return OkResponse("bye"), False
-            if isinstance(request, PingRequest):
-                return OkResponse(self.hello()), True
-            if isinstance(request, StatsRequest):
-                return OkResponse(self.stats()), True
-            if isinstance(request, HealthRequest):
-                return OkResponse(self.health()), True
-            if isinstance(request, MetricsRequest):
-                return OkResponse(self.metrics()), True
-            if isinstance(request, OrderRequestMessage):
-                return OkResponse(self.order_one(request)), True
-            if isinstance(request, OrderManyMessage):
-                return OkResponse(self.order_many(request)), True
-            if isinstance(request, IndexQueryMessage):
-                return OkResponse(self.index_query(request)), True
-            raise InvalidParameterError(
-                f"unknown request type {type(request).__name__}"
-            )
+            method = _INTROSPECTION.get(type(request))
+            if method is not None:
+                return OkResponse(getattr(self, method)()), True
+            return OkResponse(serve_message(self._front, request)), True
         except BaseException as exc:  # ship the failure, keep serving
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            return self._as_error(exc), True
-
-    @staticmethod
-    def _as_error(exc: BaseException) -> ErrorResponse:
-        return error_response(exc)
+            return error_response(exc), True
 
 
 def worker_main(worker_id: int, shard_ids: Sequence[int],

@@ -70,6 +70,7 @@ from repro.service.fingerprint import (
     order_key,
     points_fingerprint,
 )
+from repro.service.routing import coerce_domain_as
 from repro.service.store import ArtifactStore
 
 Domain = Union[Grid, Graph]
@@ -162,6 +163,16 @@ class ServiceStats:
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain dict (for logs and reports)."""
         return dataclasses.asdict(self)
+
+    @classmethod
+    def total(cls, parts: Sequence["ServiceStats"]) -> "ServiceStats":
+        """Field-wise sum of ``parts`` — e.g. every shard's snapshot
+        into one fleet-wide view."""
+        combined = cls()
+        for stats in parts:
+            for name, value in stats.as_dict().items():
+                setattr(combined, name, getattr(combined, name) + value)
+        return combined
 
 
 @dataclass
@@ -273,6 +284,7 @@ class OrderingService:
     def grid_artifact(self, grid: Grid,
                       config: ConfigLike = None) -> OrderArtifact:
         """:meth:`order_grid` with full provenance attached."""
+        grid = coerce_domain_as(grid, Grid)
         resolved = self._resolve(config)
         if not resolved.cacheable:
             with self._lock:
@@ -304,6 +316,7 @@ class OrderingService:
         do not influence a prebuilt graph (they describe grid builds);
         they still participate in the key, conservatively.
         """
+        graph = coerce_domain_as(graph, Graph)
         resolved = self._resolve(config)
         if not resolved.cacheable:
             with self._lock:

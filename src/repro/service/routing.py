@@ -10,6 +10,8 @@ content-hash fingerprint:
 
 * :func:`coerce_domain` — promote shape tuples to grids, reject
   non-domains;
+* :func:`coerce_domain_as` — the same, then require one kind (the
+  check behind every ``order_grid`` / ``order_graph`` entry point);
 * :func:`routing_fingerprint` — the SHA-256 fingerprint a domain is
   routed by (grids by shape, point sets by cell content, graphs by CSR
   content hash);
@@ -56,6 +58,23 @@ def coerce_domain(domain) -> ShardableDomain:
         "domain must be a Grid, PointSet, Graph, or a shape "
         f"sequence, got {type(domain).__name__}"
     )
+
+
+def coerce_domain_as(domain, kind: type):
+    """:func:`coerce_domain`, then require ``domain`` to be a ``kind``.
+
+    The entry point fixes the domain kind (``order_grid`` takes a
+    :class:`Grid`, ``order_graph`` a :class:`Graph`); every front and
+    the service check it here, so a wrong-kind domain raises
+    :class:`~repro.errors.InvalidParameterError` everywhere alike.
+    """
+    domain = coerce_domain(domain)
+    if not isinstance(domain, kind):
+        raise InvalidParameterError(
+            f"expected a {kind.__name__} domain, "
+            f"got {type(domain).__name__}"
+        )
+    return domain
 
 
 def routing_fingerprint(domain: ShardableDomain) -> str:

@@ -1,13 +1,16 @@
 """Keyspace-partitioned serving: a sharded front over ordering services.
 
-The ROADMAP's last serving item: the content-hash fingerprints that key
-every cached order (:mod:`repro.service.fingerprint`) are uniformly
-distributed SHA-256 digests, which makes them a ready-made partitioning
-keyspace.  :class:`ShardedIndexFrontend` exploits that: it owns N
-independent :class:`~repro.service.OrderingService` shards and routes
-every request — orders, artifacts, batches, and whole
+The content-hash fingerprints that key every cached order
+(:mod:`repro.service.fingerprint`) are uniformly distributed SHA-256
+digests, which makes them a ready-made partitioning keyspace.
+:class:`ShardedIndexFrontend` exploits that: it owns N independent
+:class:`~repro.service.OrderingService` shards and routes every
+request — orders, artifacts, batches, and whole
 :class:`~repro.api.SpectralIndex` builds — to the shard that owns the
 domain's fingerprint.
+
+It is the serving surface itself, called in process; worker processes
+and the socket server answer remote requests by calling these methods.
 
 Why shard by *domain* fingerprint (not the full order key)?  All
 configurations over one domain land on one shard, so that shard's
@@ -47,7 +50,6 @@ from repro.service.ordering import (
     normalize_requests,
 )
 from repro.service.routing import (
-    ShardableDomain,
     coerce_domain,
     routing_fingerprint,
     shard_index,
@@ -156,14 +158,6 @@ class ShardedIndexFrontend:
         """The per-shard services, in shard order."""
         return tuple(self._services)
 
-    _coerce_domain = staticmethod(coerce_domain)
-    _domain_fingerprint = staticmethod(routing_fingerprint)
-
-    def _shard_from_fingerprint(self, fingerprint: str) -> int:
-        # The one routing formula, shared with repro.serve — see
-        # repro.service.routing.
-        return shard_index(fingerprint, len(self._services))
-
     def shard_of(self, domain) -> int:
         """The shard owning ``domain`` — a pure, stable function.
 
@@ -251,8 +245,10 @@ class ShardedIndexFrontend:
         from repro.api.index import SpectralIndex
         from repro.mapping.interface import LocalityMapping
 
-        domain = self._coerce_domain(domain)
-        fingerprint = self._domain_fingerprint(domain)
+        domain = coerce_domain(domain)
+        # Fingerprinted once (graphs hash O(edges)): the fingerprint is
+        # both the table key and the routing input.
+        fingerprint = routing_fingerprint(domain)
         spec_key = (("instance", id(mapping))
                     if isinstance(mapping, LocalityMapping)
                     else repr(mapping))
@@ -267,7 +263,7 @@ class ShardedIndexFrontend:
                 index = SpectralIndex.build(
                     domain, mapping,
                     service=self._services[
-                        self._shard_from_fingerprint(fingerprint)],
+                        shard_index(fingerprint, len(self._services))],
                     **kwargs,
                 )
                 self._indexes.put(key, index)
@@ -313,11 +309,7 @@ class ShardedIndexFrontend:
         sampled sequentially, so the sum is a fuzzy barrier across
         shards like any multi-source aggregate.
         """
-        combined = ServiceStats()
-        for stats in self.stats():
-            for name, value in stats.as_dict().items():
-                setattr(combined, name, getattr(combined, name) + value)
-        return combined
+        return ServiceStats.total(self.stats())
 
     def __repr__(self) -> str:
         with self._lock:

@@ -23,7 +23,7 @@ from repro.geometry import Grid
 from repro.graph import grid_graph, path_graph
 from repro.linalg import scipy_available
 
-EXACT_BACKENDS = ["dense", "lanczos", "shift_invert", "lobpcg"] + (
+EXACT_BACKENDS = ["dense", "lanczos", "lobpcg"] + (
     ["scipy"] if scipy_available() else [])
 ALL_BACKENDS = EXACT_BACKENDS + ["multilevel"]
 

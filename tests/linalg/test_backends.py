@@ -25,8 +25,8 @@ def backend(request):
 
 
 def test_backend_list_stable():
-    assert BACKENDS == ("auto", "dense", "lanczos", "shift_invert",
-                        "lobpcg", "scipy", "multilevel")
+    assert BACKENDS == ("auto", "dense", "lanczos", "lobpcg", "scipy",
+                        "multilevel")
 
 
 def test_multilevel_needs_graph():

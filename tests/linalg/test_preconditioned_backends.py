@@ -1,6 +1,6 @@
 """Tests for the preconditioned eigensolver backends.
 
-Covers the shift-invert and LOBPCG backends end to end: the multilevel
+Covers the LOBPCG backend end to end: the multilevel
 V-cycle preconditioner (symmetry, Laplacian recognition, content-keyed
 caching), agreement with the dense reference on exact-arithmetic-hard
 inputs, iteration statistics, and the miss-tolerance-falls-back
@@ -20,7 +20,6 @@ from repro.graph.laplacian import graph_from_laplacian
 from repro.geometry import Grid
 from repro.linalg import smallest_eigenpairs
 from repro.linalg.backends import multilevel_preconditioner_for
-from repro.linalg.lanczos import smallest_eigenpairs_shift_invert
 from repro.linalg.lobpcg import lobpcg_smallest, smallest_eigenpairs_lobpcg
 from repro.linalg.sparse import CSRMatrix
 
@@ -158,66 +157,19 @@ def test_distinct_weights_get_distinct_preconditioners():
     assert first is not second
 
 
-# ----------------------------------------------------------------------
-# Shift-invert backend
-# ----------------------------------------------------------------------
-def test_shift_invert_matches_dense_on_path():
-    n = 120
-    lap = laplacian(path_graph(n))
-    values, vectors = smallest_eigenpairs(lap, 3, backend="shift_invert",
-                                          deflate=path_deflate(n))
-    exact = 2 * (1 - np.cos(np.pi * np.arange(1, 4) / n))
-    np.testing.assert_allclose(values, exact, atol=1e-8)
-    for j in range(3):
-        y = vectors[:, j]
-        assert np.linalg.norm(lap.matvec(y) - values[j] * y) < 1e-6
-
-
-def test_shift_invert_stats_report_inner_outer_iterations():
-    n = 80
-    lap = laplacian(path_graph(n))
-    stats = {}
-    smallest_eigenpairs_shift_invert(
-        lap.matvec, n, 2, upper_bound=lap.gershgorin_upper_bound(),
-        deflate=path_deflate(n), tol=1e-9,
-        preconditioner=multilevel_preconditioner_for(lap),
-        stats=stats)
-    assert stats["outer_iterations"] >= 2
-    assert stats["inner_iterations"] >= stats["outer_iterations"]
-    assert stats["max_inner_iterations"] >= 1
-
-
-def test_preconditioner_reduces_inner_iterations():
-    n = 400
-    lap = laplacian(path_graph(n))
-    bound = lap.gershgorin_upper_bound()
-    plain, preconditioned = {}, {}
-    smallest_eigenpairs_shift_invert(
-        lap.matvec, n, 1, upper_bound=bound, deflate=path_deflate(n),
-        stats=plain)
-    smallest_eigenpairs_shift_invert(
-        lap.matvec, n, 1, upper_bound=bound, deflate=path_deflate(n),
-        preconditioner=multilevel_preconditioner_for(lap),
-        stats=preconditioned)
-    assert preconditioned["inner_iterations"] < plain["inner_iterations"]
-
-
-def test_shift_invert_falls_back_on_non_laplacian_spd():
+def test_lobpcg_falls_back_on_non_laplacian_spd():
     # General SPD input: no preconditioner, and the clustered-at-zero
     # assumption may not hold — the registry path must still return the
-    # right answer (via the inner-outer solve or the Lanczos fallback).
+    # right answer (via the block solve or the Lanczos fallback).
     rng = np.random.default_rng(4)
     q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
     spectrum = np.linspace(1.0, 10.0, 40)
     dense = (q * spectrum) @ q.T
     matrix = CSRMatrix.from_dense((dense + dense.T) / 2.0)
-    values, _ = smallest_eigenpairs(matrix, 2, backend="shift_invert")
+    values, _ = smallest_eigenpairs(matrix, 2, backend="lobpcg")
     np.testing.assert_allclose(values, spectrum[:2], atol=1e-6)
 
 
-# ----------------------------------------------------------------------
-# LOBPCG backend
-# ----------------------------------------------------------------------
 def test_lobpcg_matches_dense_on_grid():
     grid = Grid((11, 10))
     lap = laplacian(grid_graph(grid))
@@ -295,7 +247,7 @@ def test_lobpcg_rejects_bad_k():
 # ----------------------------------------------------------------------
 # Registry-level contracts
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["shift_invert", "lobpcg"])
+@pytest.mark.parametrize("backend", ["lobpcg"])
 def test_registry_backends_agree_with_dense(backend):
     lap = laplacian(grid_graph(Grid((7, 9))))
     deflate = path_deflate(lap.n)
@@ -306,7 +258,7 @@ def test_registry_backends_agree_with_dense(backend):
     np.testing.assert_allclose(got, want, atol=1e-8)
 
 
-@pytest.mark.parametrize("backend", ["shift_invert", "lobpcg"])
+@pytest.mark.parametrize("backend", ["lobpcg"])
 def test_tiny_systems_work(backend):
     lap = laplacian(path_graph(3))
     values, _ = smallest_eigenpairs(lap, 1, backend=backend,
@@ -314,7 +266,7 @@ def test_tiny_systems_work(backend):
     assert values[0] == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("backend", ["shift_invert", "lobpcg"])
+@pytest.mark.parametrize("backend", ["lobpcg"])
 def test_custom_tol_is_respected(backend):
     # A loose tolerance must still produce residuals within its own
     # bound; the pipeline threads SpectralConfig.solver_tol through
@@ -336,16 +288,13 @@ def test_fallback_contract_on_forced_failure(monkeypatch):
     def explode(*args, **kwargs):
         raise ConvergenceError("forced", iterations=0, residual=1.0)
 
-    monkeypatch.setattr(backends, "smallest_eigenpairs_shift_invert",
-                        explode)
     monkeypatch.setattr(backends, "smallest_eigenpairs_lobpcg", explode)
     n = 40
     lap = laplacian(path_graph(n))
     exact = 2 * (1 - np.cos(np.pi / n))
-    for backend in ("shift_invert", "lobpcg"):
-        values, _ = smallest_eigenpairs(lap, 1, backend=backend,
-                                        deflate=path_deflate(n))
-        assert values[0] == pytest.approx(exact, abs=1e-8)
+    values, _ = smallest_eigenpairs(lap, 1, backend="lobpcg",
+                                    deflate=path_deflate(n))
+    assert values[0] == pytest.approx(exact, abs=1e-8)
 
 
 def test_resolve_auto_picks_lobpcg_where_it_wins():

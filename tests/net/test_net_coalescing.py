@@ -51,10 +51,11 @@ def test_k_cold_clients_pay_one_solve():
                    for i in range(K)]
         for t in threads:
             t.start()
-        # Hold the gate until every request is admitted, so all K are
-        # provably concurrent — none can ride a warm cache.
+        # Hold the gate until K-1 requests wait on the leader's flight,
+        # so all K are provably concurrent — none can ride a warm cache.
         deadline = time.monotonic() + 20
-        while server.pending < K and time.monotonic() < deadline:
+        while (server.flight_waiters < K - 1
+               and time.monotonic() < deadline):
             time.sleep(0.01)
         assert server.pending == K, "requests never all arrived"
         gated.gate.set()
@@ -88,13 +89,17 @@ def test_waiters_retry_when_leader_fails():
         def __init__(self, inner):
             super().__init__(inner)
             self.fail_first = True
+            # Holds the second leader until the last follower waits on
+            # it, so no follower can miss its flight and solve again.
+            self.second_gate = threading.Event()
 
         def grid_artifact(self, grid, config=None):
             with self._lock:
                 self.calls += 1
                 should_fail = self.fail_first
                 self.fail_first = False
-            if not self.gate.wait(timeout=30):  # pragma: no cover
+            gate = self.gate if should_fail else self.second_gate
+            if not gate.wait(timeout=30):  # pragma: no cover
                 raise RuntimeError("test gate never opened")
             if should_fail:
                 raise RuntimeError("transient backend failure")
@@ -119,9 +124,16 @@ def test_waiters_retry_when_leader_fails():
         for t in threads:
             t.start()
         deadline = time.monotonic() + 20
-        while server.pending < 3 and time.monotonic() < deadline:
+        while server.flight_waiters < 2 and time.monotonic() < deadline:
             time.sleep(0.01)
         failing.gate.set()
+        # The leader fails; one follower leads again and the other
+        # waits on the new flight.
+        deadline = time.monotonic() + 20
+        while ((failing.calls < 2 or server.flight_waiters < 1)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        failing.second_gate.set()
         for t in threads:
             t.join(timeout=60)
 

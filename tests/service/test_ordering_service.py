@@ -125,6 +125,16 @@ def test_graph_domain_cached_by_content():
                                        list(range(23, -1, -1)))
 
 
+def test_entry_point_fixes_the_domain_kind(grid):
+    service = OrderingService()
+    with pytest.raises(InvalidParameterError):
+        service.order_graph(grid)
+    with pytest.raises(InvalidParameterError):
+        service.grid_artifact(path_graph(6))
+    # A shape tuple is the facade's spelling of a grid.
+    assert service.order_grid((10, 10)) == service.order_grid(grid)
+
+
 def test_points_domain_cached_and_canonicalized():
     service = OrderingService()
     grid = Grid((8, 8))
