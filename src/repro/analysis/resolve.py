@@ -361,7 +361,7 @@ def _annotation_types_from_text(text: str
     """Split an annotation string into scalar vs element class names.
 
     ``Optional[ArtifactStore]`` → scalar ``ArtifactStore``;
-    ``List[_WorkerHandle]`` / ``Dict[str, _Flight]`` → element type;
+    ``List[_WorkerHandle]`` / ``Dict[int, _Connection]`` → element type;
     ``LRUCache[str, OrderArtifact]`` → scalar ``LRUCache`` (a generic
     project class is the type, its parameters are payload).
     """

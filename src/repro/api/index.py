@@ -24,11 +24,12 @@ harness — is a loop over ``ranks_for(name)``.
 The index is safe to share across threads (and is what the
 thread-pooled ``query_many(parallelism=...)`` and the asyncio
 :class:`~repro.api.aio.AsyncSpectralIndex` front execute against): the
-lazily materialized per-mapping views are **single-flight** — two
-threads missing the same view elect one materializer, the other waits
-and reuses its result, so a non-cacheable mapping never pays a
-duplicate eigensolve — and the lazy store/coordinate state is built
-exactly once behind per-object locks.
+lazily materialized per-mapping views are **single-flight**
+(:class:`~repro.caching.SingleFlight`) — two threads missing the same
+view elect one materializer, the other waits and reuses its result, so
+a non-cacheable mapping never pays a duplicate eigensolve — the first
+view published for a mapping is the one kept, and the lazy
+store/coordinate state is built exactly once behind per-object locks.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from repro.api.queries import (
     Query,
     RangeQuery,
 )
+from repro.caching import SingleFlight
 from repro.core.ordering import LinearOrder
 from repro.core.spectral import SpectralConfig
 from repro.errors import DomainError, InvalidParameterError
@@ -92,22 +94,6 @@ class _MappingView:
         return self.order.ranks
 
 
-class _ViewFlight:
-    """One in-progress view materialization other threads can wait on.
-
-    The same single-flight shape as the service's ``_Flight``: the
-    leader computes with the lock released, waiters block on ``event``
-    and read ``view``; a ``None`` view after the event means the leader
-    failed and a waiter should retry (becoming the next leader).
-    """
-
-    __slots__ = ("event", "view")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.view: Optional[_MappingView] = None
-
-
 class SpectralIndex:
     """A built index over one domain: ordering, layout, and queries.
 
@@ -138,10 +124,10 @@ class SpectralIndex:
         self._cost_model = cost_model
         self._views: Dict[Tuple, _MappingView] = {}  # guarded-by: _lock
         self._coords: Optional[np.ndarray] = None  # guarded-by: _lock
-        # Guards _views / _view_flights / _coords.  Materialization
-        # itself (eigensolves, store builds) runs outside it.
+        # Guards _views / _coords.  Materialization itself
+        # (eigensolves, store builds) runs outside it.
         self._lock = threading.RLock()
-        self._view_flights: Dict[Tuple, _ViewFlight] = {}  # guarded-by: _lock
+        self._flights: SingleFlight[Tuple, _MappingView] = SingleFlight()
         # The default order is materialized on first access, not here:
         # an index used only to compare curve mappings must not pay a
         # spectral eigensolve at build time.
@@ -455,7 +441,15 @@ class SpectralIndex:
         return None
 
     def _build_view(self, mapping: LocalityMapping) -> _MappingView:
-        """Compute one view (runs with the index lock released)."""
+        """Compute and publish one view, as a flight's leader (so with
+        the index lock released)."""
+        key = self._view_key(mapping)
+        # A flight (or an order_many batch) may have published the view
+        # between the caller's check and its do() call.
+        with self._lock:
+            view = self._views.get(key)
+        if view is not None:
+            return view
         with span("api.materialize", mapping=mapping.name):
             artifact = self._artifact_for(mapping)
             if artifact is not None:
@@ -463,14 +457,14 @@ class SpectralIndex:
             else:
                 order = mapping.order_domain(self._domain,
                                              service=self._service)
-            return _MappingView(mapping=mapping, order=order,
-                                artifact=artifact)
+            return self._publish_view(key, _MappingView(
+                mapping=mapping, order=order, artifact=artifact))
 
     def _materialize(self, mapping: LocalityMapping) -> _MappingView:
         """The view for ``mapping``, materialized at most once.
 
-        Single-flight (the :class:`~repro.service.OrderingService`
-        pattern): concurrent first requests elect a leader that
+        Single-flight (a :class:`~repro.caching.SingleFlight`, as in
+        the service): concurrent first requests elect a leader that
         computes outside the lock; waiters reuse its view.  This is
         what keeps *non-cacheable* mappings — which the service cannot
         coalesce — at exactly one solve per index, and prevents
@@ -478,104 +472,51 @@ class SpectralIndex:
         for everything else.
         """
         key = self._view_key(mapping)
-        while True:
-            with self._lock:
-                view = self._views.get(key)
-                if view is not None:
-                    return view
-                flight = self._view_flights.get(key)
-                if flight is None:
-                    mine = _ViewFlight()
-                    self._view_flights[key] = mine
-            if flight is None:
-                try:
-                    view = self._build_view(mapping)
-                    mine.view = view
-                    with self._lock:
-                        self._views[key] = view
-                    return view
-                finally:
-                    with self._lock:
-                        self._view_flights.pop(key, None)
-                    mine.event.set()
-            flight.event.wait()
-            if flight.view is not None:
-                return flight.view
-            # Leader failed; loop to retry (one waiter becomes leader).
+        with self._lock:
+            view = self._views.get(key)
+        if view is None:
+            view, _ = self._flights.do(key, lambda: self._build_view(mapping))
+        return view
 
     def _materialize_many(self, mappings: Sequence[LocalityMapping],
                           parallelism: int = 1) -> None:
-        """Materialize a batch, claiming flights so threads coordinate.
+        """Materialize a batch's missing views.
 
-        Keys already materialized (or in flight elsewhere) are skipped;
-        the remainder are claimed as this thread's flights, solved —
-        cacheable spectral mappings through one
-        :meth:`~repro.service.OrderingService.order_many` call, the
-        rest directly (across ``parallelism`` workers) — and published
-        one by one, releasing each flight's waiters as soon as its view
-        exists.
+        Cacheable spectral mappings the index's service can order go
+        through one :meth:`~repro.service.OrderingService.order_many`
+        call (one graph build per topology) and are published directly:
+        the service already coalesces their misses with any concurrent
+        request, so they hold no flight here.  Everything else goes
+        through :meth:`_materialize`, across ``parallelism`` workers.
         """
-        claimed: Dict[Tuple, Tuple[LocalityMapping, _ViewFlight]] = {}
+        missing: Dict[Tuple, LocalityMapping] = {}
         with self._lock:
             for mapping in mappings:
                 key = self._view_key(mapping)
-                if (key in self._views or key in self._view_flights
-                        or key in claimed):
-                    continue
-                flight = _ViewFlight()
-                self._view_flights[key] = flight
-                claimed[key] = (mapping, flight)
-        if not claimed:
-            return
-        try:
-            # Batch every cacheable spectral mapping the service can
-            # serve through one order_many call (one graph build per
-            # topology).
-            batch: List[Tuple[Tuple, LocalityMapping]] = []
-            if isinstance(self._domain, (Grid, Graph)):
-                batch = [
-                    (key, m) for key, (m, _) in claimed.items()
-                    if isinstance(m, SpectralMapping)
-                    and m.algorithm.cacheable and m.service is None
-                ]
-            if len(batch) > 1:
-                requests = [OrderRequest(self._domain, m.algorithm.config)
-                            for _, m in batch]
-                orders = self._service.order_many(requests)
-                for (key, m), order in zip(batch, orders):
-                    self._publish_view(
-                        key, _MappingView(mapping=m, order=order),
-                        claimed[key][1])
-            with self._lock:
-                remaining = [(key, mapping, flight)
-                             for key, (mapping, flight) in claimed.items()
-                             if key not in self._views]
+                if key not in self._views:
+                    missing.setdefault(key, mapping)
+        batch: List[Tuple[Tuple, SpectralMapping]] = []
+        if isinstance(self._domain, (Grid, Graph)):
+            batch = [
+                (key, m) for key, m in missing.items()
+                if isinstance(m, SpectralMapping)
+                and m.algorithm.cacheable and m.service is None
+            ]
+        if len(batch) > 1:
+            requests = [OrderRequest(self._domain, m.algorithm.config)
+                        for _, m in batch]
+            orders = self._service.order_many(requests)
+            for (key, m), order in zip(batch, orders):
+                self._publish_view(key, _MappingView(mapping=m, order=order))
+                del missing[key]
+        map_in_threads(self._materialize, list(missing.values()), parallelism)
 
-            def build(item) -> None:
-                key, mapping, flight = item
-                self._publish_view(key, self._build_view(mapping),
-                                   flight)
-
-            map_in_threads(build, remaining, parallelism)
-        finally:
-            # Release any flight left unresolved (a failure above):
-            # waiters observe view=None and retry as leaders.
-            leftover = []
-            with self._lock:
-                for key, (_, flight) in claimed.items():
-                    if self._view_flights.get(key) is flight:
-                        self._view_flights.pop(key, None)
-                        leftover.append(flight)
-            for flight in leftover:
-                flight.event.set()
-
-    def _publish_view(self, key: Tuple, view: _MappingView,
-                      flight: _ViewFlight) -> None:
+    def _publish_view(self, key: Tuple, view: _MappingView) -> _MappingView:
+        """Publish ``view`` unless one is already present; returns the
+        published view.  The first publish wins, so a store built on
+        it is never orphaned by a later duplicate."""
         with self._lock:
-            self._views[key] = view
-            self._view_flights.pop(key, None)
-        flight.view = view
-        flight.event.set()
+            return self._views.setdefault(key, view)
 
     def _view_for(self, spec: Optional[MappingSpec]) -> _MappingView:
         mapping = (self._default if spec is None else self._resolve(spec))
@@ -622,7 +563,7 @@ class SpectralIndex:
                 if view.store is None:
                     with span("api.store_build",
                               mapping=view.mapping.name):
-                        view.store = LinearStore._from_api(
+                        view.store = LinearStore(
                             grid, view.mapping, order=view.order,
                             page_size=self._page_size,
                             tree_order=self._tree_order,

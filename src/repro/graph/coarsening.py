@@ -280,14 +280,14 @@ class HierarchyCache:
     """
 
     def __init__(self, max_entries: int = 32):
-        # The LRU locks internally (lock=True): a service running
+        # The LRU locks internally: a service running
         # single-flight solves on *different* keys may enter
         # concurrently; projections themselves are immutable once
         # stored.  Concurrent misses on one structure may duplicate a
         # matching (harmless: both chains are identical by determinism)
         # rather than serialize the whole coarsening.
         self._projections: "LRUCache[Tuple, Tuple[np.ndarray, ...]]" = \
-            LRUCache(max_entries, lock=True)
+            LRUCache(max_entries)
 
     @property
     def hits(self) -> int:

@@ -54,8 +54,8 @@ class ServerBusy(NetError):
 
     - ``"queue_full"`` — the bounded pending-request queue was at
       capacity when the request arrived;
-    - ``"deadline"`` — the request waited in the queue past its
-      per-request deadline before a dispatcher picked it up;
+    - ``"deadline"`` — the request waited past its per-request
+      deadline, queued or on another connection's in-flight order;
     - ``"draining"`` — the server is shutting down and no longer
       admits new work.
 

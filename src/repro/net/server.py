@@ -14,8 +14,9 @@ transport:
 bounded pending queue (``queue_depth``, default from
 ``REPRO_NET_QUEUE_DEPTH``) consumed by a fixed pool of dispatcher
 threads.  An arrival finding the queue full, a request still queued
-past its deadline (``request_timeout``, default ``REPRO_NET_TIMEOUT``),
-and any request arriving during shutdown are rejected with a typed
+(or waiting on another connection's order) past its deadline
+(``request_timeout``, default ``REPRO_NET_TIMEOUT``), and any request
+arriving during shutdown are rejected with a typed
 :class:`~repro.net.errors.ServerBusy` that travels back as a value —
 overload degrades into fast, explicit rejections, never into hangs.
 Introspection (ping/stats/health/metrics) bypasses the queue: health
@@ -23,9 +24,8 @@ checks must keep answering precisely when the queue is full.
 
 **Cross-client coalescing.**  N connections cold-missing the same
 fingerprint pay exactly one eigensolve *and* one backend round trip:
-the same single-flight shape as
-:meth:`repro.service.OrderingService._serve_cached`, lifted to the
-connection-handling tier and keyed by the service's own
+the ordering service's :class:`~repro.caching.SingleFlight`, lifted to
+the connection-handling tier and keyed by the service's own
 :func:`~repro.service.fingerprint.order_key`, so the key the flights
 coalesce on is bit-for-bit the key the caches store under.
 
@@ -51,6 +51,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.caching import SingleFlight
 from repro.core.spectral import SpectralConfig
 from repro.errors import InvalidParameterError
 from repro.net.config import NET_QUEUE_DEPTH, NET_TIMEOUT
@@ -163,21 +164,6 @@ class _WorkItem:
         self.deadline = deadline
 
 
-class _NetFlight:
-    """One in-progress order other connections can wait on.
-
-    ``waiters`` counts the requests currently waiting on it; the server
-    reads and writes it under its ``_flights_lock``.
-    """
-
-    __slots__ = ("event", "artifact", "waiters")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.artifact: Any = None
-        self.waiters = 0
-
-
 class SpectralServer:
     """Serve a frontend's surface over TCP with admission control.
 
@@ -240,8 +226,7 @@ class SpectralServer:
         self._backlog = int(backlog)
         self._queue: "queue.Queue[Optional[_WorkItem]]" = \
             queue.Queue(maxsize=self._queue_depth)
-        self._flights: Dict[str, _NetFlight] = {}  # guarded-by: _flights_lock
-        self._flights_lock = threading.Lock()
+        self._flights: SingleFlight[str, Any] = SingleFlight()
         self._conns: Dict[int, _Connection] = {}  # guarded-by: _conns_lock
         self._conns_lock = threading.Lock()
         self._state_lock = threading.Lock()
@@ -303,8 +288,7 @@ class SpectralServer:
     @property
     def flight_waiters(self) -> int:
         """Requests waiting on another connection's in-flight order."""
-        with self._flights_lock:
-            return sum(flight.waiters for flight in self._flights.values())
+        return self._flights.waiters()
 
     def close(self) -> None:
         """Drain and shut down.  Idempotent.
@@ -459,8 +443,8 @@ class SpectralServer:
                 f"unknown request type {type(inner).__name__}")))
             return
         if self._draining:  # repro-lint: disable=RPR001
-            self._reject(conn, seq, "draining",
-                         "server is shutting down")
+            self._reply(conn, seq, self._rejection(ServerBusy(
+                "server is shutting down", reason="draining")))
             return
         item = _WorkItem(conn, seq, message,
                          time.monotonic() + self._request_timeout)
@@ -475,19 +459,19 @@ class SpectralServer:
                 conn.inflight -= 1
             with self._state_lock:
                 self._pending -= 1
-            self._reject(conn, seq, "queue_full",
-                         f"admission queue is at its "
-                         f"{self._queue_depth}-request capacity")
+            self._reply(conn, seq, self._rejection(ServerBusy(
+                f"admission queue is at its {self._queue_depth}-request "
+                "capacity", reason="queue_full")))
             return
         _QUEUE_DEPTH.set(self._queue.qsize())
 
-    def _reject(self, conn: _Connection, seq: int, reason: str,
-                detail: str) -> None:
-        _REJECTED.inc(reason=reason)
+    def _rejection(self, busy: ServerBusy) -> ErrorResponse:
+        """Count one refused request and wrap its reply; every rejection
+        comes through here, so the counts match what clients were told."""
+        _REJECTED.inc(reason=busy.reason)
         with self._state_lock:
             self._rejections += 1
-        self._reply(conn, seq,
-                    error_response(ServerBusy(detail, reason=reason)))
+        return error_response(busy)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -501,19 +485,16 @@ class SpectralServer:
             rejected = False
             try:
                 if time.monotonic() > item.deadline:
-                    rejected = True
-                    _REJECTED.inc(reason="deadline")
-                    with self._state_lock:
-                        self._rejections += 1
-                    response = error_response(ServerBusy(
+                    raise ServerBusy(
                         f"request waited in the queue past its "
                         f"{self._request_timeout:.3f}s deadline",
-                        reason="deadline"))
-                else:
-                    with Timer() as timer:
-                        response = self._execute(item.message,
-                                                 item.deadline)
-                    _HANDLE_SECONDS.observe(timer.seconds)
+                        reason="deadline")
+                with Timer() as timer:
+                    response = self._execute(item.message, item.deadline)
+                _HANDLE_SECONDS.observe(timer.seconds)
+            except ServerBusy as busy:
+                rejected = True
+                response = self._rejection(busy)
             finally:
                 # The request leaves "in flight" BEFORE the reply is
                 # sent: a client that closes the moment its answer
@@ -551,6 +532,8 @@ class SpectralServer:
             else:
                 payload = serve_message(self._frontend, message)
             return OkResponse(payload)
+        except ServerBusy:
+            raise  # a refusal: the dispatcher counts and replies it
         except BaseException as exc:
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
@@ -576,39 +559,16 @@ class SpectralServer:
         # waiters may want either shape, and the order *is*
         # artifact.order, so bit-identity holds by construction.
         leader = dataclasses.replace(message, want_artifact=True)
-        while True:
-            with self._flights_lock:
-                flight = self._flights.get(key)
-                if flight is None:
-                    mine = _NetFlight()
-                    self._flights[key] = mine
-                else:
-                    flight.waiters += 1
-            if flight is None:
-                try:
-                    artifact = serve_message(self._frontend, leader)
-                    mine.artifact = artifact
-                finally:
-                    with self._flights_lock:
-                        self._flights.pop(key, None)
-                    mine.event.set()
-                break
-            remaining = deadline - time.monotonic()
-            try:
-                landed = remaining > 0 and flight.event.wait(remaining)
-            finally:
-                with self._flights_lock:
-                    flight.waiters -= 1
-            if not landed:
-                raise ServerBusy(
-                    "coalesced order still in flight at the request "
-                    "deadline", reason="deadline")
-            if flight.artifact is not None:
-                _COALESCED.inc()
-                artifact = flight.artifact
-                break
-            # The leader failed; loop — one waiter becomes the next
-            # leader, so a transient failure never wedges the key.
+        try:
+            artifact, shared = self._flights.do(
+                key, lambda: serve_message(self._frontend, leader),
+                deadline=deadline)
+        except TimeoutError:
+            raise ServerBusy(
+                "coalesced order still in flight at the request "
+                "deadline", reason="deadline") from None
+        if shared:
+            _COALESCED.inc()
         return artifact if message.want_artifact else artifact.order
 
     # ------------------------------------------------------------------

@@ -32,10 +32,9 @@ accesses, so one store may serve queries from many threads
 concurrently — ``execute_workload(parallelism=...)`` and the facade's
 ``query_many(parallelism=...)`` rely on exactly that.
 
-Stores are built through the :class:`~repro.api.SpectralIndex`
-facade, which constructs them lazily behind its ``range(...)`` /
-``query_many(...)`` methods; the pre-facade direct constructor has
-completed its deprecation cycle and now raises.
+The :class:`~repro.api.SpectralIndex` facade builds stores lazily
+behind its ``range(...)`` / ``query_many(...)`` methods;
+``LinearStore(grid, mapping, ...)`` builds one directly.
 """
 
 from __future__ import annotations
@@ -89,6 +88,9 @@ class LinearStore:
     mapping:
         Any :class:`~repro.mapping.LocalityMapping`; its order defines
         both the B+-tree keys and the page layout.
+    order:
+        ``mapping``'s order over ``grid`` when the caller already has
+        it; ``None`` computes it.
     page_size:
         Records per data page.
     tree_order:
@@ -103,36 +105,14 @@ class LinearStore:
         cacheable spectral mappings without a service of their own route
         the order through it (so many stores over one domain share an
         eigensolve), every other mapping ignores it.
-
-    Stores are built through :meth:`repro.api.SpectralIndex.build`
-    (which owns request coalescing, caching, and provenance); the
-    direct constructor completed its deprecation cycle and now raises.
     """
 
-    def __init__(self, *args, **kwargs):
-        raise TypeError(
-            "direct LinearStore construction has been removed; build a "
-            "repro.api.SpectralIndex and use its range()/workload() "
-            "methods instead"
-        )
-
-    @classmethod
-    def _from_api(cls, grid: Grid, mapping: LocalityMapping,
-                  order: Optional[LinearOrder] = None,
-                  page_size: int = 16, tree_order: int = 32,
-                  buffer_capacity: Optional[int] = None,
-                  cost_model: Optional[DiskCostModel] = None,
-                  service=None) -> "LinearStore":
-        """Facade constructor: no deprecation, optional precomputed order."""
-        store = object.__new__(cls)
-        store._setup(grid, mapping, order, page_size, tree_order,
-                     buffer_capacity, cost_model, service)
-        return store
-
-    def _setup(self, grid: Grid, mapping: LocalityMapping,
-               order: Optional[LinearOrder], page_size: int,
-               tree_order: int, buffer_capacity: Optional[int],
-               cost_model: Optional[DiskCostModel], service) -> None:
+    def __init__(self, grid: Grid, mapping: LocalityMapping,
+                 order: Optional[LinearOrder] = None,
+                 page_size: int = 16, tree_order: int = 32,
+                 buffer_capacity: Optional[int] = None,
+                 cost_model: Optional[DiskCostModel] = None,
+                 service=None):
         self._grid = grid
         self._mapping = mapping
         if order is None:

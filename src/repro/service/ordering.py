@@ -24,9 +24,10 @@ domain pay a single graph build (and, under the multilevel backend, a
 single coarsening) instead of N.
 
 The service is safe to share across threads, and misses are
-**single-flight**: concurrent requests for one order key elect a leader
-that runs the eigensolve while the rest wait and receive the leader's
-artifact (``source == "coalesced"``, counted in
+**single-flight** (:class:`~repro.caching.SingleFlight`): concurrent
+requests for one order key elect a leader that runs the eigensolve
+while the rest wait and receive the leader's artifact
+(``source == "coalesced"``, counted in
 :attr:`ServiceStats.coalesced`).  N threads cold-missing the same
 (config, domain) fingerprint therefore cost exactly one solver
 invocation — the serving-layer contract the
@@ -61,7 +62,7 @@ from repro.graph.coarsening import HierarchyCache
 from repro.graph.laplacian import laplacian
 from repro.graph.weights import weight_names
 from repro.linalg.backends import thread_solver_invocations
-from repro.caching import LRUCache
+from repro.caching import LRUCache, SingleFlight
 from repro.obs import Timer, registry, span
 from repro.service.artifacts import OrderArtifact
 from repro.service.fingerprint import (
@@ -184,16 +185,6 @@ class _Resolved:
     cacheable: bool
 
 
-class _Flight:
-    """One in-progress computation other threads can wait on."""
-
-    __slots__ = ("event", "artifact")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.artifact: Optional[OrderArtifact] = None
-
-
 class OrderingService:
     """Cached, batched, persistable spectral ordering.
 
@@ -221,20 +212,20 @@ class OrderingService:
     def __init__(self, memory_entries: int = 128,
                  store: Union[ArtifactStore, str, None] = None,
                  hierarchy_entries: int = 32):
-        # lock=True: the memory tier is the service's shared hot path;
-        # its own lock keeps hit/miss counters exact even for callers
-        # that reach the cache outside the service lock.
+        # The memory tier is the service's shared hot path; the LRU's
+        # own lock keeps hit/miss counters exact even for callers that
+        # reach the cache outside the service lock.
         self._memory: LRUCache[str, OrderArtifact] = \
-            LRUCache(memory_entries, lock=True)
+            LRUCache(memory_entries)
         if store is not None and not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
         self._store: Optional[ArtifactStore] = store
         self._hierarchy = HierarchyCache(hierarchy_entries)
         self._stats = ServiceStats()  # guarded-by: _lock
-        # Guards the memory tier, the stats, and the in-flight table;
-        # solves themselves run outside it (different keys in parallel).
+        # Guards the memory tier and the stats; solves themselves run
+        # outside it (different keys in parallel).
         self._lock = threading.RLock()
-        self._inflight: Dict[str, _Flight] = {}  # guarded-by: _lock
+        self._flights: SingleFlight[str, OrderArtifact] = SingleFlight()
 
     # ------------------------------------------------------------------
     @property
@@ -463,14 +454,15 @@ class OrderingService:
                            ) -> OrderArtifact:
         """Serve ``key`` from cache, computing at most once concurrently.
 
-        Single-flight: the first thread to miss becomes the leader and
+        A memory hit returns at once.  A miss goes through the
+        service's :class:`~repro.caching.SingleFlight`: its leader
         performs the disk lookup and (on a true miss) ``compute`` —
-        both *outside* the lock, so distinct keys load and solve in
-        parallel and memory hits never wait on another key's I/O.
-        Concurrent requests for the same key wait on the leader's
-        flight and receive its artifact with ``source="coalesced"``.
-        If the leader fails, waiters retry — one of them becomes the
-        next leader — so a transient failure never wedges the key.
+        both *outside* the service lock, so distinct keys load and
+        solve in parallel and memory hits never wait on another key's
+        I/O.  Concurrent requests for the same key wait on the leader
+        and receive its artifact with ``source="coalesced"``.  If the
+        leader fails, waiters retry — one of them becomes the next
+        leader — so a transient failure never wedges the key.
         """
         sp = span("service.order", key=key[:12])
         with sp:
@@ -481,41 +473,43 @@ class OrderingService:
     def _serve_cached(self, key: str,
                       compute: Callable[[], OrderArtifact]
                       ) -> OrderArtifact:
-        while True:
-            with self._lock:
-                artifact = self._memory.get(key)
-                if artifact is not None:
-                    self._stats.memory_hits += 1
-                    _OUTCOMES.inc(outcome="memory")
-                    return dataclasses.replace(artifact, solver_calls=0,
-                                               source="memory")
-                flight = self._inflight.get(key)
-                if flight is None:
-                    mine = _Flight()
-                    self._inflight[key] = mine
-            if flight is None:
-                try:
-                    artifact = self._disk_lookup(key)
-                    if artifact is None:
-                        artifact = compute()
-                    mine.artifact = artifact
-                    return artifact
-                finally:
-                    with self._lock:
-                        self._inflight.pop(key, None)
-                    mine.event.set()
-            flight.event.wait()
-            if flight.artifact is not None:
-                with self._lock:
-                    self._stats.coalesced += 1
-                _OUTCOMES.inc(outcome="coalesced")
-                return dataclasses.replace(flight.artifact,
-                                           solver_calls=0,
-                                           source="coalesced")
+        artifact = self._memory_hit(key)
+        if artifact is not None:
+            return artifact
+        artifact, shared = self._flights.do(
+            key, lambda: self._lead(key, compute))
+        if not shared:
+            return artifact
+        with self._lock:
+            self._stats.coalesced += 1
+        _OUTCOMES.inc(outcome="coalesced")
+        return dataclasses.replace(artifact, solver_calls=0,
+                                   source="coalesced")
+
+    def _lead(self, key: str,
+              compute: Callable[[], OrderArtifact]) -> OrderArtifact:
+        # A flight may have landed between the caller's memory check
+        # and its do() call, leaving its artifact in memory.
+        artifact = self._memory_hit(key)
+        if artifact is None:
+            artifact = self._disk_lookup(key)
+        if artifact is None:
+            artifact = compute()
+        return artifact
+
+    def _memory_hit(self, key: str) -> Optional[OrderArtifact]:
+        with self._lock:
+            artifact = self._memory.get(key)
+            if artifact is None:
+                return None
+            self._stats.memory_hits += 1
+        _OUTCOMES.inc(outcome="memory")
+        return dataclasses.replace(artifact, solver_calls=0,
+                                   source="memory")
 
     def _disk_lookup(self, key: str) -> Optional[OrderArtifact]:
-        """Disk-tier load; runs outside the lock (the single-flight
-        table already guarantees one load per key at a time)."""
+        """Disk-tier load; runs outside the lock (only a flight's
+        leader loads, so there is one load per key at a time)."""
         if self._store is None:
             return None
         with span("service.disk_load", key=key[:12]) as sp:

@@ -142,7 +142,7 @@ class ShardedIndexFrontend:
         # LRU keeps the footprint at max_indexes; evicted domains
         # rebuild from the shard's (still warm) order caches.
         self._indexes: "LRUCache[Tuple, object]" = LRUCache(  # guarded-by: _lock
-            max_indexes, lock=True)
+            max_indexes)
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------

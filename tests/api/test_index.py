@@ -1,5 +1,7 @@
 """SpectralIndex: the facade composes ordering, layout, and queries."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,36 @@ def test_query_many_rejects_unknown_query_types(grid8):
     index = SpectralIndex.build(grid8)
     with pytest.raises(InvalidParameterError):
         index.query_many(["select *"])
+
+
+def test_query_many_keeps_a_view_published_during_its_batch(
+        grid8, monkeypatch):
+    """First publish wins: a view another thread materializes while a
+    ``query_many`` batch is ordering stays in place, with its store."""
+    index = SpectralIndex.build(grid8, buffer_capacity=4)
+    first = SpectralConfig(weight="gaussian")
+    second = SpectralConfig(weight="inverse_manhattan")
+    real = OrderingService.order_many
+    seen = {}
+
+    def order_many(self, requests):
+        def other():
+            index.range(((0, 0), (2, 2)), mapping=first)
+            seen["stats"] = index.buffer_stats(first)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "the batch blocked another thread"
+        return real(self, requests)
+
+    monkeypatch.setattr(OrderingService, "order_many", order_many)
+    index.query_many([NNQuery(3, k=2, mapping=first),
+                      NNQuery(3, k=2, mapping=second)])
+    assert seen["stats"].accesses > 0
+    # The batch published its own view of ``first`` after the other
+    # thread's; the store built on the first view must survive it.
+    assert index.buffer_stats(first) == seen["stats"]
 
 
 # ----------------------------------------------------------------------

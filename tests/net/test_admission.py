@@ -7,6 +7,7 @@ import pytest
 
 from repro.geometry.grid import Grid
 from repro.net import RemoteFrontend, ServerBusy, SpectralServer
+from repro.obs import registry
 from repro.service import ShardedIndexFrontend
 
 from tests.net.gating import GatedFrontend
@@ -86,6 +87,38 @@ def test_stale_queued_request_rejects_with_deadline():
                 t.join(timeout=60)
             assert len(caught) == 1
             assert caught[0].reason == "deadline"
+
+
+def test_coalesced_wait_past_deadline_counts_as_rejection():
+    """A request still waiting on another connection's in-flight order
+    at its deadline is refused like a stale queued one: the same reply,
+    counted as a rejection, not as a handled request."""
+    gated = GatedFrontend(ShardedIndexFrontend(shards=1))
+    grid = Grid((17, 5))
+    rejected = registry().counter("repro_net_rejected_total")
+    with SpectralServer(gated, dispatchers=2, queue_depth=4,
+                        request_timeout=0.5) as server:
+        host, port = server.address
+        threads = _saturate(server, gated, [grid])
+        deadline = time.monotonic() + 20
+        while gated.calls < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert gated.calls == 1, "the leader never reached the backend"
+        with RemoteFrontend(host, port, read_timeout=60) as client:
+            before = client.health()
+            rejected_before = rejected.value(reason="deadline")
+            with pytest.raises(ServerBusy) as excinfo:
+                client.order_grid(grid)
+            after = client.health()
+        gated.gate.set()
+        for t in threads:
+            t.join(timeout=60)
+    assert excinfo.value.reason == "deadline"
+    assert "in flight" in str(excinfo.value)
+    assert rejected.value(reason="deadline") - rejected_before == 1
+    assert after.rejections - before.rejections == 1
+    # The first health() call is the only request handled in between.
+    assert after.requests_handled - before.requests_handled == 1
 
 
 def test_draining_server_rejects_new_work():

@@ -12,15 +12,10 @@ from repro.query import LinearStore
 from repro.storage import DiskCostModel
 
 
-def build_store(grid, mapping, **kwargs):
-    """Engine-level store constructor (the facade's internal path)."""
-    return LinearStore._from_api(grid, mapping, **kwargs)
-
-
 @pytest.fixture
 def store():
     grid = Grid((8, 8))
-    return grid, build_store(grid, CurveMapping("hilbert"), page_size=8,
+    return grid, LinearStore(grid, CurveMapping("hilbert"), page_size=8,
                              tree_order=8)
 
 
@@ -84,7 +79,7 @@ def test_point_query(store):
 
 def test_buffer_absorbs_repeats():
     grid = Grid((8, 8))
-    engine = build_store(grid, CurveMapping("hilbert"), page_size=8,
+    engine = LinearStore(grid, CurveMapping("hilbert"), page_size=8,
                          buffer_capacity=16)
     box = Box((2, 2), (5, 5))
     first = engine.range_query(box, plan="page-fetch")
@@ -106,7 +101,7 @@ def test_workload_report_aggregates(store):
 
 def test_spectral_store_end_to_end():
     grid = Grid((8, 8))
-    engine = build_store(grid, make_mapping("spectral", backend="dense"),
+    engine = LinearStore(grid, make_mapping("spectral", backend="dense"),
                          page_size=8,
                          cost_model=DiskCostModel(5.0, 0.1))
     execution = engine.range_query(Box((2, 2), (5, 5)))
@@ -123,17 +118,11 @@ def test_mapping_locality_reduces_span_scan_cost():
     grid = Grid((8, 8))
     scrambled_order = LinearOrder(
         np.random.default_rng(0).permutation(64))
-    scrambled = build_store(
+    scrambled = LinearStore(
         grid, ExplicitMapping(grid, scrambled_order), page_size=8)
-    hilbert = build_store(grid, CurveMapping("hilbert"), page_size=8)
+    hilbert = LinearStore(grid, CurveMapping("hilbert"), page_size=8)
     boxes = [Box((r, c), (r + 2, c + 2))
              for r in range(0, 6, 2) for c in range(0, 6, 2)]
     cost_hilbert = hilbert.execute_workload(boxes).cost
     cost_scrambled = scrambled.execute_workload(boxes).cost
     assert cost_hilbert < cost_scrambled
-
-def test_direct_construction_removed():
-    """The deprecation cycle is complete: the constructor raises."""
-    grid = Grid((8, 8))
-    with pytest.raises(TypeError, match="SpectralIndex"):
-        LinearStore(grid, CurveMapping("hilbert"))

@@ -107,7 +107,7 @@ def test_store_matches_reference_model(paper_orders, shape, tree_order,
                                        page_size):
     grid = Grid(shape)
     for mapping, order in paper_orders[shape]:
-        store = LinearStore._from_api(
+        store = LinearStore(
             grid, mapping, order=order, page_size=page_size,
             tree_order=tree_order, buffer_capacity=BUFFER_PAGES)
         reference = ReferenceStore(grid, order, page_size, tree_order,
@@ -132,7 +132,7 @@ def test_height_and_node_counts_match_bplustree(tree_order):
             continue
         grid = Grid((size,))
         identity = LinearOrder(np.arange(size))
-        store = LinearStore._from_api(
+        store = LinearStore(
             grid, ExplicitMapping(grid, identity), order=identity,
             tree_order=tree_order)
         assert store.point_query((size - 1,)) == (True, tree.height)

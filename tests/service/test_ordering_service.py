@@ -254,11 +254,10 @@ def test_make_mapping_ignores_service_for_curves(grid):
 def test_linear_store_shares_service_orders(grid):
     service = OrderingService()
     mapping = SpectralMapping()  # no service of its own
-    store1 = LinearStore._from_api(grid, mapping, page_size=8,
-                                   service=service)
+    store1 = LinearStore(grid, mapping, page_size=8, service=service)
     before = solver_invocations()
-    store2 = LinearStore._from_api(grid, SpectralMapping(), page_size=4,
-                                   service=service)
+    store2 = LinearStore(grid, SpectralMapping(), page_size=4,
+                         service=service)
     assert solver_invocations() == before, \
         "stores sharing a service must share one eigensolve"
     assert np.array_equal(store1._ranks, store2._ranks)
@@ -271,9 +270,9 @@ def test_linear_store_keeps_memo_for_uncacheable_mapping(grid):
     cache-bypassing service re-solved per store)."""
     mapping = SpectralMapping(weight=lambda offset: 1.0)
     service = OrderingService()
-    LinearStore._from_api(grid, mapping, page_size=8, service=service)
+    LinearStore(grid, mapping, page_size=8, service=service)
     before = solver_invocations()
-    LinearStore._from_api(grid, mapping, page_size=4, service=service)
+    LinearStore(grid, mapping, page_size=4, service=service)
     assert solver_invocations() == before, \
         "the second store must reuse the mapping's memoized order"
     assert service.stats.uncacheable == 0  # service never consulted
@@ -283,7 +282,6 @@ def test_linear_store_respects_mapping_own_service(grid):
     mapping_service = OrderingService()
     store_service = OrderingService()
     mapping = SpectralMapping(service=mapping_service)
-    LinearStore._from_api(grid, mapping, page_size=8,
-                          service=store_service)
+    LinearStore(grid, mapping, page_size=8, service=store_service)
     assert mapping_service.stats.computed == 1
     assert store_service.stats.computed == 0

@@ -4,9 +4,9 @@ The serving front (``query_many(parallelism=...)``, the asyncio facade)
 executes queries concurrently against shared stores, so the buffer
 pool's accounting must obey its conservation law — ``hits + misses ==
 accesses`` — under any interleaving, and the generic LRU cache behind
-the service tiers must keep exact hit/miss counters when constructed
-with ``lock=True``.  Before the locks landed, N threads hammering one
-pool corrupted the recency ``OrderedDict`` and under/over-counted hits;
+the service tiers (which always locks) must keep exact hit/miss
+counters.  Before the locks landed, N threads hammering one pool
+corrupted the recency ``OrderedDict`` and under/over-counted hits;
 these tests are the regression net.
 """
 
@@ -97,8 +97,7 @@ def test_buffer_pool_reset_and_contains_are_safe():
 
 
 def test_lru_cache_lock_keeps_counters_exact_under_threads():
-    cache: LRUCache[int, int] = LRUCache(32, lock=True)
-    assert cache.thread_safe
+    cache: LRUCache[int, int] = LRUCache(32)
     gets_per_thread = 3000
 
     def hammer(i):
@@ -112,9 +111,8 @@ def test_lru_cache_lock_keeps_counters_exact_under_threads():
     assert len(cache) <= cache.capacity
 
 
-def test_lru_cache_lock_defaults_off():
+def test_lru_cache_get_after_put_counts_a_hit():
     cache: LRUCache[str, int] = LRUCache(4)
-    assert not cache.thread_safe
     cache.put("a", 1)
     assert cache.get("a") == 1
     assert cache.hits == 1
@@ -122,4 +120,4 @@ def test_lru_cache_lock_defaults_off():
 
 def test_lru_cache_capacity_still_validated():
     with pytest.raises(InvalidParameterError):
-        LRUCache(0, lock=True)
+        LRUCache(0)
