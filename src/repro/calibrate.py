@@ -16,7 +16,13 @@ The file contains ``REPRO_DENSE_CUTOFF`` / ``REPRO_MULTILEVEL_CUTOFF``
 assignments (the exact variables
 :func:`~repro.linalg.backends.cutoff_from_env` validates at import)
 plus a comment block recording the measurements behind them, so a value
-can be audited later.
+can be audited later.  The comments name the leg the dense cutoff was
+measured on (scipy or numpy-only: the two legs cross over at different
+sizes, so a value does not carry from one to the other) and mark the
+multilevel cutoff as approximate.  Moving the dense cutoff never
+changes an order (every exact backend gives the same one); moving work
+onto the multilevel approximation does, so that value is a quality
+decision as well as a speed one.
 
 Methodology: square grids of increasing side are ordered once per
 backend (best of ``--repeats``); a cutoff is placed at the largest
@@ -44,8 +50,10 @@ from repro.linalg.backends import (
 )
 from repro.obs import best_of
 
-#: Grid sides timed for the dense-vs-iterative crossover.
-DENSE_SIDES = (16, 24, 32, 48, 64)
+#: Grid sides timed for the dense-vs-iterative crossover: they bracket
+#: both shipped defaults (n = 225..256 against scipy, 441..484 against
+#: Lanczos).
+DENSE_SIDES = (12, 15, 16, 18, 21, 22, 24, 32)
 #: Grid sides timed for the exact-vs-multilevel crossover.
 MULTILEVEL_SIDES = (32, 48, 64, 96)
 #: Reduced ladders for ``--quick`` (CI smoke and tests).
@@ -146,12 +154,15 @@ def calibrate(quick: bool = False, repeats: int = 3) -> CalibrationResult:
 
 def render_env_file(result: CalibrationResult) -> str:
     """The env-file text for a calibration result (with audit trail)."""
+    leg = "scipy" if result.iterative_backend == "scipy" else "numpy-only"
     lines = [
         "# Eigensolver backend cutoffs measured by "
         "`python -m repro.calibrate`.",
         f"# host: {platform.node() or 'unknown'} "
         f"({platform.machine()}), python {platform.python_version()}, "
         f"iterative backend: {result.iterative_backend}",
+        f"# leg: {leg} -- the dense cutoff below holds for {leg} "
+        "installs only; recalibrate on the other leg.",
         "#",
         "# dense vs iterative (seconds, best-of-N):",
     ]
@@ -169,6 +180,12 @@ def render_env_file(result: CalibrationResult) -> str:
         lines.append("#   (no crossover observed; keeping the default "
                      "multilevel cutoff)")
     lines.append(f"REPRO_DENSE_CUTOFF={result.dense_cutoff}")
+    lines.append("# APPROXIMATE: graphs above this size get multilevel "
+                 "orders, which differ from")
+    lines.append("# the exact ones; a value below the default changes "
+                 "orders, so check order")
+    lines.append("# quality (edge stretch, nn recall, pages per range) "
+                 "before applying it.")
     lines.append(f"REPRO_MULTILEVEL_CUTOFF={result.multilevel_cutoff}")
     return "\n".join(lines) + "\n"
 

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.ordering import LinearOrder
 from repro.errors import InvalidParameterError
 from repro.graph.adjacency import Graph
-from repro.graph.traversal import component_vertex_lists, connected_components
+from repro.graph.traversal import connected_components
 
 COMPONENT_ARRANGEMENTS = ("by_min_vertex", "by_size")
 
@@ -45,16 +45,24 @@ def order_components(graph: Graph, order_fn: OrderFn,
             f"expected one of {COMPONENT_ARRANGEMENTS}"
         )
     labels, count = connected_components(graph)
-    groups: List[np.ndarray] = component_vertex_lists(labels, count)
+    return order_labelled_components(graph, labels, count, order_fn,
+                                     arrangement)
+
+
+def order_labelled_components(graph: Graph, labels: np.ndarray, count: int,
+                              order_fn: OrderFn,
+                              arrangement: str) -> LinearOrder:
+    """:func:`order_components` for a graph already labelled by
+    :func:`~repro.graph.traversal.connected_components`, so a caller that
+    has the labels pays no second traversal."""
+    parts = graph.split(labels, count)
     if arrangement == "by_size":
-        groups.sort(key=lambda g: (-len(g), int(g.min())))
+        parts.sort(key=lambda part: (-len(part[1]), int(part[1][0])))
     else:
-        groups.sort(key=lambda g: int(g.min()))
-    pieces: List[np.ndarray] = []
-    for vertices in groups:
-        sub, original_ids = graph.subgraph(vertices)
-        sub_order = order_fn(sub)
-        pieces.append(original_ids[sub_order.permutation])
+        parts.sort(key=lambda part: int(part[1][0]))
+    pieces: List[np.ndarray] = [
+        original_ids[order_fn(sub).permutation]
+        for sub, original_ids in parts]
     permutation = (np.concatenate(pieces) if pieces
                    else np.empty(0, dtype=np.int64))
     return LinearOrder(permutation)

@@ -98,9 +98,9 @@ def _multilevel_fiedler_result(graph: Graph, probe: np.ndarray,
     """
     # Imported lazily: repro.core.multilevel pulls in the ordering
     # helpers, which import this module.
-    from repro.core.multilevel import GROUP_RTOL, multilevel_eigenspace
+    from repro.core.multilevel import GROUP_RTOL, _connected_eigenspace
 
-    space = multilevel_eigenspace(graph, hierarchy_cache=hierarchy_cache)
+    space = _connected_eigenspace(graph, hierarchy_cache=hierarchy_cache)
     theta0 = float(space.values[0])
     group_tol = max(GROUP_RTOL * max(abs(theta0), 1e-12), 1e-10)
     group = np.flatnonzero(space.values <= theta0 + group_tol)
@@ -187,6 +187,21 @@ def fiedler_vector(graph: Graph, backend: str = "auto",
         If the graph is disconnected (``lambda_2 = 0`` there; order the
         components separately — see :mod:`repro.core.components`).
     """
+    return _fiedler_vector(graph, backend, probe, rtol, multilevel_tol,
+                           solver_tol, hierarchy_cache)
+
+
+def _fiedler_vector(graph: Graph, backend: str = "auto",
+                    probe: np.ndarray | None = None,
+                    rtol: float = 1e-6,
+                    multilevel_tol: float = MULTILEVEL_QUALITY_RTOL,
+                    solver_tol: float | None = None,
+                    hierarchy_cache=None,
+                    known_connected: bool = False) -> FiedlerResult:
+    """:func:`fiedler_vector`; ``known_connected`` skips the connectivity
+    check for a caller that has just labelled the graph's components
+    (:class:`~repro.core.spectral.SpectralLPM`), so an order walks each
+    graph once."""
     if backend not in BACKENDS:
         raise InvalidParameterError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
@@ -196,7 +211,7 @@ def fiedler_vector(graph: Graph, backend: str = "auto",
         raise InvalidParameterError(
             f"the Fiedler vector needs at least 2 vertices, got {n}"
         )
-    if not is_connected(graph):
+    if not known_connected and not is_connected(graph):
         raise GraphStructureError(
             "graph is disconnected: lambda_2 = 0 and the Fiedler vector "
             "is a component indicator; use per-component ordering instead"
@@ -219,6 +234,19 @@ def fiedler_vector(graph: Graph, backend: str = "auto",
             return result
 
     exact_backend = _resolve_exact_backend(backend, n)
+    # The window solve and every closure certificate below solve the
+    # same Laplacian: on the scipy backend they share one LU factor,
+    # released when this call returns.
+    with backend_registry.shared_factorization():
+        return _exact_fiedler_result(graph, exact_backend, probe, rtol,
+                                     solver_tol)
+
+
+def _exact_fiedler_result(graph: Graph, exact_backend: str,
+                          probe: np.ndarray, rtol: float,
+                          solver_tol: float | None) -> FiedlerResult:
+    """The canonical Fiedler pair from a concrete matrix backend."""
+    n = graph.num_vertices
     lap = laplacian(graph)
     ones = np.ones(n) / np.sqrt(n)
     # With the constant direction deflated, the bottom of the spectrum is

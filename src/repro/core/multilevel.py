@@ -422,15 +422,28 @@ def multilevel_eigenspace(graph: Graph, block_size: int = 4,
         ``None`` the hierarchy is built from scratch with weight-aware
         matching.
     """
-    n = graph.num_vertices
-    if n < 2:
-        raise InvalidParameterError(
-            f"multilevel ordering needs at least 2 vertices, got {n}"
-        )
     if not is_connected(graph):
         raise GraphStructureError(
             "multilevel Fiedler requires a connected graph; order "
             "components separately"
+        )
+    return _connected_eigenspace(graph, block_size, min_size,
+                                 smoothing_steps, coarse_backend,
+                                 hierarchy_cache)
+
+
+def _connected_eigenspace(graph: Graph, block_size: int = 4,
+                          min_size: int = 64, smoothing_steps: int = 40,
+                          coarse_backend: str = "dense",
+                          hierarchy_cache: HierarchyCache | None = None
+                          ) -> MultilevelEigenspace:
+    """:func:`multilevel_eigenspace` without the connectivity check, for
+    :func:`~repro.core.fiedler.fiedler_vector`, which has checked (or
+    been told) that the graph is connected."""
+    n = graph.num_vertices
+    if n < 2:
+        raise InvalidParameterError(
+            f"multilevel ordering needs at least 2 vertices, got {n}"
         )
     if smoothing_steps < 0:
         raise InvalidParameterError(

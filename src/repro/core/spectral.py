@@ -25,14 +25,18 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.components import COMPONENT_ARRANGEMENTS, order_components
-from repro.core.fiedler import FiedlerResult, fiedler_vector
+from repro.core.components import (
+    COMPONENT_ARRANGEMENTS,
+    order_labelled_components,
+)
+from repro.core.fiedler import FiedlerResult, _fiedler_vector, fiedler_vector
 from repro.core.ordering import LinearOrder, order_by_values
 from repro.core.tie_breaking import TIE_BREAK_STRATEGIES, tie_break_keys
 from repro.errors import GraphStructureError, InvalidParameterError
 from repro.geometry.grid import Grid
 from repro.graph.adjacency import Graph
 from repro.graph.builders import grid_graph, induced_grid_graph
+from repro.graph.traversal import connected_components
 
 DISCONNECTED_POLICIES = ("per-component", "error")
 
@@ -128,15 +132,17 @@ class SpectralLPM:
         ``"lobpcg"``, ``"scipy"``, or ``"multilevel"``.  Guidance:
 
         * ``"auto"`` (default) — dense up to
-          :data:`~repro.linalg.backends.DENSE_CUTOFF` vertices, then
-          scipy shift-invert; without scipy, preconditioned LOBPCG
+          :data:`~repro.linalg.backends.DENSE_CUTOFF` vertices (225
+          with scipy installed, 441 without: the measured crossovers),
+          then scipy shift-invert; without scipy, preconditioned LOBPCG
           above :data:`~repro.linalg.backends.LOBPCG_CUTOFF` vertices
           and the in-house Lanczos in between; the multilevel
           approximation above
           :data:`~repro.linalg.backends.MULTILEVEL_CUTOFF` vertices
           whenever it meets its relative-residual quality bound.
         * ``"dense"`` — exact and simple; the oracle the others are
-          tested against.  O(n^3), so only for small graphs.
+          tested against.  It computes every eigenpair in O(n^3), so it
+          wins only on graphs of a few hundred vertices.
         * ``"lanczos"`` — thick-restart Lanczos, pure numpy.  Exact (to
           solver tolerance) and dependency-free at any size.
         * ``"lobpcg"`` — blocked LOBPCG with a multilevel V-cycle
@@ -337,23 +343,28 @@ class SpectralLPM:
         if n == 1:
             return LinearOrder(np.zeros(1, dtype=np.int64))
         effective = self._probe if self._probe is not None else probe
-
-        def order_connected(component: Graph) -> LinearOrder:
-            # Per-component calls cannot reuse a whole-graph probe (the
-            # vertex count differs), so they fall back to the default.
-            sub_probe = (effective
-                         if component.num_vertices == n else None)
-            return self._order_connected(component, sub_probe, recorder)
-
-        try:
-            return order_connected(graph)
-        except GraphStructureError:
-            if self._on_disconnected == "error":
-                raise
-            return order_components(
-                graph, order_connected,
-                arrangement=self._component_arrangement,
-            )
+        # One traversal per order: its labels decide connectivity and
+        # cut the components, and no Fiedler solve checks again.  (Two
+        # vertices order by id whether or not they are joined.)
+        if n > 2:
+            labels, count = connected_components(graph)
+            if count > 1:
+                if self._on_disconnected == "error":
+                    raise GraphStructureError(
+                        "graph is disconnected: lambda_2 = 0 and the "
+                        "Fiedler vector is a component indicator; use "
+                        "per-component ordering instead"
+                    )
+                # Per-component calls cannot reuse a whole-graph probe
+                # (the vertex count differs), so they fall back to the
+                # default.
+                return order_labelled_components(
+                    graph, labels, count,
+                    lambda component: self._order_connected(
+                        component, None, recorder),
+                    self._component_arrangement,
+                )
+        return self._order_connected(graph, effective, recorder)
 
     def order_grid(self, grid: Grid) -> LinearOrder:
         """The full pipeline on a complete grid domain.
@@ -416,10 +427,11 @@ class SpectralLPM:
             # lambda_2 = 2w with vector (+, -)/sqrt(2); with only two
             # items the stable order is by vertex id.
             return LinearOrder(np.array([0, 1]))
-        result = fiedler_vector(graph, backend=self._backend, probe=probe,
-                                multilevel_tol=self._multilevel_tol,
-                                solver_tol=self._solver_tol,
-                                hierarchy_cache=self._hierarchy_cache)
+        result = _fiedler_vector(graph, backend=self._backend, probe=probe,
+                                 multilevel_tol=self._multilevel_tol,
+                                 solver_tol=self._solver_tol,
+                                 hierarchy_cache=self._hierarchy_cache,
+                                 known_connected=True)
         if recorder is not None:
             recorder.append(result)
         snapped = snap_ties(result.vector, tol=self._snap_tol)

@@ -54,10 +54,11 @@ KNOBS: Tuple[Knob, ...] = (
     Knob(
         name="REPRO_DENSE_CUTOFF",
         kind="int >= 1",
-        default="1024",
+        default="225 with scipy installed, 441 without",
         reader="repro.linalg.backends",
         description="Largest vertex count solved by the dense eigensolver "
-                    "before switching to iterative backends.",
+                    "before switching to iterative backends; overrides "
+                    "both defaults.",
     ),
     Knob(
         name="REPRO_LOBPCG_CUTOFF",

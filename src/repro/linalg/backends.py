@@ -4,9 +4,10 @@ The Fiedler pipeline needs "the ``k`` smallest eigenpairs of a symmetric
 PSD sparse matrix".  Five interchangeable backends provide it:
 
 ``dense``
-    ``numpy.linalg.eigh`` on the dense matrix.  Exact and simple; the
-    right choice up to a few thousand vertices and the reference oracle
-    for the others.
+    ``numpy.linalg.eigh`` on the dense matrix.  Exact and simple, and
+    the reference oracle for the others, but it computes all ``n``
+    eigenpairs where the Fiedler pipeline needs a handful: it wins only
+    up to a few hundred vertices (see :data:`DENSE_CUTOFF`).
 ``lanczos``
     Our thick-restart Lanczos (:mod:`repro.linalg.lanczos`).  Pure
     numpy, BLAS-level reorthogonalization, scales to large sparse
@@ -19,10 +20,12 @@ PSD sparse matrix".  Five interchangeable backends provide it:
     fastest pure-numpy option on large Laplacians.
 ``scipy``
     ``scipy.sparse.linalg.eigsh`` in shift-invert mode, when scipy is
-    importable.  Fastest exact option for large graphs.  Deflation is
-    matrix-free: the rank-``p`` spectral shift is folded into the
-    shift-invert operator with the Woodbury identity, so the sparse
-    factorization never sees an ``n x n`` dense update.
+    importable.  Fastest exact option above a few hundred vertices.
+    Deflation is matrix-free: the rank-``p`` spectral shift is folded
+    into the shift-invert operator with the Woodbury identity, so the
+    sparse factorization never sees an ``n x n`` dense update, and
+    inside :func:`shared_factorization` every solve of one matrix reuses
+    one LU factor.
 ``multilevel``
     Coarsen-solve-refine approximation
     (:mod:`repro.core.multilevel`).  It needs the *graph*, not just the
@@ -40,7 +43,10 @@ contract the multilevel quality gate implements at the Fiedler level.
 
 Backend selection under ``auto``
 --------------------------------
-* ``n <= DENSE_CUTOFF`` (or ``k`` close to ``n``): ``dense``.
+* ``n <= DENSE_CUTOFF`` (or ``k`` close to ``n``): ``dense``.  The
+  cutoff is the measured crossover of whole Fiedler solves, one per
+  leg: 225 vertices against ``scipy``, 441 against ``lanczos`` when
+  scipy is not installed.
 * larger matrices: ``scipy`` when importable; otherwise ``lobpcg``
   above ``LOBPCG_CUTOFF`` (where preconditioned iteration beats the
   flat Lanczos sweep) and ``lanczos`` in between.
@@ -63,9 +69,11 @@ eigenvector columns; all are cross-validated in the test suite.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import threading
-from typing import Sequence, Tuple
+from contextlib import contextmanager
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -112,9 +120,24 @@ def cutoff_from_env(name: str, default: int) -> int:
     return value
 
 
-#: Matrices at or below this size use the dense path under ``auto``.
-#: Overridable via the ``REPRO_DENSE_CUTOFF`` environment variable.
-DENSE_CUTOFF = cutoff_from_env("REPRO_DENSE_CUTOFF", 1024)
+#: ``auto``'s dense cutoff when scipy is installed: the largest size at
+#: which a whole dense Fiedler solve still beat the scipy one (see the
+#: README's "Choosing an eigensolver backend" for the measurements).
+SCIPY_DENSE_CUTOFF = 225
+
+#: ``auto``'s dense cutoff without scipy, where dense competes with the
+#: in-house Lanczos instead.
+NUMPY_DENSE_CUTOFF = 441
+
+#: Matrices at or below this size use the dense path under ``auto``:
+#: :data:`SCIPY_DENSE_CUTOFF` when scipy is installed, else
+#: :data:`NUMPY_DENSE_CUTOFF`.  ``find_spec`` locates scipy without
+#: importing it, so ``import repro`` stays scipy-free.  Overridable via
+#: the ``REPRO_DENSE_CUTOFF`` environment variable.
+DENSE_CUTOFF = cutoff_from_env(
+    "REPRO_DENSE_CUTOFF",
+    SCIPY_DENSE_CUTOFF if importlib.util.find_spec("scipy") is not None
+    else NUMPY_DENSE_CUTOFF)
 
 #: Without scipy, matrices above this size use the preconditioned LOBPCG
 #: backend under ``auto`` instead of plain Lanczos: that is the regime
@@ -322,6 +345,51 @@ def _smallest_lobpcg(matrix: CSRMatrix, k: int,
             stats["v_cycles"] = preconditioner.cycles - cycles_before
 
 
+# The LU factor of ``A - sigma I`` held for the open
+# shared_factorization() block of this thread: ``[matrix, factor]``, an
+# empty list before the block's first scipy solve, and None (or unset)
+# outside any block.
+_HELD_FACTOR = threading.local()
+
+
+@contextmanager
+def shared_factorization() -> Iterator[None]:
+    """Let the scipy solves of one matrix inside the block share one LU.
+
+    A Fiedler computation solves the same Laplacian once for its window
+    and once per closure certificate, and each scipy solve starts with
+    a sparse LU factorization of ``L - sigma I`` (``sigma`` depends on
+    the matrix only).  Inside this block the first solve's factor is
+    kept and reused by later solves of the *same* matrix object on the
+    *same* thread; it is dropped when the block exits.  Deliberately
+    not a process-wide cache like the preconditioner's: factors are
+    large (a four-entry process-wide cache of them lifted the
+    ``cold-order`` benchmark's peak RSS from 105 to 142-146 MB), and
+    SuperLU objects are not documented as thread-safe.
+    """
+    outer = getattr(_HELD_FACTOR, "slot", None)
+    _HELD_FACTOR.slot = []
+    try:
+        yield
+    finally:
+        _HELD_FACTOR.slot = outer
+
+
+def _shifted_factor(matrix: CSRMatrix, a, sigma: float):
+    """The sparse LU factor of ``a - sigma I`` (``a`` is ``matrix`` as
+    scipy CSR), reused within a :func:`shared_factorization` block."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    slot = getattr(_HELD_FACTOR, "slot", None)
+    if slot and slot[0] is matrix:
+        return slot[1]
+    factor = spla.splu((a - sigma * sp.identity(matrix.n)).tocsc())
+    if slot is not None:
+        slot[:] = [matrix, factor]
+    return factor
+
+
 def _smallest_scipy(matrix: CSRMatrix, k: int,
                     deflate: Sequence[np.ndarray]
                     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -365,7 +433,7 @@ def _smallest_scipy(matrix: CSRMatrix, k: int,
         d = deflation_matrix(deflate, n)
         p = d.shape[1]
         shift = matrix.gershgorin_upper_bound() + 1.0
-        m_factor = spla.splu((a - sigma * sp.identity(n)).tocsc())
+        m_factor = _shifted_factor(matrix, a, sigma)
         z = m_factor.solve(d)
         capacitance = np.linalg.inv(np.eye(p) / shift + d.T @ z)
         # The operator handed to eigsh is the matrix-free deflated one;

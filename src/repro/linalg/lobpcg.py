@@ -19,10 +19,10 @@ plagues textbook LOBPCG near convergence.  Blocks are small (``k + 2``
 columns by default) so the extra QR cost is negligible next to the
 operator applications.
 
-Determinism: starts come from the same fixed quasi-random sequence as
-the other backends (salted by the deflation count), and every step is
-deterministic dense linear algebra — repeated runs give bit-identical
-results.
+Determinism: start blocks come from a fixed hashed family
+(:func:`repro.linalg.power.deterministic_block`, salted by the deflation
+count), and every step is deterministic dense linear algebra — repeated
+runs give bit-identical results.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.linalg.operators import deflation_matrix, orthonormalize_block
-from repro.linalg.power import deterministic_start
+from repro.linalg.power import deterministic_block
 
 MatVec = Callable[[np.ndarray], np.ndarray]
 
@@ -168,15 +168,12 @@ def lobpcg_smallest(matvec: MatVec, n: int, k: int,
         seeds.append(guess[:, :m])
     fill = m - (seeds[0].shape[1] if seeds else 0)
     if fill > 0:
-        seeds.append(np.column_stack([deterministic_start(n, salt + j)
-                                      for j in range(fill)]))
+        seeds.append(deterministic_block(n, fill, salt))
     x = np.column_stack(seeds)
     x = orthonormalize_block(x, against=d if d.shape[1] else None)
     extra = 0
     while x.shape[1] < m and extra < 8 * m:
-        top_up = np.column_stack([
-            deterministic_start(n, salt + m + extra + j)
-            for j in range(m - x.shape[1])])
+        top_up = deterministic_block(n, m - x.shape[1], salt + m + extra)
         extra += m - x.shape[1]
         x = orthonormalize_block(
             np.column_stack([x, top_up]),

@@ -43,6 +43,29 @@ def deterministic_start(n: int, salt: int = 0) -> np.ndarray:
     return v / norm
 
 
+def deterministic_block(n: int, columns: int, salt: int = 0) -> np.ndarray:
+    """``columns`` fixed, generic, unit-norm vectors of length ``n``.
+
+    Column ``j`` hashes each vertex id with ``salt + j`` (SplitMix64's
+    finalizer in wrapping ``uint64`` arithmetic), so the block is
+    bit-identical on every platform and, unlike salted
+    :func:`deterministic_start` vectors (which all lie in one
+    3-dimensional span), as independent as random columns: block
+    solvers can fill any number of start columns from it.
+    """
+    if n <= 0:
+        raise InvalidParameterError(f"n must be positive, got {n}")
+    ids = np.arange(n, dtype=np.uint64)[:, None]
+    keys = np.arange(salt, salt + columns, dtype=np.uint64)[None, :]
+    z = ids * np.uint64(0x9E3779B97F4A7C15) \
+        + (keys + np.uint64(1)) * np.uint64(0xD1B54A32D192ED03)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    block = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 - 0.5
+    return block / np.linalg.norm(block, axis=0)
+
+
 def _project_out(x: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
     for b in basis:
         x = x - (b @ x) * b

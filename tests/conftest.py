@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import builtins
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -53,3 +56,24 @@ def dense_lpm() -> SpectralLPM:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def no_scipy(monkeypatch):
+    """Make every `import scipy...` raise ImportError.
+
+    A test may also request it part-way through with
+    ``request.getfixturevalue("no_scipy")`` to compare a scipy result
+    with the numpy-only one.
+    """
+    real_import = builtins.__import__
+
+    def fake_import(name, *args, **kwargs):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"scipy hidden for this test: {name}")
+        return real_import(name, *args, **kwargs)
+
+    for module_name in list(sys.modules):
+        if module_name == "scipy" or module_name.startswith("scipy."):
+            monkeypatch.delitem(sys.modules, module_name)
+    monkeypatch.setattr(builtins, "__import__", fake_import)

@@ -51,3 +51,39 @@ def test_unknown_arrangement():
     with pytest.raises(InvalidParameterError):
         order_components(Graph.empty(2), identity_order,
                          arrangement="by_color")
+
+
+def test_component_subgraphs_equal_graph_subgraph():
+    # order_components cuts every component in one pass over the edges;
+    # each piece must be the CSR Graph.subgraph builds, array for array.
+    from repro.geometry import Grid
+    from repro.graph import component_vertex_lists, connected_components
+    from repro.graph import induced_grid_graph
+
+    rng = np.random.default_rng(7)
+    models = [("orthogonal", 1, "unit"), ("orthogonal", 2, "gaussian"),
+              ("moore", 1, "inverse_euclidean"),
+              ("orthogonal", 2, "inverse_manhattan")]
+    for trial in range(40):
+        connectivity, radius, weight = models[trial % len(models)]
+        grid = Grid((int(rng.integers(3, 25)), int(rng.integers(3, 25))))
+        cells = rng.choice(grid.size, int(rng.integers(1, grid.size + 1)),
+                           replace=False)
+        graph, _ = induced_grid_graph(grid, cells, connectivity=connectivity,
+                                      radius=radius, weight=weight)
+        seen = []
+
+        def capture(sub):
+            seen.append(sub)
+            return identity_order(sub)
+
+        order_components(graph, capture)
+        labels, count = connected_components(graph)
+        groups = component_vertex_lists(labels, count)
+        assert len(seen) == count
+        for sub, vertices in zip(seen, groups):
+            expected, _ = graph.subgraph(vertices)
+            assert sub.num_vertices == expected.num_vertices
+            for got, want in zip(sub.csr_arrays(), expected.csr_arrays()):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)

@@ -156,3 +156,65 @@ def test_two_vertex_graph():
     assert result.value == pytest.approx(6.0)  # 2w
     assert np.allclose(np.abs(result.vector),
                        [1 / np.sqrt(2)] * 2, atol=1e-9)
+
+
+# ----------------------------------------------------------------------
+# One LU factorization per scipy solve of a Laplacian
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not scipy_available(), reason="needs scipy")
+@pytest.mark.parametrize("shape", [(24, 24), (20, 45)])
+def test_scipy_fiedler_factors_the_laplacian_once(shape, monkeypatch):
+    # The window solve and the closure certificate share one splu of
+    # L - sigma I (the parent factored once per solve), and the factor
+    # is gone once the call returns.
+    import scipy.sparse.linalg as spla
+
+    from repro.linalg import backends, solver_invocations
+
+    factors = []
+    real_splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        factors.append(real_splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    graph = grid_graph(Grid(shape))
+    before = solver_invocations()
+    result = fiedler_vector(graph, backend="scipy")
+    assert solver_invocations() - before >= 2
+    assert len(factors) == 1
+    assert getattr(backends._HELD_FACTOR, "slot", None) is None
+    reference = fiedler_vector(graph, backend="dense")
+    assert result.multiplicity == reference.multiplicity
+    assert np.allclose(result.vector, reference.vector, atol=1e-8)
+
+
+@pytest.mark.skipif(not scipy_available(), reason="needs scipy")
+def test_shared_factorization_is_per_thread_and_per_matrix():
+    import threading
+
+    import scipy.sparse as sp
+
+    from repro.graph import laplacian
+    from repro.linalg import backends
+
+    def factor(matrix):
+        a = sp.csr_matrix((matrix.data, matrix.indices, matrix.indptr),
+                          shape=matrix.shape)
+        return backends._shifted_factor(matrix, a, -1e-3)
+
+    grid, path = laplacian(grid_graph(Grid((9, 11)))), laplacian(
+        path_graph(40))
+    seen = {}
+    with backends.shared_factorization():
+        first = factor(grid)
+        assert factor(grid) is first
+        # Another thread opens no block of its own, so it holds nothing.
+        worker = threading.Thread(target=lambda: seen.update(
+            slot=getattr(backends._HELD_FACTOR, "slot", None)))
+        worker.start()
+        worker.join()
+        assert seen["slot"] is None
+        assert factor(path) is not first
+    assert getattr(backends._HELD_FACTOR, "slot", None) is None

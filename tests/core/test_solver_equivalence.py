@@ -1,7 +1,7 @@
 """Cross-backend equivalence of the full ordering pipeline.
 
-The determinism contract: every *exact* backend (dense, lanczos, scipy)
-produces the *identical* permutation on the same input — including the
+The determinism contract: every *exact* backend (dense, lanczos,
+lobpcg, scipy) produces the *identical* permutation on the same input — including the
 adversarial cases, namely clustered spectra (long paths), degenerate
 eigenspaces (square grids and cubes), and weighted Section-4 graphs.
 The multilevel backend is approximate: it must reproduce exact orders
@@ -94,6 +94,44 @@ def test_weighted_grid_identical_across_all_backends():
     reference = orders["dense"]
     for backend, order in orders.items():
         assert order == reference, backend
+
+
+# ----------------------------------------------------------------------
+# Sizes between the scipy leg's dense cutoff (225) and the old shared
+# default (1,024), where ``auto`` moved from dense to scipy, and around
+# the numpy-only leg's cutoff (441): every exact backend, and ``auto``,
+# must give the same order there.
+# ----------------------------------------------------------------------
+CUTOFF_BACKENDS = ["auto"] + EXACT_BACKENDS
+
+
+@pytest.mark.parametrize("shape", [(17, 17), (24, 24), (20, 45), (32, 32)])
+def test_grids_between_the_cutoffs_identical(shape):
+    grid = Grid(shape)
+    orders = {b: SpectralLPM(backend=b).order_grid(grid)
+              for b in CUTOFF_BACKENDS}
+    for backend, order in orders.items():
+        assert order == orders["dense"], backend
+
+
+def test_weighted_grid_between_the_cutoffs_identical():
+    grid = Grid((23, 29))
+    orders = {b: SpectralLPM(backend=b, radius=2,
+                             weight="inverse_manhattan").order_grid(grid)
+              for b in CUTOFF_BACKENDS}
+    for backend, order in orders.items():
+        assert order == orders["dense"], backend
+
+
+@pytest.mark.parametrize("density", [0.55, 0.65, 0.8])
+def test_point_sets_between_the_cutoffs_identical(density):
+    grid = Grid((30, 34))
+    cells = np.random.default_rng(int(density * 100)).choice(
+        grid.size, round(density * grid.size), replace=False)
+    orders = {b: SpectralLPM(backend=b).order_points(grid, cells)[0]
+              for b in CUTOFF_BACKENDS}
+    for backend, order in orders.items():
+        assert order == orders["dense"], backend
 
 
 # ----------------------------------------------------------------------

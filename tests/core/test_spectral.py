@@ -145,6 +145,44 @@ def test_disconnected_error_policy():
         lpm.order_graph(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
+@pytest.mark.parametrize("backend", BACKENDS + ["multilevel"])
+def test_disconnected_point_set_walks_the_graph_once(backend, monkeypatch):
+    # One component labelling per order; no Fiedler solve re-checks the
+    # connectivity of a component it was handed.
+    import repro.core.fiedler as fiedler_module
+    import repro.core.multilevel as multilevel_module
+    import repro.core.spectral as spectral_module
+    from repro.core import order_components
+    from repro.graph import connected_components, induced_grid_graph
+
+    calls = {"labelled": 0, "checked": 0}
+    real_label = spectral_module.connected_components
+
+    def counting_label(graph):
+        calls["labelled"] += 1
+        return real_label(graph)
+
+    def counting_check(graph):
+        calls["checked"] += 1
+        return True
+
+    grid = Grid((24, 20))
+    cells = np.random.default_rng(3).choice(grid.size, 250, replace=False)
+    lpm = SpectralLPM(backend=backend)
+    graph, _ = induced_grid_graph(grid, cells)
+    sizes = np.bincount(connected_components(graph)[0])
+    assert (sizes >= 3).sum() >= 3
+    # The reference: the public per-component path, which checks.
+    expected = order_components(graph, lambda c: lpm.order_graph(c))
+    monkeypatch.setattr(spectral_module, "connected_components",
+                        counting_label)
+    monkeypatch.setattr(fiedler_module, "is_connected", counting_check)
+    monkeypatch.setattr(multilevel_module, "is_connected", counting_check)
+    order = lpm.order_graph(graph)
+    assert calls == {"labelled": 1, "checked": 0}
+    assert order == expected
+
+
 def test_disconnected_by_size_arrangement():
     lpm = SpectralLPM(backend="dense", component_arrangement="by_size")
     g = Graph.from_edges(5, [(3, 4)])  # singletons 0,1,2 + pair {3,4}

@@ -171,6 +171,30 @@ def test_subgraph_rejects_duplicates():
         g.subgraph([1, 1])
 
 
+def test_split_cuts_every_part_like_subgraph():
+    g = Graph.from_edges(7, [(0, 5), (5, 6), (1, 3), (0, 6)],
+                         weights=[1.0, 2.0, 3.0, 4.0])
+    labels = np.array([0, 1, 2, 1, 3, 0, 0])
+    parts = g.split(labels, 4)
+    assert [list(ids) for _, ids in parts] == [[0, 5, 6], [1, 3], [2], [4]]
+    for sub, ids in parts:
+        expected, _ = g.subgraph(ids)
+        for got, want in zip(sub.csr_arrays(), expected.csr_arrays()):
+            assert np.array_equal(got, want)
+    assert Graph.from_edges(0, []).split(np.empty(0, dtype=np.int64), 0) \
+        == []
+
+
+def test_split_rejects_bad_partitions():
+    g = Graph.from_edges(3, [(0, 1)])
+    with pytest.raises(InvalidParameterError):
+        g.split(np.array([0, 1, 1]), 2)     # edge (0, 1) crosses parts
+    with pytest.raises(InvalidParameterError):
+        g.split(np.array([0, 0, 2]), 2)     # label out of range
+    with pytest.raises(InvalidParameterError):
+        g.split(np.array([0, 0]), 1)        # wrong length
+
+
 def test_to_dense_adjacency_symmetric():
     g = Graph.from_edges(3, [(0, 1), (1, 2)], weights=[2.0, 3.0])
     dense = g.to_dense_adjacency()

@@ -7,9 +7,6 @@ documented exception and (b) the auto backend silently falls back to the
 in-house Lanczos solver with identical results.
 """
 
-import builtins
-import sys
-
 import numpy as np
 import pytest
 
@@ -18,21 +15,8 @@ from repro.errors import BackendUnavailableError
 from repro.graph import laplacian, path_graph
 from repro.linalg import smallest_eigenpairs
 
-
-@pytest.fixture
-def no_scipy(monkeypatch):
-    """Make every `import scipy...` raise ImportError."""
-    real_import = builtins.__import__
-
-    def fake_import(name, *args, **kwargs):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(f"scipy hidden for this test: {name}")
-        return real_import(name, *args, **kwargs)
-
-    for module_name in list(sys.modules):
-        if module_name == "scipy" or module_name.startswith("scipy."):
-            monkeypatch.delitem(sys.modules, module_name)
-    monkeypatch.setattr(builtins, "__import__", fake_import)
+# The ``no_scipy`` fixture lives in tests/conftest.py (the traversal
+# tests hide scipy with it too).
 
 
 def test_scipy_available_reports_false(no_scipy):

@@ -47,20 +47,58 @@ def test_valid_lobpcg_override(monkeypatch):
     assert cutoff_from_env("REPRO_LOBPCG_CUTOFF", 4096) == 512
 
 
-def _resolved_cutoffs(env_extra):
+def _resolved_cutoffs(env_extra, prelude=""):
     import os
 
-    env = dict(os.environ)
+    env = {name: value for name, value in os.environ.items()
+           if not name.startswith("REPRO_")}
     env.update(env_extra)
     src_dir = os.path.abspath(
         os.path.join(os.path.dirname(__file__), "..", "..", "src"))
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    snippet = ("from repro.linalg import backends as b; "
+    snippet = (prelude + "from repro.linalg import backends as b; "
                "print(b.DENSE_CUTOFF); print(b.MULTILEVEL_CUTOFF); "
                "print(b.LOBPCG_CUTOFF)")
     out = subprocess.run([sys.executable, "-c", snippet],
                          capture_output=True, text=True, env=env)
     return out
+
+
+# Makes importlib report scipy as not installed, as on the numpy-only leg.
+_SCIPY_NOT_INSTALLED = (
+    "import importlib.util as u; _find = u.find_spec; "
+    "u.find_spec = lambda name, *a: "
+    "None if name == 'scipy' else _find(name, *a); ")
+
+
+def test_dense_default_follows_the_installed_leg():
+    import importlib.util
+
+    installed = importlib.util.find_spec("scipy") is not None
+    out = _resolved_cutoffs({})
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout.split()[0]) == (
+        backend_registry.SCIPY_DENSE_CUTOFF if installed
+        else backend_registry.NUMPY_DENSE_CUTOFF)
+    out = _resolved_cutoffs({}, prelude=_SCIPY_NOT_INSTALLED)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout.split()[0]) == backend_registry.NUMPY_DENSE_CUTOFF
+
+
+def test_dense_override_wins_on_both_legs():
+    for prelude in ("", _SCIPY_NOT_INSTALLED):
+        out = _resolved_cutoffs({"REPRO_DENSE_CUTOFF": "300"},
+                                prelude=prelude)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split()[0] == "300"
+
+
+def test_import_repro_does_not_import_scipy():
+    out = _resolved_cutoffs({}, prelude=(
+        "import sys, repro, repro.core, repro.linalg; "
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
+        "; "))
+    assert out.returncode == 0, out.stderr
 
 
 def test_overrides_take_effect_at_import():

@@ -236,6 +236,51 @@ def test_lobpcg_nonconvergence_raises():
                         tol=1e-13, maxiter=1)
 
 
+def _tree(n):
+    return Graph.from_edges(n, [(v, (v - 1) // 2) for v in range(1, n)])
+
+
+@pytest.mark.parametrize("graph", [
+    grid_graph(Grid((8, 10))), path_graph(88), _tree(5), _tree(6)],
+    ids=["grid8x10", "path88", "tree5", "tree6"])
+def test_lobpcg_start_block_keeps_k_columns(graph):
+    # Salted deterministic_start vectors span only three dimensions, so
+    # a k = 4 window used to raise "start block collapsed below k"
+    # (block 3, k 4) on these inputs.
+    from repro.core import fiedler_vector
+
+    result = fiedler_vector(graph, backend="lobpcg")
+    reference = fiedler_vector(graph, backend="dense")
+    assert result.value == pytest.approx(reference.value, rel=1e-7)
+    assert np.allclose(result.vector, reference.vector, atol=1e-6)
+
+
+def test_lobpcg_orders_every_component_of_a_point_set():
+    # 29x20 grid, 351 cells: components of 3 to ~270 vertices, most of
+    # which collapsed the start block before.
+    from repro.core import SpectralLPM
+
+    grid = Grid((29, 20))
+    cells = np.random.default_rng(0).choice(grid.size, 351, replace=False)
+    order, _ = SpectralLPM(backend="lobpcg").order_points(grid, cells)
+    reference, _ = SpectralLPM(backend="dense").order_points(grid, cells)
+    assert order == reference
+
+
+def test_deterministic_block_columns_stay_independent():
+    from repro.linalg.power import deterministic_block
+
+    for n in range(2, 200):
+        columns = min(n - 1, 8)
+        block = deterministic_block(n, columns, salt=n % 3)
+        assert np.array_equal(block, deterministic_block(n, columns,
+                                                         salt=n % 3))
+        assert np.allclose(np.linalg.norm(block, axis=0), 1.0)
+        centred = block - block.mean(axis=0)
+        singular = np.linalg.svd(centred, compute_uv=False)
+        assert singular[-1] > 1e-4 * singular[0], n
+
+
 def test_lobpcg_rejects_bad_k():
     lap = laplacian(path_graph(5))
     with pytest.raises(InvalidParameterError):
