@@ -12,7 +12,7 @@ environment (through a validating helper such as
 * a harness-only knob (``reader=None``) read by library code at all.
 
 Keys are matched when written as string literals or as module-level
-string constants (``WORKERS_ENV = "REPRO_QUERY_WORKERS"``); a key the
+string constants (``QUEUE_ENV = "REPRO_NET_QUEUE_DEPTH"``); a key the
 rule cannot resolve statically is skipped — that is how the validating
 helpers themselves, which receive the name as a parameter, stay clean.
 """
@@ -42,7 +42,7 @@ _KNOB_NAME_RE = re.compile(r"^REPRO_[A-Z0-9_]+$")
 #: Validating helper functions whose first argument is the knob name.
 VALIDATING_HELPERS = frozenset({
     "cutoff_from_env", "positive_int_from_env",
-    "positive_float_from_env", "flag_from_env", "workers_from_env",
+    "positive_float_from_env", "flag_from_env",
 })
 
 

@@ -21,8 +21,8 @@ The pieces, in dependency order:
   batching.
 * **Index** (:class:`SpectralIndex`) — the facade composing all of the
   above with the page layout and query engine: ``range``, ``nn``,
-  ``join``, and the vectorized ``query_many`` (thread-pooled via
-  ``parallelism=`` / ``REPRO_QUERY_WORKERS``).
+  ``join``, and the vectorized ``query_many`` (one batched order
+  acquisition, then the queries in input order on the caller's thread).
 * **Serving fronts** — :class:`AsyncSpectralIndex`
   (:mod:`repro.api.aio`) runs the same surface as coroutines on an
   executor for event-loop services,
@@ -42,7 +42,6 @@ and are gone: mappings come from :func:`make_mapping`, stores from
 
 from repro.api.aio import AsyncSpectralIndex
 from repro.api.domains import Domain, DomainLike, as_domain
-from repro.api.executor import WORKERS_ENV
 from repro.api.index import SpectralIndex
 from repro.api.process_pool import ProcessPoolFrontend
 from repro.api.mappings import Mapping, MappingSpec, make_mapping
@@ -77,7 +76,6 @@ __all__ = [
     "RemoteFrontend",
     "SpectralConfig",
     "SpectralIndex",
-    "WORKERS_ENV",
     "as_domain",
     "make_mapping",
 ]

@@ -5,8 +5,7 @@ worker consuming a queue) must not block its event loop on a range scan
 or — far worse — a cold eigensolve.  :class:`AsyncSpectralIndex` wraps
 a :class:`~repro.api.SpectralIndex` and exposes the same query surface
 as coroutines that run the synchronous engine on a thread-pool
-executor, so the loop stays responsive and concurrent requests overlap
-exactly the way ``query_many(parallelism=...)`` overlaps them:
+executor, so the loop stays responsive and concurrent requests overlap:
 
     index = AsyncSpectralIndex.build((64, 64))
     execution = await index.range(((4, 4), (9, 9)))
@@ -18,9 +17,9 @@ lazy state is single-flight, the ordering service coalesces identical
 solves, and the buffer pool locks per access — so any number of
 in-flight coroutines (or a mix of async and plain-thread callers
 sharing one ``SpectralIndex``) see exactly-once materialization and
-exact accounting.  ``query_many`` dispatches each query as its own
-executor job and gathers them, so a batch interleaves with other
-coroutines instead of occupying one worker for its whole duration.
+exact accounting.  Every call, ``query_many`` included, is one executor
+job: a batch runs on one thread exactly as the sync path runs it, and
+concurrent batches overlap with each other.
 """
 
 from __future__ import annotations
@@ -33,12 +32,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.api.domains import Domain, DomainLike
-from repro.api.executor import default_async_workers, resolve_parallelism
 from repro.api.index import SpectralIndex
 from repro.api.mappings import MappingSpec
 from repro.api.queries import NNResult, Query
 from repro.core.ordering import LinearOrder
 from repro.errors import InvalidParameterError
+from repro.parallel import ensure_workers
 from repro.query.engine import QueryExecution, WorkloadReport
 from repro.query.join import JoinReport
 
@@ -52,9 +51,9 @@ class AsyncSpectralIndex:
         The synchronous index to serve.  It may simultaneously be used
         directly from other threads; all shared state is locked there.
     workers:
-        Width of the owned executor; defaults to ``REPRO_QUERY_WORKERS``
-        when set, else the stdlib heuristic (``min(32, cpus + 4)``).
-        Ignored when ``executor`` is supplied.
+        Width of the owned executor; ``None`` takes
+        :class:`~concurrent.futures.ThreadPoolExecutor`'s own default
+        (``min(32, cpus + 4)``).  Ignored when ``executor`` is supplied.
     executor:
         An externally owned :class:`~concurrent.futures.ThreadPoolExecutor`
         to run on instead; the caller keeps responsibility for shutting
@@ -73,8 +72,8 @@ class AsyncSpectralIndex:
             self._executor = executor
             self._owns_executor = False
         else:
-            width = (default_async_workers() if workers is None
-                     else resolve_parallelism(workers))
+            width = (None if workers is None
+                     else ensure_workers(workers, name="workers"))
             self._executor = ThreadPoolExecutor(
                 max_workers=width, thread_name_prefix="repro-aio")
             self._owns_executor = True
@@ -157,32 +156,25 @@ class AsyncSpectralIndex:
     async def workload(self, boxes, *, plan: str = "span-scan",
                        mapping: Optional[MappingSpec] = None
                        ) -> WorkloadReport:
-        """Awaitable :meth:`SpectralIndex.workload` (sequential inside
-        one executor job; use :meth:`query_many` to overlap queries)."""
+        """Awaitable :meth:`SpectralIndex.workload`, as one executor
+        job."""
         return await self._run(self._index.workload, boxes, plan=plan,
                                mapping=mapping)
 
     async def query_many(self, queries: Sequence[Query], *,
                          parallelism: Optional[int] = None) -> List:
-        """Execute a query batch; results align with the input.
+        """Awaitable :meth:`SpectralIndex.query_many`, as one executor
+        job.
 
-        Order acquisition runs once (batched through the service,
-        exactly like the sync path); each query then becomes its own
-        executor job and the jobs are gathered — so the batch shares
-        the executor fairly with every other coroutine, and
+        The batch runs on one executor thread exactly as the sync path
+        runs it (``parallelism`` keeps its meaning there: the width of
+        the cold batch's non-batchable view solves), so results and
+        accounting match it field for field, and
         ``asyncio.gather(index.query_many(a), index.query_many(b))``
-        interleaves both batches.  ``parallelism`` governs the
-        *materialization* stage exactly as on the sync path (argument,
-        then ``REPRO_QUERY_WORKERS``, then sequential): a cold batch
-        spanning K non-batchable mappings overlaps its K solves instead
-        of paying them back to back inside one executor job.
+        overlaps the two batches.
         """
-        queries = self._index._coerce_queries(queries)
-        views = await self._run(self._index._views_for, queries,
-                                resolve_parallelism(parallelism))
-        jobs = [self._run(self._index._execute_query, view, query)
-                for view, query in zip(views, queries)]
-        return list(await asyncio.gather(*jobs))
+        return await self._run(self._index.query_many, queries,
+                               parallelism=parallelism)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -21,10 +21,10 @@ K.  Non-default mappings are materialized lazily and cached per index,
 so comparing mappings over one domain — the shape of every figure
 harness — is a loop over ``ranks_for(name)``.
 
-The index is safe to share across threads (and is what the
-thread-pooled ``query_many(parallelism=...)`` and the asyncio
-:class:`~repro.api.aio.AsyncSpectralIndex` front execute against): the
-lazily materialized per-mapping views are **single-flight**
+The index is safe to share across threads (the asyncio
+:class:`~repro.api.aio.AsyncSpectralIndex` front and plain threads may
+query one index at once): the lazily materialized per-mapping views
+are **single-flight**
 (:class:`~repro.caching.SingleFlight`) — two threads missing the same
 view elect one materializer, the other waits and reuses its result, so
 a non-cacheable mapping never pays a duplicate eigensolve — the first
@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.api.domains import Domain, DomainLike, as_domain
-from repro.api.executor import map_in_threads, resolve_parallelism
 from repro.api.mappings import MappingSpec, make_mapping
 from repro.api.queries import (
     JoinQuery,
@@ -60,6 +59,7 @@ from repro.geometry.pointset import PointSet
 from repro.graph.adjacency import Graph
 from repro.mapping.interface import LocalityMapping, SpectralMapping
 from repro.obs import Timer, registry, span
+from repro.parallel import ensure_workers, map_in_threads
 from repro.query.engine import LinearStore, QueryExecution, WorkloadReport
 from repro.query.join import JoinReport, window_join_report
 from repro.query.nn import window_candidates
@@ -286,18 +286,18 @@ class SpectralIndex:
     def workload(self, boxes: Sequence, *, plan: str = "span-scan",
                  mapping: Optional[MappingSpec] = None,
                  parallelism: Optional[int] = None) -> WorkloadReport:
-        """Run a range-query stream and aggregate the I/O accounting.
+        """Run a range-query stream in order and aggregate the I/O
+        accounting.
 
-        ``parallelism`` (default: ``REPRO_QUERY_WORKERS``, else
-        sequential) fans the stream across worker threads; see
-        :meth:`~repro.query.LinearStore.execute_workload` for the
-        accounting contract under concurrency.
+        ``parallelism`` is deprecated and ignored (it emits a
+        :class:`DeprecationWarning`); see
+        :meth:`~repro.query.LinearStore.execute_workload`.
         """
         view = self._view_for(mapping)
         store = self._store_for(view)
         return store.execute_workload(
             [self._as_box(b) for b in boxes], plan=plan,
-            parallelism=resolve_parallelism(parallelism),
+            parallelism=parallelism,
         )
 
     def nn(self, cell, k: int, *, window: Optional[int] = None,
@@ -337,38 +337,22 @@ class SpectralIndex:
         so K same-topology configurations share a single graph build
         (and cache hits skip even that).
 
+        The queries then run in input order on the caller's thread:
+        each is a few microseconds of numpy glued by Python, which
+        holds the GIL, so threads would only contend for it.
+
         Parameters
         ----------
         parallelism:
-            Worker threads executing the batch after order acquisition.
-            ``None`` defers to the ``REPRO_QUERY_WORKERS`` environment
-            variable, else runs sequentially; an explicit integer >= 1
-            wins over both.  Query *results* are bit-identical to the
-            sequential path at any worker count (each query reads only
-            immutable orders and per-store structures).  The one
-            interleaving-dependent quantity is shared-buffer
-            attribution when the index was built with
-            ``buffer_capacity``: which query a buffer hit lands on
-            depends on execution order, while the pool totals stay
-            exact (``hits + misses == accesses``).
+            Worker threads for the batch's *non-batchable* view
+            materializations (non-cacheable mappings, per-mapping
+            services, curve encodes): their eigensolves spend their
+            time in GIL-releasing BLAS kernels, so a cold batch
+            spanning K independent mappings overlaps its K solves.
+            ``None`` means 1.  Results and accounting never depend on
+            it.
         """
-        queries = self._coerce_queries(queries)
-        workers = resolve_parallelism(parallelism)
-        with span("api.query_many", batch=len(queries),
-                  parallelism=workers):
-            views = self._views_for(queries, parallelism=workers)
-
-            def run(pair) -> object:
-                view, query = pair
-                return self._execute_query(view, query)
-
-            return map_in_threads(run, list(zip(views, queries)),
-                                  workers)
-
-    # ------------------------------------------------------------------
-    # Batch internals (shared with the asyncio facade)
-    # ------------------------------------------------------------------
-    def _coerce_queries(self, queries: Sequence[Query]) -> List[Query]:
+        workers = ensure_workers(parallelism)
         queries = list(queries)
         for query in queries:
             if not isinstance(query, (RangeQuery, NNQuery, JoinQuery)):
@@ -376,30 +360,15 @@ class SpectralIndex:
                     f"unknown query type {type(query).__name__}; expected "
                     "RangeQuery, NNQuery or JoinQuery"
                 )
-        return queries
-
-    def _views_for(self, queries: Sequence[Query],
-                   parallelism: int = 1) -> List[_MappingView]:
-        """Resolve and materialize every view a coerced batch needs.
-
-        Order acquisition batches through the service; stores backing
-        range queries are prebuilt here so worker threads execute pure
-        query code (first-touch store builds never serialize the pool).
-        ``parallelism`` also fans the *non-batchable* materializations
-        (non-cacheable mappings, per-mapping services, curve encodes)
-        across workers — eigensolves spend their time in GIL-releasing
-        BLAS kernels, so a batch spanning K independent mappings scales
-        with cores even though each solve is single-threaded Python.
-        """
-        mappings = [self._default if query.mapping is None
-                    else self._resolve(query.mapping)
-                    for query in queries]
-        self._materialize_many(mappings, parallelism=parallelism)
-        views = [self._materialize(mapping) for mapping in mappings]
-        for query, view in zip(queries, views):
-            if isinstance(query, RangeQuery):
-                self._store_for(view)
-        return views
+        with span("api.query_many", batch=len(queries),
+                  parallelism=workers):
+            mappings = [self._default if query.mapping is None
+                        else self._resolve(query.mapping)
+                        for query in queries]
+            self._materialize_many(mappings, parallelism=workers)
+            views = [self._materialize(mapping) for mapping in mappings]
+            return [self._execute_query(view, query)
+                    for view, query in zip(views, queries)]
 
     def _execute_query(self, view: _MappingView, query: Query):
         if isinstance(query, RangeQuery):
@@ -509,7 +478,8 @@ class SpectralIndex:
             for (key, m), order in zip(batch, orders):
                 self._publish_view(key, _MappingView(mapping=m, order=order))
                 del missing[key]
-        map_in_threads(self._materialize, list(missing.values()), parallelism)
+        map_in_threads(self._materialize, list(missing.values()),
+                       parallelism, thread_name_prefix="repro-view")
 
     def _publish_view(self, key: Tuple, view: _MappingView) -> _MappingView:
         """Publish ``view`` unless one is already present; returns the

@@ -78,14 +78,6 @@ KNOBS: Tuple[Knob, ...] = (
                     "multilevel (coarsen-and-refine) backend.",
     ),
     Knob(
-        name="REPRO_QUERY_WORKERS",
-        kind="int >= 1",
-        default="unset (sequential)",
-        reader="repro.api.executor",
-        description="Default thread-pool width for "
-                    "``SpectralIndex.query_many`` and the asyncio facade.",
-    ),
-    Knob(
         name="REPRO_NET_TIMEOUT",
         kind="float seconds > 0",
         default="30.0",

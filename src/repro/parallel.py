@@ -1,11 +1,12 @@
 """Shared thread fan-out: one worker-count rule, one map implementation.
 
-Three layers fan work across threads — the facade's ``query_many``
-(:mod:`repro.api.executor` adds the env-var policy on top), the query
-engine's ``execute_workload``, and the sharded frontend's cross-shard
-``order_many``.  They must agree on what a valid worker count is and on
-the sequential-below-two fast path, so both live here, next to
-:mod:`repro.errors`, importable from any layer without cycles.
+Threads run only where they overlap work that leaves the GIL: the
+facade's ``query_many`` fans out a cold batch's non-batchable view
+solves (BLAS), and the sharded frontend, the process pool and the
+fleet supervisor fan ``order_many`` / ``broadcast`` across shards,
+worker pipes and processes.  They must agree on what a valid worker
+count is and on the sequential-below-two fast path, so both live here,
+next to :mod:`repro.errors`, importable from any layer without cycles.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ I/O so their trade-off is measurable per mapping, and an optional LRU
 buffer absorbs repeated pages across a query stream.  A built store is
 immutable (layout, ranks) and its buffer pool locks per batch of page
 accesses, so one store may serve queries from many threads
-concurrently — ``execute_workload(parallelism=...)`` and the facade's
-``query_many(parallelism=...)`` rely on exactly that.
+concurrently — the facade's asyncio front and plain threads sharing one
+index rely on exactly that.
 
 The :class:`~repro.api.SpectralIndex` facade builds stores lazily
 behind its ``range(...)`` / ``query_many(...)`` methods;
@@ -39,6 +39,7 @@ behind its ``range(...)`` / ``query_many(...)`` methods;
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -46,7 +47,6 @@ import numpy as np
 
 from repro.core.ordering import LinearOrder
 from repro.errors import InvalidParameterError
-from repro.parallel import ensure_workers, map_in_threads
 from repro.geometry.boxes import Box
 from repro.geometry.grid import Grid
 from repro.index.bplustree import bulk_load_height
@@ -214,23 +214,24 @@ class LinearStore:
                          plan: str = "span-scan",
                          parallelism: Optional[int] = None
                          ) -> "WorkloadReport":
-        """Run a query stream and aggregate the accounting.
+        """Run a query stream in order and aggregate the accounting.
 
-        ``parallelism`` > 1 fans the queries across that many worker
-        threads (the store's structures are immutable after build and
-        the buffer pool locks per batch of accesses, so this is safe).
-        Result sets per query are identical to the sequential run; with a
-        buffer pool, *which* query absorbs a given buffer hit depends
-        on interleaving, but the aggregated report stays conservation-
-        exact: total buffer hits equal the pool's hit delta, and
-        ``pages_fetched`` equals the pool's access delta.
+        ``parallelism`` is deprecated and ignored: a range query is a
+        few microseconds of GIL-holding numpy glue, so the stream always
+        runs on the calling thread.  Passing it emits a
+        :class:`DeprecationWarning`; it will be removed in the next
+        release.
         """
+        if parallelism is not None:
+            warnings.warn(
+                "parallelism= is deprecated and ignored: a workload "
+                "stream always runs in order on the calling thread",
+                DeprecationWarning, stacklevel=2,
+            )
         boxes = list(boxes)
         with span("engine.workload", queries=len(boxes), plan=plan):
-            executions = map_in_threads(
-                lambda box: self.range_query(box, plan=plan), boxes,
-                ensure_workers(parallelism),
-                thread_name_prefix="repro-workload")
+            executions = [self.range_query(box, plan=plan)
+                          for box in boxes]
         return WorkloadReport(
             plan=plan,
             queries=len(executions),

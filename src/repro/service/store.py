@@ -4,8 +4,9 @@ A directory of versioned artifacts, one pair of files per order:
 
 * ``<key>.json`` — metadata: store version, key, the full
   :class:`~repro.core.spectral.SpectralConfig` as a field dict, the
-  domain descriptor, and the solve provenance (backend, ``lambda_2``,
-  residual, multiplicity, diagnostic eigenvalues, solver calls);
+  domain descriptor, the solve provenance (backend, ``lambda_2``,
+  residual, multiplicity, diagnostic eigenvalues, solver calls), and
+  the SHA-256 of the permutation's ``int64`` bytes;
 * ``<key>.npy`` — the order's permutation array (``int64``), written
   with :func:`numpy.save` so a million-cell order loads in one
   ``mmap``-able read instead of a JSON parse.
@@ -13,10 +14,12 @@ A directory of versioned artifacts, one pair of files per order:
 Writes are atomic (temp file + ``os.replace``), so a crashed process
 never leaves a half-written artifact a later service could trust.  Loads
 are *defensive*: version mismatch, key mismatch, malformed JSON, a
-missing half of the pair, or a corrupt permutation all count as a miss
+missing half of the pair, a corrupt permutation, or a valid permutation
+whose SHA-256 differs from the one recorded at save all count as a miss
 (``None``) rather than an error — a cache must degrade to recomputation,
-never take the service down.  This is what lets a restarted service pay
-zero eigensolves for every domain it has seen before.
+never take the service down or serve a wrong order.  This is what lets
+a restarted service pay zero eigensolves for every domain it has seen
+before.
 
 The store is also *size-bounded* on request: construct with
 ``max_bytes=`` (every save then evicts least-recently-used artifacts
@@ -32,6 +35,7 @@ the same primitives.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import threading
@@ -56,7 +60,7 @@ except ImportError:  # pragma: no cover - exercised only on Windows
 #: On-disk format version.  Bump on any incompatible layout change;
 #: artifacts written under another version are ignored (treated as
 #: misses), never misread.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: Name of the advisory lock file inside a store directory.  Never
 #: matches an artifact glob (keys are hex digests, files ``*.json`` /
@@ -74,6 +78,17 @@ STALE_TEMP_SECONDS = 300.0
 _STORE_SECONDS = registry().histogram(
     "repro_store_seconds",
     "Artifact-store operation latency by op (save/load).")
+
+
+def _permutation_digest(permutation: np.ndarray) -> str:
+    """SHA-256 of a permutation's ``int64`` bytes.
+
+    Catches a stored order that is still a valid permutation, but not
+    the one that was saved (a bit flip in a large index, an edited or
+    swapped file), which the structural checks cannot.
+    """
+    data = np.ascontiguousarray(permutation, dtype=np.int64)
+    return hashlib.sha256(data.tobytes()).hexdigest()
 
 
 class _StoreLock:
@@ -226,6 +241,8 @@ class ArtifactStore:
         _STORE_SECONDS.observe(timer.seconds, op="save")
 
     def _save_locked(self, artifact: OrderArtifact) -> None:
+        permutation = np.asarray(artifact.order.permutation,
+                                 dtype=np.int64)
         meta = {
             "version": STORE_VERSION,
             "key": artifact.key,
@@ -239,6 +256,7 @@ class ArtifactStore:
             "eigenvalues": (list(artifact.eigenvalues)
                             if artifact.eigenvalues is not None else None),
             "solver_calls": artifact.solver_calls,
+            "sha256": _permutation_digest(permutation),
         }
         self._atomic_write_bytes(
             self._meta_path(artifact.key),
@@ -251,8 +269,7 @@ class ArtifactStore:
         # ".npy" when absent, which would break the temp-file rename.
         try:
             with open(tmp, "wb") as handle:
-                np.save(handle, np.asarray(artifact.order.permutation,
-                                           dtype=np.int64))
+                np.save(handle, permutation)
             os.replace(tmp, perm_path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -306,9 +323,10 @@ class ArtifactStore:
         A wholly absent artifact is a clean miss.  Any *defect* — a
         metadata file whose permutation half is missing (a crash between
         the two writes), version or key mismatch, malformed JSON or
-        permutation — also yields ``None`` but bumps ``load_failures``,
-        so store corruption stays distinguishable from cold misses in
-        monitoring; the caller recomputes either way.
+        permutation, a checksum mismatch — also yields ``None`` but bumps
+        ``load_failures``, so store corruption stays distinguishable
+        from cold misses in monitoring; the caller recomputes either
+        way.
         """
         with Timer() as timer:
             artifact = self._load_timed(key)
@@ -332,6 +350,8 @@ class ArtifactStore:
             permutation = np.load(perm_path)
             if len(permutation) != meta.get("n"):
                 raise ValueError("permutation length mismatch")
+            if _permutation_digest(permutation) != meta.get("sha256"):
+                raise ValueError("permutation checksum mismatch")
             order = LinearOrder(permutation)
             eigenvalues = meta.get("eigenvalues")
             # Refresh recency so size-bounded eviction is LRU, not

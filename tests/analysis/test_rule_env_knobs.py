@@ -55,11 +55,11 @@ def test_helper_in_reader_module_clean(lint_tree):
 def test_module_constant_key_resolved(lint_tree):
     findings = lint_tree({"repro/serve/worker.py": '''
         import os
-        KEY = "REPRO_QUERY_WORKERS"
-        WORKERS = os.environ.get(KEY)
+        KEY = "REPRO_NET_QUEUE_DEPTH"
+        DEPTH = os.environ.get(KEY)
     '''}, select=["RPR004"])
     assert [f.rule for f in findings] == ["RPR004"]
-    assert "repro.api.executor" in findings[0].message
+    assert "repro.net.config" in findings[0].message
 
 
 def test_registry_covers_every_repro_name_in_src():

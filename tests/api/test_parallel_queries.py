@@ -1,19 +1,21 @@
-"""The parallel serving front: threaded ``query_many``, asyncio facade.
+"""The serving front under threads: ``query_many``, asyncio facade.
 
 Contracts pinned here:
 
 * ``query_many(parallelism=K)`` returns **bit-identical** results to the
   sequential path — for range, nn, and join queries, over grid and
-  point-set domains, including per-query mapping overrides;
+  point-set domains, including per-query mapping overrides — because
+  every query runs on the caller's thread; ``parallelism`` only widens
+  the cold batch's non-batchable view solves, which still overlap;
 * N threads hammering one index pay **exactly** the right number of
   eigensolves (the index's single-flight views compose with the
   service's request coalescing), asserted against the process-wide
   ``solver_invocations`` counter — including for *non-cacheable*
   mappings the service cannot coalesce;
-* buffer accounting stays conservation-exact under concurrent
-  execution;
-* the worker-count knob resolves argument > ``REPRO_QUERY_WORKERS`` >
-  sequential, and rejects nonsense;
+* buffer accounting stays conservation-exact when threads share one
+  index, and a batch's per-query buffer hits match the sequential run;
+* ``workload``/``execute_workload`` ignore their deprecated
+  ``parallelism`` with a ``DeprecationWarning``;
 * ``AsyncSpectralIndex`` serves the same answers through an event loop.
 """
 
@@ -33,15 +35,10 @@ from repro.api import (
     SpectralIndex,
     make_mapping,
 )
-from repro.api.executor import (
-    WORKERS_ENV,
-    resolve_parallelism,
-    workers_from_env,
-)
 from repro.errors import DomainError, InvalidParameterError
-from repro.geometry import Grid
+from repro.geometry import Box, Grid
 from repro.linalg.backends import solver_invocations
-from repro.query.engine import QueryExecution
+from repro.query.engine import LinearStore, QueryExecution
 from repro.query.join import JoinReport
 from repro.service import OrderingService
 
@@ -118,6 +115,53 @@ def test_parallel_query_many_bit_identical_on_fresh_index():
     sequential = SpectralIndex.build((11, 11)).query_many(_grid_batch())
     parallel = SpectralIndex.build((11, 11)).query_many(_grid_batch(),
                                                         parallelism=4)
+    _assert_identical(sequential, parallel)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_query_many_runs_every_query_on_the_callers_thread(monkeypatch,
+                                                            workers):
+    seen = []
+
+    def recording(op, real):
+        def wrapper(self, *args, **kwargs):
+            seen.append((op, threading.get_ident()))
+            return real(self, *args, **kwargs)
+        return wrapper
+
+    for owner, name, op in ((LinearStore, "range_query", "range"),
+                            (SpectralIndex, "_nn_impl", "nn"),
+                            (SpectralIndex, "_join_impl", "join")):
+        monkeypatch.setattr(owner, name,
+                            recording(op, getattr(owner, name)))
+    batch = _grid_batch()
+    SpectralIndex.build((12, 12)).query_many(batch, parallelism=workers)
+    assert len(seen) == len(batch)
+    assert {op for op, _ in seen} == {"range", "nn", "join"}
+    assert {ident for _, ident in seen} == {threading.get_ident()}
+
+
+def test_non_cacheable_views_still_materialize_concurrently(monkeypatch):
+    """``parallelism=2`` overlaps two cold non-cacheable view solves:
+    each materializer waits at a two-party barrier, which only breaks
+    (after its timeout) if the two run one after the other."""
+    def batch():
+        return [NNQuery(10, k=4,
+                        mapping=make_mapping("spectral",
+                                             weight=lambda d, s=s: s))
+                for s in (1.0, 2.0)]
+
+    sequential = SpectralIndex.build((8, 8)).query_many(batch())
+    barrier = threading.Barrier(2, timeout=20)
+    real = SpectralIndex._build_view
+
+    def rendezvous(self, mapping):
+        barrier.wait()
+        return real(self, mapping)
+
+    monkeypatch.setattr(SpectralIndex, "_build_view", rendezvous)
+    parallel = SpectralIndex.build((8, 8)).query_many(batch(),
+                                                      parallelism=2)
     _assert_identical(sequential, parallel)
 
 
@@ -227,65 +271,53 @@ def test_buffer_accounting_exact_under_parallel_query_many():
     assert stats is not None
     assert stats.hits + stats.misses == stats.accesses
     assert stats.accesses == sum(e.pages_fetched for e in results)
-    # Result sets are interleaving-independent even though buffer-hit
-    # attribution is not.
-    sequential = SpectralIndex.build((16, 16)).query_many(batch)
-    for a, b in zip(results, sequential):
-        assert np.array_equal(a.results, b.results)
+    # The batch runs in input order on one thread, so a buffered twin
+    # run sequentially agrees on every field, buffer hits included.
+    twin = SpectralIndex.build((16, 16), buffer_capacity=8)
+    _assert_identical(twin.query_many(batch), results)
+    assert twin.buffer_stats() == stats
 
 
 def test_workload_parallelism_conserves_accounting():
     index = SpectralIndex.build((16, 16), buffer_capacity=8)
     boxes = [((i % 6, i % 6), (i % 6 + 7, i % 6 + 7)) for i in range(20)]
-    report = index.workload(boxes, parallelism=4)
+    with pytest.warns(DeprecationWarning, match="parallelism"):
+        report = index.workload(boxes, parallelism=4)
     stats = index.buffer_stats()
     assert report.queries == len(boxes)
     assert stats.accesses == report.pages_fetched
     assert stats.hits == report.buffer_hits
     assert stats.hits + stats.misses == stats.accesses
-    # The aggregated result count matches a sequential twin.
+    # The whole report matches a sequential twin, field for field.
     twin = SpectralIndex.build((16, 16), buffer_capacity=8)
-    assert twin.workload(boxes).results == report.results
+    assert twin.workload(boxes) == report
+
+
+def test_execute_workload_parallelism_is_deprecated_and_ignored():
+    grid = Grid((16, 16))
+    boxes = [Box((i % 6, i % 6), (i % 6 + 7, i % 6 + 7))
+             for i in range(20)]
+
+    def store():
+        return LinearStore(grid, make_mapping("hilbert"),
+                           buffer_capacity=8)
+
+    sequential = store().execute_workload(boxes)
+    with pytest.warns(DeprecationWarning, match="parallelism"):
+        ignored = store().execute_workload(boxes, parallelism=4)
+    assert ignored == sequential
 
 
 # ----------------------------------------------------------------------
 # The parallelism knob
 # ----------------------------------------------------------------------
-def test_parallelism_resolution_precedence(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert workers_from_env() is None
-    assert resolve_parallelism(None) == 1
-    assert resolve_parallelism(3) == 3
-    monkeypatch.setenv(WORKERS_ENV, "5")
-    assert workers_from_env() == 5
-    assert resolve_parallelism(None) == 5
-    assert resolve_parallelism(2) == 2  # explicit argument wins
-
-
-def test_parallelism_rejects_nonsense(monkeypatch):
+def test_parallelism_rejects_nonsense():
     index = SpectralIndex.build((6, 6))
-    with pytest.raises(InvalidParameterError):
-        index.query_many([NNQuery(3, k=2)], parallelism=0)
-    with pytest.raises(InvalidParameterError):
-        resolve_parallelism(-1)
-    with pytest.raises(InvalidParameterError):
-        resolve_parallelism(2.5)
-    with pytest.raises(InvalidParameterError):
-        resolve_parallelism(True)
-    monkeypatch.setenv(WORKERS_ENV, "many")
-    with pytest.raises(InvalidParameterError):
-        workers_from_env()
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    with pytest.raises(InvalidParameterError):
-        workers_from_env()
-
-
-def test_env_var_drives_query_many(monkeypatch):
-    """REPRO_QUERY_WORKERS alone turns the fan-out on (results pinned)."""
-    index = SpectralIndex.build((10, 10))
-    sequential = index.query_many(_grid_batch()[:4])
-    monkeypatch.setenv(WORKERS_ENV, "4")
-    _assert_identical(sequential, index.query_many(_grid_batch()[:4]))
+    for bad in (0, -1, 2.5, True):
+        with pytest.raises(InvalidParameterError):
+            index.query_many([NNQuery(3, k=2)], parallelism=bad)
+        with pytest.raises(InvalidParameterError):
+            AsyncSpectralIndex(index, workers=bad)
 
 
 # ----------------------------------------------------------------------
@@ -310,6 +342,23 @@ def test_async_index_smoke():
     assert np.array_equal(single.neighbors, expected[2].neighbors)
     for batch in batches:
         _assert_identical(expected, batch)
+
+
+def test_async_query_many_matches_sync_on_buffered_twins():
+    batch = _grid_batch() + [RangeQuery(((i, i), (i + 4, i + 4)))
+                             for i in range(6)]
+    sync_index = SpectralIndex.build((12, 12), buffer_capacity=4)
+    expected = sync_index.query_many(batch, parallelism=2)
+
+    async def main():
+        async with AsyncSpectralIndex.build(
+                (12, 12), buffer_capacity=4) as index:
+            results = await index.query_many(batch, parallelism=2)
+            return results, index.index.buffer_stats()
+
+    results, stats = asyncio.run(main())
+    _assert_identical(expected, results)
+    assert stats == sync_index.buffer_stats()
 
 
 def test_async_index_shares_a_sync_index_and_service():

@@ -16,10 +16,15 @@ pytestmark = pytest.mark.net
 
 
 def _saturate(server, gated, grids):
-    """Start one blocked leader + queued requests; returns the threads."""
+    """Start one blocked leader + queued requests; returns the threads.
+
+    The rest start only once the leader is blocked in the backend: sent
+    together, a follower could reach a full queue before the dispatcher
+    has dequeued the leader and be refused instead of queued.
+    """
     host, port = server.address
     threads = []
-    for grid in grids:
+    for i, grid in enumerate(grids):
         client = RemoteFrontend(host, port, read_timeout=60)
 
         def hit(c=client, g=grid):
@@ -31,6 +36,10 @@ def _saturate(server, gated, grids):
         thread = threading.Thread(target=hit)
         thread.start()
         threads.append(thread)
+        if i == 0:
+            deadline = time.monotonic() + 20
+            while gated.calls < 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
     return threads
 
 

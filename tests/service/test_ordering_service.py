@@ -103,6 +103,27 @@ def test_disk_tier_survives_restart_with_zero_solves(grid, tmp_path):
     assert restarted.grid_artifact(grid, config).source == "memory"
 
 
+def test_tampered_store_permutation_is_recomputed(tmp_path):
+    """A stored order edited into another valid permutation is never
+    served: the fresh service counts a load failure and solves again."""
+    grid = Grid((12, 12))
+    solved = OrderingService(
+        store=ArtifactStore(tmp_path)).order_grid(grid)
+    (perm_path,) = tmp_path.glob("*.npy")
+    permutation = np.load(perm_path)
+    permutation[[0, 1]] = permutation[[1, 0]]
+    with open(perm_path, "wb") as handle:
+        np.save(handle, permutation)
+
+    store = ArtifactStore(tmp_path)
+    fresh = OrderingService(store=store)
+    again = fresh.order_grid(grid)
+    assert fresh.stats.disk_hits == 0
+    assert store.load_failures == 1
+    assert fresh.stats.computed == 1
+    assert np.array_equal(again.ranks, solved.ranks)
+
+
 def test_store_accepts_artifactstore_instance(grid, tmp_path):
     store = ArtifactStore(tmp_path / "orders")
     service = OrderingService(store=store)

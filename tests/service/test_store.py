@@ -105,6 +105,19 @@ def test_truncated_permutation_is_a_miss(tmp_path):
     assert store.load_failures == 1
 
 
+def test_swapped_permutation_entries_are_a_miss(tmp_path):
+    """A still-valid permutation that is not the saved one fails the
+    checksum instead of being served."""
+    store = ArtifactStore(tmp_path)
+    store.save(_artifact(n=9))
+    permutation = np.load(tmp_path / "ab12.npy")
+    permutation[[0, 1]] = permutation[[1, 0]]
+    with open(tmp_path / "ab12.npy", "wb") as handle:
+        np.save(handle, permutation)
+    assert store.load("ab12") is None
+    assert store.load_failures == 1
+
+
 def test_keys_listing_and_delete(tmp_path):
     store = ArtifactStore(tmp_path)
     assert store.keys() == [] and len(store) == 0

@@ -1,7 +1,7 @@
 """Shared-state safety of the storage/caching counters under threads.
 
-The serving front (``query_many(parallelism=...)``, the asyncio facade)
-executes queries concurrently against shared stores, so the buffer
+The serving fronts (the asyncio facade, plain threads sharing one
+index) execute queries concurrently against shared stores, so the buffer
 pool's accounting must obey its conservation law — ``hits + misses ==
 accesses`` — under any interleaving, and the generic LRU cache behind
 the service tiers (which always locks) must keep exact hit/miss
