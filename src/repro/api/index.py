@@ -284,21 +284,15 @@ class SpectralIndex:
         return self._range_on(view, box, plan)
 
     def workload(self, boxes: Sequence, *, plan: str = "span-scan",
-                 mapping: Optional[MappingSpec] = None,
-                 parallelism: Optional[int] = None) -> WorkloadReport:
+                 mapping: Optional[MappingSpec] = None) -> WorkloadReport:
         """Run a range-query stream in order and aggregate the I/O
-        accounting.
-
-        ``parallelism`` is deprecated and ignored (it emits a
-        :class:`DeprecationWarning`); see
+        accounting; see
         :meth:`~repro.query.LinearStore.execute_workload`.
         """
         view = self._view_for(mapping)
         store = self._store_for(view)
         return store.execute_workload(
-            [self._as_box(b) for b in boxes], plan=plan,
-            parallelism=parallelism,
-        )
+            [self._as_box(b) for b in boxes], plan=plan)
 
     def nn(self, cell, k: int, *, window: Optional[int] = None,
            mapping: Optional[MappingSpec] = None) -> NNResult:

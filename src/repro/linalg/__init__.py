@@ -30,9 +30,8 @@ from repro.linalg.operators import (
     deflation_matrix,
     orthonormalize_block,
 )
-from repro.linalg.power import deterministic_start, power_iteration
+from repro.linalg.power import deterministic_start
 from repro.linalg.sparse import CSRMatrix
-from repro.linalg.tridiagonal import tridiagonal_eigh
 
 __all__ = [
     "BACKENDS",
@@ -54,11 +53,9 @@ __all__ = [
     "lobpcg_smallest",
     "multilevel_preconditioner_for",
     "orthonormalize_block",
-    "power_iteration",
     "scipy_available",
     "smallest_eigenpairs",
     "smallest_eigenpairs_lobpcg",
     "smallest_eigenpairs_shifted",
     "solver_invocations",
-    "tridiagonal_eigh",
 ]

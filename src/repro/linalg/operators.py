@@ -17,8 +17,8 @@ intermediate.  Deflation vectors are stored as the columns of a single
 
 All operators expose the minimal ``LinearOperator``-style protocol the
 in-house solvers need (``shape``, ``n``, ``matvec``, ``__matmul__``,
-``matmat``) and convert to a genuine
-:class:`scipy.sparse.linalg.LinearOperator` on demand.
+``matmat``).  The scipy backend needs none of them: it folds the same
+spectral shift into its shift-invert solve with the Woodbury identity.
 """
 
 from __future__ import annotations
@@ -90,12 +90,6 @@ class _OperatorBase:
         if other.ndim == 1:
             return self.matvec(other)
         return self.matmat(other)
-
-    def to_scipy_linear_operator(self):
-        """A scipy ``LinearOperator`` view (requires scipy)."""
-        from scipy.sparse.linalg import LinearOperator
-        return LinearOperator(self.shape, matvec=self.matvec,
-                              matmat=self.matmat, dtype=np.float64)
 
 
 class DeflatedOperator(_OperatorBase):

@@ -1,28 +1,19 @@
-"""Deflated power iteration.
+"""Deterministic start vectors for the iterative eigensolvers.
 
-A deliberately simple eigensolver used two ways:
-
-* as an independent oracle in tests (its convergence theory is elementary,
-  so a disagreement with Lanczos or LAPACK localizes bugs), and
-* as a tiny-footprint fallback for computing a single Fiedler pair on
-  small graphs.
-
-Power iteration converges to the dominant eigenpair of an operator; to
-reach the *smallest* nontrivial Laplacian eigenpair we iterate the shifted
-operator ``c I - L`` (``c`` a Gershgorin upper bound on ``lambda_max``)
-while continually deflating the known null vector (the constant vector)
-and any other supplied directions.
+Every Krylov and block solver in the stack starts from vectors built
+here rather than from a random generator, so a solve's bits depend only
+on its input: repeated runs, different backends and different
+processes see the same start.  :func:`deterministic_start` gives one
+vector (the Lanczos and ARPACK starts, and the Fiedler pipeline's
+canonicalization probe); :func:`deterministic_block` gives any number
+of independent columns (the LOBPCG block).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
-
 import numpy as np
 
-from repro.errors import ConvergenceError, InvalidParameterError
-
-MatVec = Callable[[np.ndarray], np.ndarray]
+from repro.errors import InvalidParameterError
 
 
 def deterministic_start(n: int, salt: int = 0) -> np.ndarray:
@@ -64,70 +55,3 @@ def deterministic_block(n: int, columns: int, salt: int = 0) -> np.ndarray:
     z = z ^ (z >> np.uint64(31))
     block = (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 - 0.5
     return block / np.linalg.norm(block, axis=0)
-
-
-def _project_out(x: np.ndarray, basis: Sequence[np.ndarray]) -> np.ndarray:
-    for b in basis:
-        x = x - (b @ x) * b
-    return x
-
-
-def power_iteration(matvec: MatVec, n: int,
-                    deflate: Sequence[np.ndarray] = (),
-                    tol: float = 1e-10, max_iter: int = 10000,
-                    start: np.ndarray | None = None
-                    ) -> Tuple[float, np.ndarray, int]:
-    """Dominant eigenpair of a symmetric operator, avoiding ``deflate``.
-
-    Parameters
-    ----------
-    matvec:
-        The operator ``x -> A x`` (must be symmetric).
-    n:
-        Operator dimension.
-    deflate:
-        Orthonormal vectors to project out at every step (e.g. known
-        eigenvectors, or the constant vector for Laplacians).
-    tol:
-        Convergence threshold on the residual ``||A v - theta v||``.
-    max_iter:
-        Iteration cap; exceeding it raises :class:`ConvergenceError`.
-    start:
-        Optional start vector; defaults to :func:`deterministic_start`.
-
-    Returns
-    -------
-    (value, vector, iterations)
-    """
-    v = deterministic_start(n) if start is None else np.asarray(
-        start, dtype=np.float64).copy()
-    v = _project_out(v, deflate)
-    norm = np.linalg.norm(v)
-    if norm < 1e-13:
-        v = _project_out(deterministic_start(n, salt=1), deflate)
-        norm = np.linalg.norm(v)
-        if norm < 1e-13:
-            raise InvalidParameterError(
-                "start vector lies entirely in the deflated subspace"
-            )
-    v /= norm
-    theta = 0.0
-    for iteration in range(1, max_iter + 1):
-        w = matvec(v)
-        w = _project_out(w, deflate)
-        theta = float(v @ w)
-        residual = np.linalg.norm(w - theta * v)
-        scale = max(abs(theta), 1.0)
-        if residual <= tol * scale:
-            return theta, v, iteration
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            # The operator annihilated v: theta is (numerically) zero and
-            # v is already an eigenvector of the deflated operator.
-            return theta, v, iteration
-        v = w / norm
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        iterations=max_iter,
-        residual=float(residual),
-    )

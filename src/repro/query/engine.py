@@ -39,7 +39,6 @@ behind its ``range(...)`` / ``query_many(...)`` methods;
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -211,23 +210,13 @@ class LinearStore:
         return self._buffer.stats()
 
     def execute_workload(self, boxes: Sequence[Box],
-                         plan: str = "span-scan",
-                         parallelism: Optional[int] = None
-                         ) -> "WorkloadReport":
-        """Run a query stream in order and aggregate the accounting.
+                         plan: str = "span-scan") -> "WorkloadReport":
+        """Run a query stream in order on the calling thread and
+        aggregate the accounting.
 
-        ``parallelism`` is deprecated and ignored: a range query is a
-        few microseconds of GIL-holding numpy glue, so the stream always
-        runs on the calling thread.  Passing it emits a
-        :class:`DeprecationWarning`; it will be removed in the next
-        release.
+        A range query is a few microseconds of GIL-holding numpy glue,
+        so fanning a stream out over threads only slows it down.
         """
-        if parallelism is not None:
-            warnings.warn(
-                "parallelism= is deprecated and ignored: a workload "
-                "stream always runs in order on the calling thread",
-                DeprecationWarning, stacklevel=2,
-            )
         boxes = list(boxes)
         with span("engine.workload", queries=len(boxes), plan=plan):
             executions = [self.range_query(box, plan=plan)

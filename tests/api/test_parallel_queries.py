@@ -36,7 +36,7 @@ from repro.api import (
     make_mapping,
 )
 from repro.errors import DomainError, InvalidParameterError
-from repro.geometry import Box, Grid
+from repro.geometry import Grid
 from repro.linalg.backends import solver_invocations
 from repro.query.engine import LinearStore, QueryExecution
 from repro.query.join import JoinReport
@@ -281,8 +281,7 @@ def test_buffer_accounting_exact_under_parallel_query_many():
 def test_workload_parallelism_conserves_accounting():
     index = SpectralIndex.build((16, 16), buffer_capacity=8)
     boxes = [((i % 6, i % 6), (i % 6 + 7, i % 6 + 7)) for i in range(20)]
-    with pytest.warns(DeprecationWarning, match="parallelism"):
-        report = index.workload(boxes, parallelism=4)
+    report = index.workload(boxes)
     stats = index.buffer_stats()
     assert report.queries == len(boxes)
     assert stats.accesses == report.pages_fetched
@@ -291,21 +290,6 @@ def test_workload_parallelism_conserves_accounting():
     # The whole report matches a sequential twin, field for field.
     twin = SpectralIndex.build((16, 16), buffer_capacity=8)
     assert twin.workload(boxes) == report
-
-
-def test_execute_workload_parallelism_is_deprecated_and_ignored():
-    grid = Grid((16, 16))
-    boxes = [Box((i % 6, i % 6), (i % 6 + 7, i % 6 + 7))
-             for i in range(20)]
-
-    def store():
-        return LinearStore(grid, make_mapping("hilbert"),
-                           buffer_capacity=8)
-
-    sequential = store().execute_workload(boxes)
-    with pytest.warns(DeprecationWarning, match="parallelism"):
-        ignored = store().execute_workload(boxes, parallelism=4)
-    assert ignored == sequential
 
 
 # ----------------------------------------------------------------------

@@ -135,6 +135,24 @@ def test_point_sets_between_the_cutoffs_identical(density):
 
 
 # ----------------------------------------------------------------------
+# Larger grids, where lambda_2 falls to a few 1e-3 and the scipy
+# backend's shift sits right under it: the shift-invert solve and the
+# preconditioned LOBPCG solve must still give the same order.
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not scipy_available(), reason="needs scipy")
+@pytest.mark.parametrize("shape, options", [
+    ((64, 64), {}),
+    ((40, 100), {}),
+    ((48, 48), {"radius": 2, "weight": "gaussian"}),
+])
+def test_large_grids_identical_on_scipy_and_lobpcg(shape, options):
+    grid = Grid(shape)
+    orders = {b: SpectralLPM(backend=b, **options).order_grid(grid)
+              for b in ("scipy", "lobpcg")}
+    assert orders["scipy"] == orders["lobpcg"]
+
+
+# ----------------------------------------------------------------------
 # The snap_ties oracle itself: backend noise below tolerance must not
 # change the tie groups the pipeline sorts on.
 # ----------------------------------------------------------------------

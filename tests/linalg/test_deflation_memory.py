@@ -1,4 +1,5 @@
-"""Regression: scipy-backend deflation must stay matrix-free.
+"""Regression: scipy-backend deflation must stay matrix-free, and a
+scipy solve must not depend on what the process solved before.
 
 The scipy backend once materialized the deflation shift as
 ``col @ col.T`` — for the constant vector that is a fully dense
@@ -7,6 +8,10 @@ the sparse factorization then had to chew through.  These tests pin the
 fix: ordering a 128 x 128 grid through the scipy backend must complete
 within a modest peak-memory envelope, and the deflated solve must agree
 with the dense oracle exactly.
+
+Without a start vector ARPACK begins from a random one on every call,
+so the same solve returned different last bits after an unrelated one;
+the backend passes a fixed start.
 """
 
 import tracemalloc
@@ -72,3 +77,18 @@ def test_scipy_multi_vector_deflation():
     values, _ = smallest_eigenpairs(lap, 2, backend="scipy",
                                     deflate=[ones, extra])
     assert np.allclose(values, dense_values[1:3], atol=1e-8)
+
+
+@pytest.mark.parametrize("deflated", [False, True])
+def test_scipy_solve_is_bit_identical_after_an_unrelated_solve(deflated):
+    lap = laplacian(grid_graph(Grid((20, 30))))
+    ones = np.ones(lap.n) / np.sqrt(lap.n)
+    deflate = [ones] if deflated else []
+    values, vectors = smallest_eigenpairs(lap, 4, backend="scipy",
+                                          deflate=deflate)
+    smallest_eigenpairs(laplacian(grid_graph(Grid((17, 19)))), 3,
+                        backend="scipy")
+    again_values, again_vectors = smallest_eigenpairs(
+        lap, 4, backend="scipy", deflate=deflate)
+    assert np.array_equal(again_values, values)
+    assert np.array_equal(again_vectors, vectors)

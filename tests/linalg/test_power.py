@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConvergenceError, InvalidParameterError
-from repro.graph import laplacian, path_graph
-from repro.linalg import deterministic_start, power_iteration
+from repro.errors import InvalidParameterError
+from repro.linalg import deterministic_start
 
 
 def test_deterministic_start_reproducible_and_unit():
@@ -17,56 +16,3 @@ def test_deterministic_start_reproducible_and_unit():
     assert not np.array_equal(a, c)
     with pytest.raises(InvalidParameterError):
         deterministic_start(0)
-
-
-def test_dominant_eigenpair_diagonal():
-    dense = np.diag([1.0, 5.0, 3.0])
-    value, vector, _ = power_iteration(lambda x: dense @ x, 3, tol=1e-12)
-    assert value == pytest.approx(5.0)
-    assert abs(vector[1]) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_deflated_second_eigenpair():
-    dense = np.diag([1.0, 5.0, 3.0])
-    e1 = np.array([0.0, 1.0, 0.0])
-    value, vector, _ = power_iteration(lambda x: dense @ x, 3,
-                                       deflate=[e1], tol=1e-12)
-    assert value == pytest.approx(3.0)
-    assert abs(vector @ e1) < 1e-9
-
-
-def test_fiedler_via_shifted_power():
-    g = path_graph(20)
-    lap = laplacian(g)
-    bound = lap.gershgorin_upper_bound()
-    ones = np.ones(20) / np.sqrt(20)
-    theta, vector, _ = power_iteration(
-        lambda x: bound * x - lap.matvec(x), 20, deflate=[ones],
-        tol=1e-12, max_iter=200000,
-    )
-    lambda2 = 2 * (1 - np.cos(np.pi / 20))
-    assert bound - theta == pytest.approx(lambda2, abs=1e-7)
-
-
-def test_start_inside_deflated_subspace_recovers():
-    dense = np.diag([1.0, 2.0])
-    e0 = np.array([1.0, 0.0])
-    # Start exactly on the deflated direction: the solver must fall back
-    # to an alternative start instead of dying.
-    value, _, _ = power_iteration(lambda x: dense @ x, 2, deflate=[e0],
-                                  start=e0.copy(), tol=1e-12)
-    assert value == pytest.approx(2.0)
-
-
-def test_fully_deflated_space_rejected():
-    dense = np.eye(2)
-    basis = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    with pytest.raises(InvalidParameterError):
-        power_iteration(lambda x: dense @ x, 2, deflate=basis)
-
-
-def test_nonconvergence_raises():
-    # Two equal dominant eigenvalues of opposite sign never settle.
-    dense = np.diag([1.0, -1.0])
-    with pytest.raises(ConvergenceError):
-        power_iteration(lambda x: dense @ x, 2, tol=1e-15, max_iter=50)
