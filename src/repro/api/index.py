@@ -399,9 +399,9 @@ class SpectralIndex:
         service = mapping.service or self._service
         if isinstance(self._domain, Grid):
             return service.grid_artifact(self._domain, mapping.algorithm)
-        if isinstance(self._domain, Graph):
-            return service.graph_artifact(self._domain, mapping.algorithm)
-        return None
+        if isinstance(self._domain, PointSet):
+            return service.points_artifact(self._domain, mapping.algorithm)
+        return service.graph_artifact(self._domain, mapping.algorithm)
 
     def _build_view(self, mapping: LocalityMapping) -> _MappingView:
         """Compute and publish one view, as a flight's leader (so with

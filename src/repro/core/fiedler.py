@@ -80,11 +80,6 @@ class FiedlerResult:
     backend: str
 
 
-def _canonicalize(basis: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """A deterministic unit vector in the span of ``basis`` columns."""
-    return canonical_in_span(basis, probe)
-
-
 def _multilevel_fiedler_result(graph: Graph, probe: np.ndarray,
                                quality_rtol: float,
                                strict: bool,
@@ -121,7 +116,7 @@ def _multilevel_fiedler_result(graph: Graph, probe: np.ndarray,
             error_bound = residual
         if error_bound / denominator > quality_rtol:
             return None
-    vector = _canonicalize(space.vectors[:, group], probe)
+    vector = canonical_in_span(space.vectors[:, group], probe)
     return FiedlerResult(
         value=theta0,
         vector=vector,
@@ -129,13 +124,6 @@ def _multilevel_fiedler_result(graph: Graph, probe: np.ndarray,
         eigenvalues=space.values.copy(),
         backend="multilevel",
     )
-
-
-def _resolve_exact_backend(backend: str, n: int) -> str:
-    """The concrete matrix backend ``auto`` would pick for this size."""
-    if backend != "auto":
-        return backend
-    return backend_registry.resolve_auto(n, min(4, n - 1))
 
 
 def fiedler_vector(graph: Graph, backend: str = "auto",
@@ -233,7 +221,8 @@ def _fiedler_vector(graph: Graph, backend: str = "auto",
         if result is not None:
             return result
 
-    exact_backend = _resolve_exact_backend(backend, n)
+    exact_backend = backend if backend != "auto" \
+        else backend_registry.resolve_auto(n, min(4, n - 1))
     # The window solve and every closure certificate below solve the
     # same Laplacian: on the scipy backend they share one LU factor,
     # released when this call returns.
@@ -306,7 +295,7 @@ def _exact_fiedler_result(graph: Graph, exact_backend: str,
             if norm < 1e-8:
                 break
             basis = np.column_stack([basis, fresh / norm])
-    vector = _canonicalize(basis, probe)
+    vector = canonical_in_span(basis, probe)
     # Fold the closure loop's finds into the diagnostic spectrum so the
     # field always shows the first value above the lambda_2 group (the
     # spectral gap) even when the initial window closed entirely inside

@@ -28,6 +28,11 @@ The result approximates the true Fiedler pair — the Ritz value typically
 lands well within a percent of ``lambda_2`` — and the induced order is
 competitive with exact Spectral LPM at a fraction of the eigensolver
 cost, making million-cell grids practical without scipy.
+
+The same hierarchy preconditions the ``lobpcg`` backend
+(:class:`MultilevelPreconditioner`).  A preconditioner is built from the
+graph alone; the constants :data:`VCYCLE_MIN_SIZE`,
+:data:`VCYCLE_SMOOTH_DEGREE` and :data:`VCYCLE_BAND_RATIO` fix its shape.
 """
 
 from __future__ import annotations
@@ -53,6 +58,19 @@ from repro.linalg.sparse import CSRMatrix
 #: the exact backends' grouping tolerance because multilevel Ritz values
 #: carry approximation error, not just solver noise.
 GROUP_RTOL = 1e-2
+
+#: Coarsening stop of the preconditioner's hierarchy; the coarsest
+#: Laplacian is pseudo-inverted densely.
+VCYCLE_MIN_SIZE = 64
+
+#: Degree of the preconditioner's Chebyshev smoothing polynomial per
+#: pre/post sweep on the finest level (coarser levels add two).
+VCYCLE_SMOOTH_DEGREE = 3
+
+#: The preconditioner smooths the band ``[b / VCYCLE_BAND_RATIO, b]``
+#: (``b`` a Gershgorin bound) and leaves the rest to the coarse
+#: correction.
+VCYCLE_BAND_RATIO = 30.0
 
 
 @dataclass(frozen=True)
@@ -179,10 +197,13 @@ class MultilevelPreconditioner:
     preconditioner.
 
     The Chebyshev smoother approximates ``L^{-1}`` on the upper spectral
-    band ``[b / band_ratio, b]`` (``b`` a Gershgorin bound), which is
-    exactly the complement of what the coarse correction handles; the
-    resulting polynomial is positive on ``(0, b]``, so symmetry survives
-    the smoothing.
+    band ``[b / VCYCLE_BAND_RATIO, b]`` (``b`` a Gershgorin bound),
+    which is exactly the complement of what the coarse correction
+    handles; the resulting polynomial is positive on ``(0, b]``, so
+    symmetry survives the smoothing.
+
+    A built preconditioner is immutable: applying it writes nothing, so
+    one instance may serve concurrent solves on any thread.
 
     Parameters
     ----------
@@ -190,34 +211,10 @@ class MultilevelPreconditioner:
         The graph whose Laplacian the preconditioner targets.  Need not
         be connected (the coarsest pseudo-inverse annihilates every
         component indicator), though production use is connected.
-    min_size:
-        Coarsening stop; the coarsest Laplacian is pseudo-inverted
-        densely.
-    smooth_degree:
-        Degree of the Chebyshev smoothing polynomial per pre/post sweep.
-    band_ratio:
-        The smoothed band is ``[b / band_ratio, b]``.
-    hierarchy_cache:
-        Optional :class:`~repro.graph.coarsening.HierarchyCache` shared
-        with the eigensolvers — the preconditioner then reuses the same
-        matching chain instead of re-coarsening.
     """
 
-    def __init__(self, graph: Graph, min_size: int = 64,
-                 smooth_degree: int = 3, band_ratio: float = 30.0,
-                 hierarchy_cache: HierarchyCache | None = None):
-        if smooth_degree < 1:
-            raise InvalidParameterError(
-                f"smooth_degree must be >= 1, got {smooth_degree}"
-            )
-        if band_ratio <= 1.0:
-            raise InvalidParameterError(
-                f"band_ratio must be > 1, got {band_ratio}"
-            )
-        if hierarchy_cache is not None:
-            levels = hierarchy_cache.hierarchy(graph, min_size=min_size)
-        else:
-            levels = coarsen_hierarchy(graph, min_size=min_size)
+    def __init__(self, graph: Graph):
+        levels = coarsen_hierarchy(graph, min_size=VCYCLE_MIN_SIZE)
         all_maps = [level.fine_to_coarse for level in levels]
         all_graphs = [graph] + [level.graph for level in levels]
         # Fuse runs of matching levels on the *large* end of the chain:
@@ -248,13 +245,12 @@ class MultilevelPreconditioner:
             i += take
         # Smoothing degrees per level: the finest level pays for every
         # extra polynomial term in full-size matvecs, so it keeps the
-        # caller's degree; coarser levels are cheap enough that two more
+        # base degree; coarser levels are cheap enough that two more
         # terms cost almost nothing and measurably sharpen the coarse
         # correction (fewer outer LOBPCG/CG iterations for the same
         # fine-level work per cycle).
-        self._degree = int(smooth_degree)
-        self._degrees = [int(smooth_degree)] + \
-            [int(smooth_degree) + 2] * len(maps)
+        self._degrees = [VCYCLE_SMOOTH_DEGREE] + \
+            [VCYCLE_SMOOTH_DEGREE + 2] * len(maps)
         # Apply the coarse correction twice at the first level small
         # enough that revisiting its whole sub-hierarchy is cheap.  The
         # doubled correction ``2M - MLM`` stays symmetric positive
@@ -270,7 +266,6 @@ class MultilevelPreconditioner:
         self._laps = [laplacian(g) for g in graphs]
         self._bounds = [max(lap.gershgorin_upper_bound(), 1e-300)
                         for lap in self._laps]
-        self._band_ratio = float(band_ratio)
         # Pseudo-inverse of the (symmetric PSD) coarsest Laplacian via
         # eigh rather than np.linalg.pinv: same result, but a symmetric
         # eigendecomposition costs a fraction of pinv's SVD — this is
@@ -282,20 +277,6 @@ class MultilevelPreconditioner:
         self._coarse_inverse = (v * inv_w) @ v.T
         n = graph.num_vertices
         self._ones = np.ones(n) / np.sqrt(n)
-        self._cycles = 0
-
-    @property
-    def levels(self) -> int:
-        """Coarsening levels below the finest (0 = direct dense solve)."""
-        return len(self._maps)
-
-    @property
-    def cycles(self) -> int:
-        """V-cycles applied so far (one per :meth:`apply` call; a block
-        application counts once).  A monotone diagnostic counter — the
-        observability layer attributes preconditioner work to a solve
-        by taking its delta around the solve."""
-        return self._cycles
 
     def _smooth(self, level: int, b: np.ndarray,
                 return_residual: bool = False):
@@ -311,7 +292,7 @@ class MultilevelPreconditioner:
         lap = self._laps[level]
         bound = self._bounds[level]
         degree = self._degrees[level]
-        a = bound / self._band_ratio
+        a = bound / VCYCLE_BAND_RATIO
         theta = 0.5 * (bound + a)
         delta = 0.5 * (bound - a)
         sigma = theta / delta
@@ -372,7 +353,6 @@ class MultilevelPreconditioner:
         its only intended nullspace — safe as a CG/LOBPCG
         preconditioner on the deflated subspace.
         """
-        self._cycles += 1
         b = np.asarray(b, dtype=np.float64)
         if b.ndim == 1:
             b = b - self._ones * (self._ones @ b)
@@ -383,10 +363,6 @@ class MultilevelPreconditioner:
         return x - self._ones[:, None] * (self._ones @ x)
 
     __call__ = apply
-
-    def matvec(self, b: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`apply` for operator-protocol callers."""
-        return self.apply(b)
 
 
 def multilevel_eigenspace(graph: Graph, block_size: int = 4,

@@ -24,8 +24,6 @@ from repro.linalg.lobpcg import (
     smallest_eigenpairs_lobpcg,
 )
 from repro.linalg.operators import (
-    DeflatedOperator,
-    ShiftedOperator,
     canonical_in_span,
     deflation_matrix,
     orthonormalize_block,
@@ -38,13 +36,11 @@ __all__ = [
     "CSRMatrix",
     "DEFAULT_SOLVER_TOL",
     "DENSE_CUTOFF",
-    "DeflatedOperator",
     "LOBPCGResult",
     "LOBPCG_CUTOFF",
     "LanczosResult",
     "MULTILEVEL_CUTOFF",
     "MULTILEVEL_QUALITY_RTOL",
-    "ShiftedOperator",
     "canonical_in_span",
     "cutoff_from_env",
     "deflation_matrix",

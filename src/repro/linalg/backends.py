@@ -84,6 +84,7 @@ from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
+from repro.caching import LRUCache
 from repro.errors import (
     BackendUnavailableError,
     ConfigurationError,
@@ -268,12 +269,10 @@ def _smallest_lanczos(matrix: CSRMatrix, k: int,
 # preconditioners are memoized on matrix content.  Keyed by a digest of
 # the CSR arrays rather than object identity: CSRMatrix is slotted
 # (no weakrefs), id() recycles, and content keys also share work across
-# equal matrices built independently.  Bounded FIFO; guarded by its own
-# lock (hierarchies are immutable once built, so sharing is safe).
-_PRECONDITIONER_CACHE: "dict[tuple, object]" = {}
-_PRECONDITIONER_CACHE_SIZE = 4
-_PRECONDITIONER_LOCK = threading.Lock()
-_PRECONDITIONER_MISS = object()
+# equal matrices built independently.  A built preconditioner is
+# immutable, so one instance serves every solve of an equal Laplacian,
+# on any thread; the LRU locks its own bookkeeping.
+_PRECONDITIONER_CACHE: "LRUCache[tuple, object]" = LRUCache(4)
 
 
 def _matrix_content_key(matrix: CSRMatrix) -> tuple:
@@ -294,15 +293,16 @@ def multilevel_preconditioner_for(matrix: CSRMatrix):
     :class:`~repro.core.multilevel.MultilevelPreconditioner` on the
     recovered graph; returns ``None`` for anything else, so the
     preconditioned backends degrade gracefully to unpreconditioned
-    iteration on general SPD input.  Results (including the ``None``
-    verdict) are cached on matrix content, so the repeated solves of a
-    single Fiedler computation pay the hierarchy construction once.
+    iteration on general SPD input.  Preconditioners are cached on
+    matrix content, so the repeated solves of a single Fiedler
+    computation pay the hierarchy construction once.  A ``None``
+    verdict is not cached: recognising a non-Laplacian is one O(nnz)
+    pass.
     """
     key = _matrix_content_key(matrix)
-    with _PRECONDITIONER_LOCK:
-        cached = _PRECONDITIONER_CACHE.get(key, _PRECONDITIONER_MISS)
-    if cached is not _PRECONDITIONER_MISS:
-        return cached
+    preconditioner = _PRECONDITIONER_CACHE.get(key)
+    if preconditioner is not None:
+        return preconditioner
 
     # Lazy imports: repro.core.multilevel imports this module at load
     # time, and the graph package is above linalg in the layer order.
@@ -310,18 +310,14 @@ def multilevel_preconditioner_for(matrix: CSRMatrix):
 
     graph = graph_from_laplacian(matrix)
     if graph is None or graph.num_vertices < 2:
-        preconditioner = None
-    else:
-        from repro.core.multilevel import MultilevelPreconditioner
+        return None
+    from repro.core.multilevel import MultilevelPreconditioner
 
-        try:
-            preconditioner = MultilevelPreconditioner(graph)
-        except (InvalidParameterError, np.linalg.LinAlgError):
-            preconditioner = None
-    with _PRECONDITIONER_LOCK:
-        while len(_PRECONDITIONER_CACHE) >= _PRECONDITIONER_CACHE_SIZE:
-            _PRECONDITIONER_CACHE.pop(next(iter(_PRECONDITIONER_CACHE)))
-        _PRECONDITIONER_CACHE[key] = preconditioner
+    try:
+        preconditioner = MultilevelPreconditioner(graph)
+    except np.linalg.LinAlgError:
+        return None
+    _PRECONDITIONER_CACHE.put(key, preconditioner)
     return preconditioner
 
 
@@ -332,13 +328,12 @@ def _smallest_lobpcg(matrix: CSRMatrix, k: int,
                      stats: dict | None = None
                      ) -> Tuple[np.ndarray, np.ndarray]:
     bound = matrix.gershgorin_upper_bound()
-    preconditioner = multilevel_preconditioner_for(matrix)
-    cycles_before = getattr(preconditioner, "cycles", 0)
     try:
         return smallest_eigenpairs_lobpcg(
             matrix.matvec, matrix.n, k, upper_bound=bound,
             deflate=deflate, tol=tol, matmat=matrix.matmat, x0=x0,
-            preconditioner=preconditioner, stats=stats,
+            preconditioner=multilevel_preconditioner_for(matrix),
+            stats=stats,
         )
     except ConvergenceError:
         # Miss-tolerance-falls-back contract: the preconditioned
@@ -348,9 +343,6 @@ def _smallest_lobpcg(matrix: CSRMatrix, k: int,
         if stats is not None:
             stats["fallback"] = "lanczos"
         return _smallest_lanczos(matrix, k, deflate, tol, stats=stats)
-    finally:
-        if stats is not None and preconditioner is not None:
-            stats["v_cycles"] = preconditioner.cycles - cycles_before
 
 
 # The LU factor of ``A - sigma I`` held for the open

@@ -42,7 +42,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConvergenceError, InvalidParameterError
-from repro.linalg.operators import ShiftedOperator, deflation_matrix
+from repro.linalg.operators import deflation_matrix
 from repro.linalg.power import deterministic_start
 
 MatVec = Callable[[np.ndarray], np.ndarray]
@@ -378,9 +378,9 @@ def smallest_eigenpairs_shifted(matvec: MatVec, n: int, k: int,
     if upper_bound <= 0:
         upper_bound = 1.0
 
-    shifted = ShiftedOperator(matvec, n, upper_bound)
-    result = lanczos_symmetric(shifted.matvec, n, k, deflate=deflate,
-                               max_dim=max_dim, tol=tol, stats=stats)
+    result = lanczos_symmetric(lambda x: upper_bound * x - matvec(x), n, k,
+                               deflate=deflate, max_dim=max_dim, tol=tol,
+                               stats=stats)
     values = upper_bound - result.values[::-1]
     vectors = result.vectors[:, ::-1]
     return values, vectors

@@ -120,7 +120,9 @@ def lobpcg_smallest(matvec: MatVec, n: int, k: int,
         reuses the leftover pairs of its initial window solve.
     stats:
         Optional dict receiving ``iterations``, ``operator_columns``
-        (total operator applications, in columns) and
+        (total operator applications, in columns),
+        ``preconditioner_applications`` (this solve's calls of
+        ``preconditioner``; a block counts once) and
         ``residual_history`` (worst wanted residual per iteration,
         capped at ``_HISTORY_CAP`` entries).
 
@@ -141,7 +143,8 @@ def lobpcg_smallest(matvec: MatVec, n: int, k: int,
     if block_size is None:
         block_size = k + 2
     m = int(min(max(block_size, k), n_eff))
-    counters = {"iterations": 0, "operator_columns": 0}
+    counters = {"iterations": 0, "operator_columns": 0,
+                "preconditioner_applications": 0}
     history: list | None = [] if stats is not None else None
     if history is not None:
         counters["residual_history"] = history
@@ -219,8 +222,10 @@ def lobpcg_smallest(matvec: MatVec, n: int, k: int,
         res_all = np.linalg.norm(r, axis=0)
         active = res_all > tol * scale
         r_active = r[:, active] if not active.all() else r
-        w = r_active if preconditioner is None \
-            else preconditioner(r_active)
+        w = r_active
+        if preconditioner is not None:
+            counters["preconditioner_applications"] += 1
+            w = preconditioner(r_active)
         against = np.column_stack([d, x]) if d.shape[1] else x
         w = orthonormalize_block(w, against=against)
         if p.shape[1]:

@@ -1,35 +1,23 @@
-"""Matrix-free linear operators for the eigensolver hot path.
+"""Block helpers shared by the eigensolvers.
 
-Deflation used to be applied two different ways depending on the
-backend: the dense path shifted deflated directions to the top of the
-spectrum by adding ``shift * d d^T`` (fine — the matrix is already
-dense), while the sparse paths either looped over deflation vectors in
-Python or, worst of all, *materialized* the rank-1 update as a sparse
-matrix — for the constant vector that is a fully dense ``n x n`` CSR
-bomb.
-
-This module centralizes the matrix-free alternative: a
-:class:`DeflatedOperator` represents ``P A P`` (or the spectral-shift
-variant ``A + shift * D D^T``) without ever forming an ``n x n``
-intermediate.  Deflation vectors are stored as the columns of a single
-``(n, p)`` array so every application is two BLAS GEMVs
-(``D.T @ x`` / ``D @ c``) instead of a Python loop.
-
-All operators expose the minimal ``LinearOperator``-style protocol the
-in-house solvers need (``shape``, ``n``, ``matvec``, ``__matmul__``,
-``matmat``).  The scipy backend needs none of them: it folds the same
-spectral shift into its shift-invert solve with the Woodbury identity.
+* :func:`deflation_matrix` stacks deflation vectors into one ``(n, p)``
+  array, so the Lanczos and LOBPCG solvers project them out with two
+  BLAS GEMVs (``D.T @ x`` then ``D @ c``) and never form an ``n x n``
+  projector; the scipy backend uses it for its Woodbury-folded shift.
+* :func:`orthonormalize_block` orthonormalizes a block, optionally
+  against such a deflation.
+* :func:`canonical_in_span` picks the deterministic unit vector of a
+  (possibly degenerate) eigenspace, so orders do not depend on which
+  backend found the eigenspace.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.errors import DimensionError, InvalidParameterError
-
-MatVec = Callable[[np.ndarray], np.ndarray]
+from repro.errors import DimensionError
 
 
 def deflation_matrix(deflate: Sequence[np.ndarray] | np.ndarray,
@@ -55,124 +43,6 @@ def deflation_matrix(deflate: Sequence[np.ndarray] | np.ndarray,
             f"deflation vectors must have length {n}, got {d.shape[0]}"
         )
     return d
-
-
-class _OperatorBase:
-    """Shared ndarray protocol for the operators below."""
-
-    __slots__ = ("_n",)
-
-    def __init__(self, n: int):
-        if n <= 0:
-            raise InvalidParameterError(f"n must be positive, got {n}")
-        self._n = int(n)
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self._n, self._n)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def matmat(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.empty_like(x)
-        for j in range(x.shape[1]):
-            out[:, j] = self.matvec(x[:, j])
-        return out
-
-    def __matmul__(self, other):
-        other = np.asarray(other)
-        if other.ndim == 1:
-            return self.matvec(other)
-        return self.matmat(other)
-
-
-class DeflatedOperator(_OperatorBase):
-    """``P A P`` with ``P = I - D D^T`` — deflation without densifying.
-
-    Parameters
-    ----------
-    matvec:
-        The base operator ``x -> A x``.
-    n:
-        Operator dimension.
-    deflate:
-        Orthonormal deflation directions (sequence of vectors or an
-        ``(n, p)`` column matrix).  With ``p = 0`` the operator is just
-        ``A``.
-    shift:
-        When nonzero the operator is ``P A P + shift * D D^T`` instead:
-        the deflated directions become exact eigenvectors at ``shift``,
-        which keeps the operator nonsingular on the whole space.  Pass a
-        value above the spectrum of ``A`` to push the deflated
-        directions to the top (the convention of
-        :func:`repro.linalg.backends.smallest_eigenpairs`).
-    """
-
-    __slots__ = ("_matvec", "_d", "_shift")
-
-    def __init__(self, matvec: MatVec, n: int,
-                 deflate: Sequence[np.ndarray] | np.ndarray = (),
-                 shift: float = 0.0):
-        super().__init__(n)
-        self._matvec = matvec
-        self._d = deflation_matrix(deflate, n)
-        self._shift = float(shift)
-
-    @property
-    def num_deflated(self) -> int:
-        return self._d.shape[1]
-
-    @property
-    def deflation(self) -> np.ndarray:
-        """The ``(n, p)`` deflation column matrix (read-only view)."""
-        return self._d
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """``P x``: remove the deflated components from ``x``."""
-        if self._d.shape[1] == 0:
-            return x
-        return x - self._d @ (self._d.T @ x)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if self._d.shape[1] == 0:
-            return self._matvec(x)
-        coeffs = self._d.T @ x
-        px = x - self._d @ coeffs
-        y = self.project(self._matvec(px))
-        if self._shift != 0.0:
-            y = y + self._d @ (self._shift * coeffs)
-        return y
-
-
-class ShiftedOperator(_OperatorBase):
-    """``c I - A``: maps the smallest eigenvalues of ``A`` to the largest.
-
-    The standard spectral transform for finding the *bottom* of a PSD
-    spectrum with solvers that converge to the dominant end (Lanczos,
-    power iteration).  Eigenvalues map back via ``lambda = c - theta``.
-    """
-
-    __slots__ = ("_matvec", "_c")
-
-    def __init__(self, matvec: MatVec, n: int, c: float):
-        super().__init__(n)
-        self._matvec = matvec
-        self._c = float(c)
-
-    @property
-    def c(self) -> float:
-        return self._c
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return self._c * x - self._matvec(x)
 
 
 def canonical_in_span(basis: np.ndarray, probe: np.ndarray) -> np.ndarray:

@@ -55,6 +55,7 @@ from repro.core.spectral import SpectralConfig, SpectralLPM, \
     symmetric_grid_probe
 from repro.errors import InvalidParameterError
 from repro.geometry.grid import Grid
+from repro.geometry.pointset import PointSet
 from repro.graph.adjacency import Graph
 from repro.graph.builders import grid_graph_from_topology, \
     grid_graph_topology, induced_grid_graph
@@ -339,12 +340,25 @@ class OrderingService:
         ``order`` over positions in that array.
         """
         cells = np.unique(np.asarray(cell_indices, dtype=np.int64))
+        return self._points_artifact(grid, cells, config).order, cells
+
+    def points_artifact(self, points: PointSet,
+                        config: ConfigLike = None) -> OrderArtifact:
+        """:meth:`order_points` with full provenance attached."""
+        points = coerce_domain_as(points, PointSet)
+        return self._points_artifact(points.grid, points.cells, config)
+
+    def _points_artifact(self, grid: Grid, cells: np.ndarray,
+                         config: ConfigLike) -> OrderArtifact:
         resolved = self._resolve(config)
         if not resolved.cacheable:
             with self._lock:
                 self._stats.uncacheable += 1
             _OUTCOMES.inc(outcome="uncacheable")
-            return resolved.algorithm.order_points(grid, cells)
+            order, _ = resolved.algorithm.order_points(grid, cells)
+            return OrderArtifact(key="", config=resolved.config,
+                                 domain=_describe_points(grid, cells),
+                                 order=order, source="computed")
         key = order_key(resolved.config, points_fingerprint(grid, cells))
 
         def compute() -> OrderArtifact:
@@ -358,7 +372,7 @@ class OrderingService:
                 _describe_points(grid, cells), probe=None,
             )
 
-        return self._cached_or_compute(key, compute).order, cells
+        return self._cached_or_compute(key, compute)
 
     def order_many(self, requests: Sequence) -> List[LinearOrder]:
         """Order a batch of domains, amortizing shared work.

@@ -276,6 +276,26 @@ def test_graph_domain_orders_vertices():
         index.range(((0, 0), (1, 1)))
 
 
+def test_point_set_domain_reports_provenance():
+    grid = Grid((20, 20))
+    cells = np.random.default_rng(3).choice(grid.size, 300, replace=False)
+    points = PointSet(grid, cells)
+    service = OrderingService()
+    index = SpectralIndex.build(points, service=service)
+    art = index.provenance
+    assert art is not None and art.source == "computed"
+    assert art.order == index.order
+    stored = service.points_artifact(points, index.mapping.algorithm)
+    assert stored.source == "memory"
+    assert (art.key, art.backend, art.lambda2, art.eigenvalues) == \
+        (stored.key, stored.backend, stored.lambda2, stored.eigenvalues)
+    assert art.backend is not None and art.eigenvalues
+    again = SpectralIndex.build(points, service=service).provenance
+    assert again.source == "memory"
+    assert (again.key, again.lambda2) == (art.key, art.lambda2)
+    assert service.stats.computed == 1
+
+
 def test_uncacheable_mapping_still_works(grid8):
     index = SpectralIndex.build(
         grid8, mapping=make_mapping("spectral", weight=lambda d: 1.0))

@@ -1,23 +1,14 @@
-"""Tests for repro.linalg.operators — matrix-free deflation primitives."""
+"""Tests for repro.linalg.operators — the solvers' block helpers."""
 
 import numpy as np
 import pytest
 
-from repro.errors import DimensionError, InvalidParameterError
-from repro.linalg import CSRMatrix
+from repro.errors import DimensionError
 from repro.linalg.operators import (
-    DeflatedOperator,
-    ShiftedOperator,
     canonical_in_span,
     deflation_matrix,
     orthonormalize_block,
 )
-
-
-def random_symmetric(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n))
-    return (a + a.T) / 2
 
 
 # ----------------------------------------------------------------------
@@ -42,69 +33,6 @@ def test_deflation_matrix_passthrough_2d():
 def test_deflation_matrix_shape_validation():
     with pytest.raises(DimensionError):
         deflation_matrix([np.ones(3)], 4)
-
-
-# ----------------------------------------------------------------------
-# DeflatedOperator
-# ----------------------------------------------------------------------
-def test_deflated_operator_matches_dense_projection():
-    n = 12
-    dense = random_symmetric(n, 0)
-    mat = CSRMatrix.from_dense(dense)
-    d = np.ones(n) / np.sqrt(n)
-    op = DeflatedOperator(mat.matvec, n, deflate=[d])
-    p = np.eye(n) - np.outer(d, d)
-    reference = p @ dense @ p
-    x = np.linspace(-1, 1, n)
-    assert np.allclose(op.matvec(x), reference @ x)
-    assert np.allclose(op @ x, reference @ x)
-
-
-def test_deflated_operator_shift_places_eigenvalue():
-    n = 8
-    dense = random_symmetric(n, 1)
-    mat = CSRMatrix.from_dense(dense)
-    d = np.ones(n) / np.sqrt(n)
-    shift = 50.0
-    op = DeflatedOperator(mat.matvec, n, deflate=[d], shift=shift)
-    # The deflated direction is an exact eigenvector at `shift`.
-    assert np.allclose(op.matvec(d), shift * d)
-
-
-def test_deflated_operator_no_deflation_is_identity_wrapper():
-    n = 6
-    dense = random_symmetric(n, 2)
-    mat = CSRMatrix.from_dense(dense)
-    op = DeflatedOperator(mat.matvec, n)
-    x = np.arange(6.0)
-    assert np.allclose(op.matvec(x), dense @ x)
-    assert op.num_deflated == 0
-
-
-def test_deflated_operator_matmat_and_shape():
-    n = 5
-    mat = CSRMatrix.from_dense(np.eye(n))
-    op = DeflatedOperator(mat.matvec, n, deflate=[np.eye(n)[:, 0]])
-    block = np.arange(10.0).reshape(5, 2)
-    out = op @ block
-    assert out.shape == (5, 2)
-    assert op.shape == (n, n)
-    with pytest.raises(InvalidParameterError):
-        DeflatedOperator(mat.matvec, 0)
-
-
-# ----------------------------------------------------------------------
-# ShiftedOperator
-# ----------------------------------------------------------------------
-def test_shifted_operator_spectrum_flip():
-    n = 10
-    dense = random_symmetric(n, 3)
-    mat = CSRMatrix.from_dense(dense)
-    c = 7.5
-    op = ShiftedOperator(mat.matvec, n, c)
-    x = np.linspace(0, 1, n)
-    assert np.allclose(op.matvec(x), c * x - dense @ x)
-    assert op.c == c
 
 
 # ----------------------------------------------------------------------

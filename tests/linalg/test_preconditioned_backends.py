@@ -1,12 +1,12 @@
 """Tests for the preconditioned eigensolver backends.
 
 Covers the LOBPCG backend end to end: the multilevel
-V-cycle preconditioner (symmetry, Laplacian recognition, content-keyed
-caching), agreement with the dense reference on exact-arithmetic-hard
-inputs, iteration statistics, and the miss-tolerance-falls-back
-contract that keeps a bad preconditioned solve from shipping a bad
-order.  CI runs this module on both the scipy and the numpy-only leg —
-nothing here may import scipy.
+V-cycle preconditioner (symmetry, immutability, Laplacian recognition,
+content-keyed caching), agreement with the dense reference on
+exact-arithmetic-hard inputs, iteration statistics, and the
+miss-tolerance-falls-back contract that keeps a bad preconditioned
+solve from shipping a bad order.  CI runs this module on both the scipy
+and the numpy-only leg — nothing here may import scipy.
 """
 
 import numpy as np
@@ -116,6 +116,30 @@ def test_vcycle_matmat_matches_columnwise_apply():
                                    atol=1e-12)
 
 
+def test_vcycle_application_changes_no_attribute():
+    # The process-wide cache hands one preconditioner to every solve of
+    # an equal Laplacian, on any thread, so applying it must not write.
+    graph = grid_graph(Grid((9, 8)))
+    m = MultilevelPreconditioner(graph)
+    before = dict(vars(m))
+    arrays = {name: value.copy() for name, value in before.items()
+              if isinstance(value, np.ndarray)}
+    items = {name: list(value) for name, value in before.items()
+             if isinstance(value, list)}
+    rng = np.random.default_rng(3)
+    m.apply(rng.standard_normal(graph.num_vertices))
+    m.apply(rng.standard_normal((graph.num_vertices, 3)))
+    after = vars(m)
+    assert after.keys() == before.keys()
+    for name, value in before.items():
+        assert after[name] is value, name
+    for name, copy in arrays.items():
+        assert np.array_equal(after[name], copy), name
+    for name, elements in items.items():
+        assert len(after[name]) == len(elements), name
+        assert all(a is b for a, b in zip(after[name], elements)), name
+
+
 # ----------------------------------------------------------------------
 # The preconditioner factory and its content cache
 # ----------------------------------------------------------------------
@@ -135,17 +159,22 @@ def test_factory_returns_none_for_general_spd_and_caches_verdict():
                       [0.0, 1.0, 2.0]])
     matrix = CSRMatrix.from_dense(dense)
     assert multilevel_preconditioner_for(matrix) is None
-    # The None verdict is cached too (no rebuild attempt).
+    # The None verdict is not stored: recognition is one O(nnz) pass,
+    # and the cache's slots are kept for built hierarchies.
     key = backends._matrix_content_key(matrix)
-    assert key in backends._PRECONDITIONER_CACHE
-    assert backends._PRECONDITIONER_CACHE[key] is None
+    assert key not in backends._PRECONDITIONER_CACHE
+    assert len(backends._PRECONDITIONER_CACHE) == 0
 
 
 def test_factory_cache_evicts_fifo():
-    for side in (5, 6, 7, 8, 9):
-        multilevel_preconditioner_for(laplacian(path_graph(side)))
-    assert len(backends._PRECONDITIONER_CACHE) == \
-        backends._PRECONDITIONER_CACHE_SIZE
+    cache = backends._PRECONDITIONER_CACHE
+    laps = [laplacian(path_graph(side)) for side in (5, 6, 7, 8, 9)]
+    for lap in laps:
+        multilevel_preconditioner_for(lap)
+    assert len(cache) == cache.capacity
+    # The oldest entry made room for the newest.
+    assert backends._matrix_content_key(laps[0]) not in cache
+    assert backends._matrix_content_key(laps[-1]) in cache
 
 
 def test_distinct_weights_get_distinct_preconditioners():
@@ -207,6 +236,25 @@ def test_lobpcg_stats_and_soft_locking():
         preconditioner=multilevel_preconditioner_for(lap), stats=stats)
     assert stats["iterations"] >= 1
     assert stats["operator_columns"] >= stats["iterations"]
+
+
+def test_lobpcg_stats_count_preconditioner_applications():
+    n = 200
+    lap = laplacian(path_graph(n))
+    preconditioner = multilevel_preconditioner_for(lap)
+    calls = []
+
+    def counting(block):
+        calls.append(block.shape)
+        return preconditioner(block)
+
+    stats = {}
+    lobpcg_smallest(lap.matvec, n, 2, deflate=path_deflate(n),
+                    upper_bound=lap.gershgorin_upper_bound(), tol=1e-9,
+                    matmat=lap.matmat, preconditioner=counting,
+                    stats=stats)
+    assert calls
+    assert stats["preconditioner_applications"] == len(calls)
 
 
 def test_lobpcg_preconditioner_cuts_iterations():
