@@ -32,6 +32,7 @@ from repro.api import (
     SpectralIndex,
     make_mapping,
 )
+from repro.linalg.backends import resolve_auto, scipy_available
 
 SIDE = 96
 WORKERS = 4
@@ -109,14 +110,21 @@ def test_parallel_view_materialization(benchmark, save_json):
     Callable-weight mappings are non-cacheable, so each needs its own
     eigensolve and the service can neither coalesce nor batch them —
     sequential execution pays K solves back to back, the parallel path
-    overlaps them in BLAS.
+    overlaps them in BLAS.  The backend is pinned to the numeric solver
+    ``auto`` would pick for a graph this size: under ``auto`` these
+    radius-1 grids take their Fiedler pair in closed form, which leaves
+    no solve to overlap.
     """
+    grid = (24, 24)
+    backend = ("scipy" if scipy_available()
+               else resolve_auto(grid[0] * grid[1], 4))
+
     def mappings():
         # Fresh instances each run: non-cacheable mappings are keyed by
         # identity, so reuse would turn the second run into cache hits.
         # Weight callables map a neighbour offset vector to a weight.
         return [make_mapping(
-                    "spectral",
+                    "spectral", backend=backend,
                     weight=lambda off, s=s: 1.0 / (
                         sum(abs(int(c)) for c in off) + s))
                 for s in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)]
@@ -124,7 +132,6 @@ def test_parallel_view_materialization(benchmark, save_json):
     def batch_for(maps):
         return [NNQuery(100, k=8, mapping=m) for m in maps]
 
-    grid = (24, 24)
     sequential, seq_seconds = _timed(
         lambda: SpectralIndex.build(grid).query_many(
             batch_for(mappings()), parallelism=1))
@@ -139,7 +146,7 @@ def test_parallel_view_materialization(benchmark, save_json):
         save_json({
             "name": "parallel_view_solves",
             "n": grid[0] * grid[1],
-            "backend": "auto",
+            "backend": backend,
             "phase": phase,
             "workers": 1 if phase == "sequential" else WORKERS,
             "queries": 6,

@@ -6,7 +6,9 @@ shared ``save_json`` fixture so the trajectory survives across PRs:
 * ``service_cache`` — one ``order_grid`` cold (full eigensolve), warm
   from the memory tier, and warm from the disk tier of a freshly
   restarted service.  The two warm phases are the product pitch: reuse
-  costs a dict lookup / one ``np.load``, not an eigensolve.
+  costs a dict lookup / one ``np.load``, not an eigensolve.  The cold
+  phase pins the numeric backend ``auto`` would pick for a graph this
+  size, since ``auto`` serves this radius-1 grid's pair in closed form.
 * ``service_batch`` — N same-topology weight configs through
   ``order_many`` vs N independent one-shot services; the batch path
   amortizes the graph build (and coarsening, under multilevel).
@@ -19,9 +21,12 @@ import pytest
 
 from repro.core import SpectralConfig
 from repro.geometry import Grid
+from repro.linalg.backends import resolve_auto, scipy_available
 from repro.service import OrderingService, OrderRequest
 
 GRID = Grid((48, 48))
+CACHE_BACKEND = ("scipy" if scipy_available()
+                 else resolve_auto(GRID.size, 4))
 BATCH_GRID = Grid((32, 32))
 BATCH_WEIGHTS = ("unit", "inverse_manhattan", "inverse_euclidean",
                  "gaussian")
@@ -36,12 +41,15 @@ def _timed(fn):
 def test_cold_vs_warm_order_grid(benchmark, save_json, tmp_path):
     store_dir = tmp_path / "orders"
     service = OrderingService(store=str(store_dir))
+    config = SpectralConfig(backend=CACHE_BACKEND)
 
-    cold_order, cold = _timed(lambda: service.order_grid(GRID))
-    warm_order, warm_memory = _timed(lambda: service.order_grid(GRID))
+    cold_order, cold = _timed(lambda: service.order_grid(GRID, config))
+    warm_order, warm_memory = _timed(
+        lambda: service.order_grid(GRID, config))
 
     restarted = OrderingService(store=str(store_dir))
-    disk_order, warm_disk = _timed(lambda: restarted.order_grid(GRID))
+    disk_order, warm_disk = _timed(
+        lambda: restarted.order_grid(GRID, config))
 
     assert np.array_equal(cold_order.permutation, warm_order.permutation)
     assert np.array_equal(cold_order.permutation, disk_order.permutation)
@@ -53,14 +61,14 @@ def test_cold_vs_warm_order_grid(benchmark, save_json, tmp_path):
         save_json({
             "name": "service_cache",
             "n": GRID.size,
-            "backend": "auto",
+            "backend": CACHE_BACKEND,
             "phase": phase,
             "seconds": seconds,
             "speedup_vs_cold": cold / seconds if seconds else float("inf"),
         })
 
     # Keep a pytest-benchmark record of the warm path (the served one).
-    benchmark.pedantic(lambda: service.order_grid(GRID),
+    benchmark.pedantic(lambda: service.order_grid(GRID, config),
                        iterations=1, rounds=3)
 
 

@@ -585,16 +585,17 @@ class SpectralIndex:
             raise InvalidParameterError(
                 f"k must be in [1, {n - 1}], got {k}"
             )
-        ranks = view.ranks
+        ranks, permutation = view.ranks, view.order.permutation
         if window is None:
             width = max(int(k), 1)
-            candidates = window_candidates(ranks, pos, width)
+            candidates = window_candidates(ranks, pos, width, permutation)
             while len(candidates) < k and width < n:
                 width *= 2
-                candidates = window_candidates(ranks, pos, width)
+                candidates = window_candidates(ranks, pos, width,
+                                               permutation)
         else:
             width = int(window)
-            candidates = window_candidates(ranks, pos, width)
+            candidates = window_candidates(ranks, pos, width, permutation)
         coords = self._coordinates()
         distances = np.abs(coords[candidates] - coords[pos]).sum(axis=1)
         nearest = candidates[np.lexsort((candidates, distances))][:k]

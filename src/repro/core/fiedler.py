@@ -30,26 +30,42 @@ Backend dispatch
 above :data:`repro.linalg.backends.MULTILEVEL_CUTOFF` vertices, falling
 back to the exact path whenever the approximate pair misses the
 ``multilevel_tol`` relative-residual quality bound.
+
+Full grids in closed form
+-------------------------
+The paper's default grid graph (orthogonal, radius 1) is a product of
+weighted paths, so its eigenpairs are products of cosines:
+:func:`grid_fiedler_result` gives the exact path's canonical pair
+without a solve, and :class:`~repro.core.spectral.SpectralLPM` serves
+every such grid ordered under ``"auto"`` from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.errors import GraphStructureError, InvalidParameterError
 from repro.graph.adjacency import Graph
-from repro.graph.laplacian import laplacian
+from repro.graph.laplacian import laplacian, laplacian_matvec
 from repro.graph.traversal import is_connected
 from repro.linalg import backends as backend_registry
 from repro.linalg.backends import (
     BACKENDS,
     MULTILEVEL_QUALITY_RTOL,
+    counted_solve,
     smallest_eigenpairs,
 )
 from repro.linalg.operators import canonical_in_span
 from repro.linalg.power import deterministic_start
+
+#: Bound on a closed-form grid pair's certificate
+#: ``||L v - B diag(mu) B^T v||`` (``B`` the group's cosines, ``mu``
+#: their eigenvalues), relative to ``4 * sum(weights)``, which bounds
+#: the spectrum.  An honest pair reads about 1e-16 times sqrt(n).
+CLOSED_FORM_RESIDUAL_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,7 +86,10 @@ class FiedlerResult:
     backend:
         The eigensolver backend that produced the result
         (``"multilevel"`` when the approximate path served the answer,
-        even under ``backend="auto"``).
+        even under ``backend="auto"``; ``"closed-form"`` when a full
+        radius-1 grid's pair came from its cosine formula
+        (:func:`grid_fiedler_result`), a name reported but not
+        selectable).
     """
 
     value: float
@@ -204,14 +223,7 @@ def _fiedler_vector(graph: Graph, backend: str = "auto",
             "graph is disconnected: lambda_2 = 0 and the Fiedler vector "
             "is a component indicator; use per-component ordering instead"
         )
-    if probe is None:
-        probe = deterministic_start(n)
-    else:
-        probe = np.asarray(probe, dtype=np.float64)
-        if probe.shape != (n,):
-            raise InvalidParameterError(
-                f"probe must have shape ({n},), got {probe.shape}"
-            )
+    probe = _checked_probe(probe, n)
 
     if backend == "multilevel" or (
             backend == "auto" and n > backend_registry.MULTILEVEL_CUTOFF):
@@ -231,6 +243,24 @@ def _fiedler_vector(graph: Graph, backend: str = "auto",
                                      solver_tol)
 
 
+def _checked_probe(probe: np.ndarray | None, n: int) -> np.ndarray:
+    """The canonicalization probe for an ``n``-vertex solve."""
+    if probe is None:
+        return deterministic_start(n)
+    probe = np.asarray(probe, dtype=np.float64)
+    if probe.shape != (n,):
+        raise InvalidParameterError(
+            f"probe must have shape ({n},), got {probe.shape}"
+        )
+    return probe
+
+
+def _group_tol(lambda2: float, rtol: float) -> float:
+    """Width of the ``lambda_2`` group: eigenvalues up to
+    ``lambda_2 + _group_tol`` share its eigenspace."""
+    return max(rtol * max(abs(lambda2), 1.0), 1e-10)
+
+
 def _exact_fiedler_result(graph: Graph, exact_backend: str,
                           probe: np.ndarray, rtol: float,
                           solver_tol: float | None) -> FiedlerResult:
@@ -245,7 +275,7 @@ def _exact_fiedler_result(graph: Graph, exact_backend: str,
     values, vectors = smallest_eigenpairs(lap, k, backend=exact_backend,
                                           deflate=[ones], tol=solver_tol)
     lambda2 = float(values[0])
-    tol = max(rtol * max(abs(lambda2), 1.0), 1e-10)
+    tol = _group_tol(lambda2, rtol)
     # Window entirely inside the group means multiplicity >= k (stars,
     # complete graphs).  Double the window until a value above the group
     # appears: for dense each call is a full eigh anyway, and for the
@@ -259,7 +289,7 @@ def _exact_fiedler_result(graph: Graph, exact_backend: str,
         values, vectors = smallest_eigenpairs(
             lap, k, backend=exact_backend, deflate=[ones], tol=solver_tol)
         lambda2 = float(values[0])
-        tol = max(rtol * max(abs(lambda2), 1.0), 1e-10)
+        tol = _group_tol(lambda2, rtol)
     group = np.flatnonzero(values <= lambda2 + tol)
     basis = vectors[:, group]
     # Guard against solver drift: project the eigenspace basis against the
@@ -309,6 +339,108 @@ def _exact_fiedler_result(graph: Graph, exact_backend: str,
         eigenvalues=eigenvalues,
         backend=exact_backend,
     )
+
+
+def grid_fiedler_result(shape: Sequence[int], weights: Sequence[float],
+                        graph: Graph, probe: np.ndarray | None = None,
+                        rtol: float = 1e-6) -> FiedlerResult | None:
+    """The canonical Fiedler pair of a full grid, in closed form.
+
+    The orthogonal radius-1 graph of a grid is the Cartesian product of
+    one path per axis, every edge along axis ``a`` weighing
+    ``weights[a]`` (axes of side 1 have no edges, so their weights do
+    not matter).  Axis ``a`` of side ``n_a`` contributes the eigenvalues
+    ``4 w_a sin^2(pi k / (2 n_a))`` with eigenvectors
+    ``cos(pi k (x + 1/2) / n_a)``, ``0 <= k < n_a``; the grid's
+    eigenpairs pick one ``k`` per axis, sum the eigenvalues and
+    multiply the cosines.
+
+    The answer is :func:`fiedler_vector`'s, not an approximation of it:
+    the same window (4 smallest nontrivial eigenvalues, doubled while
+    inside the group), the same ``rtol`` grouping of ``lambda_2``, and
+    :func:`~repro.linalg.operators.canonical_in_span` of the group's
+    cosines with the same ``probe``.
+
+    One Laplacian matvec against ``graph``, the graph being ordered,
+    certifies the pair; above :data:`CLOSED_FORM_RESIDUAL_RTOL` the
+    graph is not the product these weights describe, and ``None`` tells
+    the caller to solve it numerically.  Counts as one eigensolve with
+    backend ``"closed-form"``
+    (:func:`~repro.linalg.backends.counted_solve`).
+    """
+    shape = tuple(int(side) for side in shape)
+    n = int(np.prod(shape))
+    if n < 2:
+        raise InvalidParameterError(
+            f"the Fiedler vector needs at least 2 vertices, got {n}"
+        )
+    if graph.num_vertices != n:
+        raise InvalidParameterError(
+            f"graph has {graph.num_vertices} vertices, the grid {n}"
+        )
+    probe = _checked_probe(probe, n)
+    k = min(n - 1, 4)
+    with counted_solve("closed-form", n, k) as stats:
+        values, modes = _product_spectrum(shape, weights, k + 1)
+        lambda2 = float(values[1])
+        tol = _group_tol(lambda2, rtol)
+        while (values[1:] <= lambda2 + tol).all() and k < n - 1:
+            k = min(n - 1, 2 * k)
+            values, modes = _product_spectrum(shape, weights, k + 1)
+        group = np.flatnonzero(values <= lambda2 + tol)[1:]
+        basis = np.column_stack([_product_cosine(shape, modes[j])
+                                 for j in group])
+        vector = canonical_in_span(basis, probe)
+        image = basis @ (values[group] * (basis.T @ vector))
+        residual = float(np.linalg.norm(
+            laplacian_matvec(graph, vector) - image))
+        scale = 4.0 * sum(float(w) for w, side in zip(weights, shape)
+                          if side > 1)
+        if stats is not None:
+            stats["residual"] = residual
+    if not residual <= CLOSED_FORM_RESIDUAL_RTOL * scale:
+        return None
+    return FiedlerResult(
+        value=lambda2,
+        vector=vector,
+        multiplicity=len(group),
+        eigenvalues=values[1:].copy(),
+        backend="closed-form",
+    )
+
+
+def _product_spectrum(shape: tuple, weights: Sequence[float],
+                      count: int) -> tuple:
+    """The ``count`` smallest eigenvalues of a product of weighted
+    paths, ascending from the trivial 0, with their per-axis
+    frequencies ``(count, ndim)``.
+
+    Folds in one axis at a time and keeps the ``count`` smallest
+    partial sums: every term is nonnegative, so a sum among the
+    ``count`` smallest is built from partial sums that were.
+    """
+    values = np.zeros(1)
+    modes = np.zeros((1, 0), dtype=np.int64)
+    for side, weight in zip(shape, weights):
+        ks = np.arange(min(side, count))
+        mu = 4.0 * float(weight) * np.sin(np.pi * ks / (2 * side)) ** 2
+        total = (values[:, None] + mu[None, :]).ravel()
+        keep = np.argsort(total, kind="stable")[:count]
+        modes = np.column_stack([np.repeat(modes, len(ks), axis=0)[keep],
+                                 np.tile(ks, len(values))[keep]])
+        values = total[keep]
+    return values, modes
+
+
+def _product_cosine(shape: tuple, mode: np.ndarray) -> np.ndarray:
+    """The unit eigenvector of frequencies ``mode``, over row-major
+    flat cell indices."""
+    column = np.ones(1)
+    for side, k in zip(shape, mode):
+        scale = np.sqrt((2.0 if k else 1.0) / side)
+        column = np.kron(column, scale * np.cos(
+            np.pi * k * (np.arange(side) + 0.5) / side))
+    return column
 
 
 def fiedler_value(graph: Graph, backend: str = "auto") -> float:

@@ -20,6 +20,7 @@ chosen graph type".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -29,14 +30,21 @@ from repro.core.components import (
     COMPONENT_ARRANGEMENTS,
     order_labelled_components,
 )
-from repro.core.fiedler import FiedlerResult, _fiedler_vector, fiedler_vector
+from repro.core.fiedler import (
+    FiedlerResult,
+    _fiedler_vector,
+    fiedler_vector,
+    grid_fiedler_result,
+)
 from repro.core.ordering import LinearOrder, order_by_values
 from repro.core.tie_breaking import TIE_BREAK_STRATEGIES, tie_break_keys
 from repro.errors import GraphStructureError, InvalidParameterError
-from repro.geometry.grid import Grid
+from repro.geometry.grid import Grid, _normalize_connectivity
+from repro.geometry.pointset import PointSet
 from repro.graph.adjacency import Graph
 from repro.graph.builders import grid_graph, induced_grid_graph
 from repro.graph.traversal import connected_components
+from repro.graph.weights import weight_function
 
 DISCONNECTED_POLICIES = ("per-component", "error")
 
@@ -131,7 +139,12 @@ class SpectralLPM:
         Eigensolver backend: ``"auto"``, ``"dense"``, ``"lanczos"``,
         ``"lobpcg"``, ``"scipy"``, or ``"multilevel"``.  Guidance:
 
-        * ``"auto"`` (default) — dense up to
+        * ``"auto"`` (default) — a full grid under the orthogonal
+          radius-1 model (any weight) takes its exact Fiedler pair in
+          closed form at any size
+          (:func:`~repro.core.fiedler.grid_fiedler_result`, reported
+          as backend ``"closed-form"``).  Everything else solves
+          numerically: dense up to
           :data:`~repro.linalg.backends.DENSE_CUTOFF` vertices (225
           with scipy installed, 441 without: the measured crossovers),
           then scipy shift-invert; without scipy, preconditioned LOBPCG
@@ -374,18 +387,61 @@ class SpectralLPM:
         (:func:`symmetric_grid_probe`) canonicalizes degenerate
         eigenspaces so that all dimensions are treated alike.
         """
-        graph = self.build_grid_graph(grid)
-        return self.order_graph(graph, probe=symmetric_grid_probe(grid))
+        return self._order_grid(grid, self.build_grid_graph(grid), None)
 
-    def order_grid_with_fiedler(self, grid: Grid
+    def order_grid_with_fiedler(self, grid: Grid,
+                                graph: Graph | None = None
                                 ) -> Tuple[LinearOrder, list]:
         """:meth:`order_grid` plus the Fiedler pairs it computed.
 
         See :meth:`order_graph_with_fiedler` for the result convention.
+        ``graph`` may pass this grid's :meth:`build_grid_graph`, already
+        built (the ordering service builds one topology per batch).
         """
-        graph = self.build_grid_graph(grid)
-        return self.order_graph_with_fiedler(
-            graph, probe=symmetric_grid_probe(grid))
+        if graph is None:
+            graph = self.build_grid_graph(grid)
+        recorder: list = []
+        order = self._order_grid(grid, graph, recorder)
+        return order, recorder
+
+    def _order_grid(self, grid: Grid, graph: Graph,
+                    recorder: list | None) -> LinearOrder:
+        probe = symmetric_grid_probe(grid)
+        weights = self._closed_form_weights(grid)
+        if weights is not None:
+            result = grid_fiedler_result(
+                grid.shape, weights, graph,
+                probe=self._probe if self._probe is not None else probe)
+            if result is not None:
+                if recorder is not None:
+                    recorder.append(result)
+                return self._order_by_fiedler(graph, result)
+        return self._order_graph(graph, probe, recorder)
+
+    def _closed_form_weights(self, grid: Grid) -> tuple | None:
+        """The per-axis edge weights when ``grid``'s Fiedler pair is
+        served in closed form, else ``None``.
+
+        It is under ``backend="auto"`` with the orthogonal radius-1
+        model on three or more cells, where the graph is a product of
+        weighted paths (:func:`~repro.core.fiedler.grid_fiedler_result`).
+        As in the grid builder, the weight model is evaluated once per
+        axis offset, and only along axes with edges (others weigh 0).
+        """
+        if (self._backend != "auto" or self._radius != 1
+                or grid.size < 3
+                or _normalize_connectivity(self._connectivity)
+                != "orthogonal"):
+            return None
+        weight = weight_function(self._weight)
+        weights = tuple(
+            float(weight(tuple(int(a == axis) for a in range(grid.ndim))))
+            if side > 1 else 0.0
+            for axis, side in enumerate(grid.shape))
+        if not all(math.isfinite(w) and w > 0
+                   for w, side in zip(weights, grid.shape) if side > 1):
+            return None
+        return weights
 
     def order_points(self, grid: Grid,
                      cell_indices: Sequence[int]
@@ -395,11 +451,14 @@ class SpectralLPM:
         Returns ``(order, cells)``: ``cells`` is the ascending array of
         distinct flat cell indices actually ordered, and ``order`` is over
         positions in that array.  Subsets frequently produce disconnected
-        graphs; the ``on_disconnected`` policy applies.
+        graphs; the ``on_disconnected`` policy applies.  The cells must
+        form a valid :class:`~repro.geometry.PointSet` (at least one
+        cell, every cell inside the grid), which raises otherwise.
         """
         graph, cells = induced_grid_graph(
-            grid, cell_indices, connectivity=self._connectivity,
-            radius=self._radius, weight=self._weight,
+            grid, PointSet(grid, cell_indices).cells,
+            connectivity=self._connectivity, radius=self._radius,
+            weight=self._weight,
         )
         return self.order_graph(graph), cells
 
@@ -434,9 +493,16 @@ class SpectralLPM:
                                  known_connected=True)
         if recorder is not None:
             recorder.append(result)
+        return self._order_by_fiedler(graph, result)
+
+    def _order_by_fiedler(self, graph: Graph,
+                          result: FiedlerResult) -> LinearOrder:
+        """Steps 4-5: sort by the snapped Fiedler entries.  The tie-break
+        reads the snapped groups too, so the ``bfs`` start (the lowest
+        vertex of the smallest group) does not depend on solver noise."""
         snapped = snap_ties(result.vector, tol=self._snap_tol)
-        keys = tie_break_keys(self._tie_break, n, values=result.vector,
-                              graph=graph)
+        keys = tie_break_keys(self._tie_break, graph.num_vertices,
+                              values=snapped, graph=graph)
         return order_by_values(snapped, tie_break=keys)
 
     def __repr__(self) -> str:

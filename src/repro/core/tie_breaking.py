@@ -12,8 +12,10 @@ Strategies
     Ascending vertex id — the simplest stable rule (default).
 ``"bfs"``
     Position in a breadth-first traversal started from the vertex with
-    the smallest Fiedler entry.  Ties then resolve toward graph
-    proximity, which keeps tied vertices spatially coherent.
+    the smallest value; the pipeline passes the snapped tie groups, so
+    the start is the lowest vertex of the smallest group, whatever
+    noise the solver left.  Ties then resolve toward graph proximity,
+    which keeps tied vertices spatially coherent.
 """
 
 from __future__ import annotations

@@ -53,6 +53,21 @@ def laplacian(graph: Graph) -> CSRMatrix:
     return CSRMatrix(n, new_indptr, out_indices, out_data)
 
 
+def laplacian_matvec(graph: Graph, x: np.ndarray) -> np.ndarray:
+    """``L x`` for ``L = D - A``, straight from the graph's CSR arrays.
+
+    Row ``i`` of the product is ``sum_j w_ij (x_i - x_j)``: one gather
+    and one :func:`numpy.bincount`, without assembling ``L`` and without
+    scipy, so certifying a vector against its graph loads no sparse
+    stack.
+    """
+    n = graph.num_vertices
+    indptr, indices, weights = graph.csr_arrays()
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    return np.bincount(rows, weights=weights * (x[rows] - x[indices]),
+                       minlength=n)
+
+
 def graph_from_laplacian(matrix: CSRMatrix,
                          rtol: float = 1e-8) -> Graph | None:
     """Reconstruct the graph whose combinatorial Laplacian is ``matrix``.

@@ -75,7 +75,9 @@ KNOBS: Tuple[Knob, ...] = (
         default="131072",
         reader="repro.linalg.backends",
         description="Vertex count above which the auto policy picks the "
-                    "multilevel (coarsen-and-refine) backend.",
+                    "multilevel (coarsen-and-refine) backend (full "
+                    "orthogonal radius-1 grids take their closed-form "
+                    "pair at any size).",
     ),
     Knob(
         name="REPRO_NET_TIMEOUT",

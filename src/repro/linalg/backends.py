@@ -50,6 +50,12 @@ contract the multilevel quality gate implements at the Fiedler level.
 
 Backend selection under ``auto``
 --------------------------------
+* a full grid under the orthogonal radius-1 model, any weights, any
+  size (only via :class:`~repro.core.spectral.SpectralLPM`, which sees
+  the grid): no solver.  :func:`repro.core.fiedler.grid_fiedler_result`
+  builds its exact pair from cosines and reports backend
+  ``"closed-form"``, a name outside :data:`BACKENDS`.  The rules below
+  serve everything else, including a pair that fails its certificate.
 * ``n <= DENSE_CUTOFF`` (or ``k`` close to ``n``): ``dense``.  The
   cutoff is the measured crossover of whole Fiedler solves, one per
   leg: 225 vertices against ``scipy``, 441 against ``lanczos`` when
@@ -99,10 +105,11 @@ from repro.linalg.sparse import CSRMatrix
 from repro.obs import Timer, registry, span
 
 # Solve latency by *resolved* backend (``auto`` is resolved before the
-# observation, so the label always names the algorithm that ran).
+# observation, so the label always names the algorithm that ran, and a
+# closed-form grid pair observes under "closed-form").
 _SOLVE_SECONDS = registry().histogram(
     "repro_linalg_solve_seconds",
-    "smallest_eigenpairs latency by resolved backend.")
+    "Eigensolve latency by resolved backend.")
 
 
 def cutoff_from_env(name: str, default: int) -> int:
@@ -175,7 +182,8 @@ BACKENDS = ("auto", "dense", "lanczos", "lobpcg", "scipy", "multilevel")
 
 # Process-wide count of eigensolver invocations.  The ordering service's
 # contract — "a warm cache pays zero eigensolves" — is asserted against
-# the delta of this counter, which every backend path below increments.
+# the delta of this counter, which counted_solve() increments for every
+# backend path below and for the closed-form grid pair.
 _SOLVER_INVOCATIONS = 0
 
 # Guards the global counter's read-modify-write: concurrent solves are
@@ -192,11 +200,15 @@ _THREAD_TALLY = threading.local()
 
 
 def solver_invocations() -> int:
-    """How many :func:`smallest_eigenpairs` solves this process has run.
+    """How many eigensolves this process has run.
 
-    A monotone counter (never reset) intended for delta assertions:
-    record it, run the operation under test, and compare.  Cache layers
-    use it to *prove* a warm path never reached an eigensolver.
+    Every :func:`smallest_eigenpairs` call counts one, and so does every
+    closed-form Fiedler pair of a full radius-1 grid
+    (:func:`repro.core.fiedler.grid_fiedler_result`, backend
+    ``"closed-form"``), which stands in for a solve.  A monotone counter
+    (never reset) intended for delta assertions: record it, run the
+    operation under test, and compare.  Cache layers use it to *prove*
+    a warm path never reached an eigensolver.
     """
     return _SOLVER_INVOCATIONS
 
@@ -531,30 +543,39 @@ def smallest_eigenpairs(matrix: CSRMatrix, k: int, backend: str = "auto",
     elif tol <= 0:
         raise InvalidParameterError(f"tol must be > 0, got {tol}")
 
+    if backend == "auto":
+        backend = resolve_auto(n, k)
+    with counted_solve(backend, n, k) as stats:
+        return _run_backend(matrix, k, backend, deflate, tol, x0, stats)
+
+
+@contextmanager
+def counted_solve(backend: str, n: int, k: int
+                  ) -> Iterator[dict | None]:
+    """Account for the wrapped block as one eigensolve by ``backend``.
+
+    Bumps :func:`solver_invocations` and this thread's tally, opens one
+    ``linalg.solve`` span and observes ``repro_linalg_solve_seconds``.
+    Yields a dict the block may fill with span attributes, allocated
+    only while a trace is recording (``None`` otherwise), so the
+    disabled-tracing path pays a single boolean check.  Both
+    :func:`smallest_eigenpairs` and the closed-form grid pair
+    (:func:`repro.core.fiedler.grid_fiedler_result`) solve through it.
+    """
     global _SOLVER_INVOCATIONS
     with _COUNTER_LOCK:
         _SOLVER_INVOCATIONS += 1
     _THREAD_TALLY.count = getattr(_THREAD_TALLY, "count", 0) + 1
-
-    if backend == "auto":
-        backend = resolve_auto(n, k)
-
-    # One span per solver invocation, attributed with the iterative
-    # backends' diagnostics.  The stats dict is only allocated (and
-    # threaded through the solver) while a trace is recording, so the
-    # disabled-tracing path pays a single boolean check.
     sp = span("linalg.solve", backend=backend, n=n, k=k)
     stats: dict | None = {} if sp.is_recording else None
     with sp, Timer() as timer:
         try:
-            pairs = _run_backend(matrix, k, backend, deflate, tol, x0,
-                                 stats)
+            yield stats
         finally:
             if stats:
                 for name, value in stats.items():
                     sp.set_attribute(name, value)
     _SOLVE_SECONDS.observe(timer.seconds, backend=backend)
-    return pairs
 
 
 def _run_backend(matrix: CSRMatrix, k: int, backend: str,

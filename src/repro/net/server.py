@@ -35,10 +35,10 @@ then tears the connections down — a bounced server never strands an
 in-flight answer it could have delivered.
 
 A client that dies mid-request costs nothing but its own answer: the
-dispatcher completes, the send fails, the response is discarded, the
-connection is reaped, and ``repro_net_connections_dropped_total``
-ticks — the queue slot and dispatcher thread are released exactly as
-on the success path.
+dispatcher completes, finds the peer's end closed (or the send fails),
+discards the response, the connection is reaped, and
+``repro_net_connections_dropped_total`` ticks — the queue slot and
+dispatcher thread are released exactly as on the success path.
 """
 
 from __future__ import annotations
@@ -149,6 +149,27 @@ class _Connection:
         self.inflight = 0  # guarded-by: lock
         self.dropped = False  # guarded-by: lock
         self.closed = False  # guarded-by: lock
+
+
+def _peer_closed(sock: socket.socket) -> bool:
+    """Whether the peer has already closed its end of ``sock``.
+
+    A reply sent after the peer's FIN still "succeeds" (the kernel
+    buffers it and the peer discards it), so a client that dies with a
+    request in flight is only seen as gone if the reader has reaped it
+    first.  A non-consuming, non-blocking peek sees the pending EOF (or
+    reset) before the reply is sent.  Where the platform has no
+    non-blocking flag (Windows), only the send's own failure counts.
+    """
+    dontwait = getattr(socket, "MSG_DONTWAIT", 0)
+    if not dontwait:
+        return False
+    try:
+        return sock.recv(1, socket.MSG_PEEK | dontwait) == b""
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
 
 
 class _WorkItem:
@@ -640,6 +661,8 @@ class SpectralServer:
                 # which the except below already absorbs.
                 if conn.closed:  # repro-lint: disable=RPR007
                     raise ConnectionLostError("connection already reaped")
+                if _peer_closed(conn.sock):
+                    raise ConnectionLostError("peer closed before the reply")
                 send_frame(conn.sock, seq, response)
         except Exception:
             # The client is gone (or the payload will not frame): the

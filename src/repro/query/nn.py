@@ -36,20 +36,28 @@ def true_knn(grid: Grid, query_cell: int, k: int) -> np.ndarray:
     return np.argsort(distances, kind="stable")[:k]
 
 
-def window_candidates(ranks: np.ndarray, query_cell: int,
-                      window: int) -> np.ndarray:
+def window_candidates(ranks: np.ndarray, query_cell: int, window: int,
+                      permutation: np.ndarray | None = None
+                      ) -> np.ndarray:
     """Cells whose rank lies within ``window`` of the query's rank.
 
     This is the set a 1-D index (B+-tree over mapping keys) would fetch
-    with a single short scan.  The query cell is excluded.
+    with a single short scan, in ascending cell order.  The query cell
+    is excluded.  Given the order's ``permutation`` (the inverse of
+    ``ranks``), the window is read as a slice of it and sorted:
+    ``O(window log window)`` instead of comparing all ``N`` ranks, and
+    the same array.
     """
     ranks = np.asarray(ranks)
     if window < 1:
         raise InvalidParameterError(f"window must be >= 1, got {window}")
     center = int(ranks[int(query_cell)])
-    lo = center - window
-    hi = center + window
-    hits = np.flatnonzero((ranks >= lo) & (ranks <= hi))
+    if permutation is not None:
+        hits = np.sort(permutation[max(center - window, 0):
+                                   center + window + 1])
+    else:
+        hits = np.flatnonzero((ranks >= center - window)
+                              & (ranks <= center + window))
     return hits[hits != int(query_cell)]
 
 

@@ -51,8 +51,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.ordering import LinearOrder
-from repro.core.spectral import SpectralConfig, SpectralLPM, \
-    symmetric_grid_probe
+from repro.core.spectral import SpectralConfig, SpectralLPM
 from repro.errors import InvalidParameterError
 from repro.geometry.grid import Grid
 from repro.geometry.pointset import PointSet
@@ -60,7 +59,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.builders import grid_graph_from_topology, \
     grid_graph_topology, induced_grid_graph
 from repro.graph.coarsening import HierarchyCache
-from repro.graph.laplacian import laplacian
+from repro.graph.laplacian import laplacian_matvec
 from repro.graph.weights import weight_names
 from repro.linalg.backends import thread_solver_invocations
 from repro.caching import LRUCache, SingleFlight
@@ -326,8 +325,7 @@ class OrderingService:
         return self._cached_or_compute(
             key,
             lambda: self._compute_graph(key, graph, resolved.config,
-                                        _describe_graph(graph, content),
-                                        probe=None),
+                                        _describe_graph(graph, content)),
         )
 
     def order_points(self, grid: Grid, cell_indices: Sequence[int],
@@ -337,19 +335,18 @@ class OrderingService:
 
         Mirrors :meth:`SpectralLPM.order_points`: returns ``(order,
         cells)`` with ``cells`` the ascending distinct flat indices and
-        ``order`` over positions in that array.
+        ``order`` over positions in that array.  The cells must form a
+        valid :class:`~repro.geometry.PointSet`, which raises before
+        any key is computed.
         """
-        cells = np.unique(np.asarray(cell_indices, dtype=np.int64))
-        return self._points_artifact(grid, cells, config).order, cells
+        points = PointSet(grid, cell_indices)
+        return self.points_artifact(points, config).order, points.cells
 
     def points_artifact(self, points: PointSet,
                         config: ConfigLike = None) -> OrderArtifact:
         """:meth:`order_points` with full provenance attached."""
         points = coerce_domain_as(points, PointSet)
-        return self._points_artifact(points.grid, points.cells, config)
-
-    def _points_artifact(self, grid: Grid, cells: np.ndarray,
-                         config: ConfigLike) -> OrderArtifact:
+        grid, cells = points.grid, points.cells
         resolved = self._resolve(config)
         if not resolved.cacheable:
             with self._lock:
@@ -367,10 +364,8 @@ class OrderingService:
                 radius=resolved.config.radius,
                 weight=resolved.config.weight,
             )
-            return self._compute_graph(
-                key, graph, resolved.config,
-                _describe_points(grid, cells), probe=None,
-            )
+            return self._compute_graph(key, graph, resolved.config,
+                                       _describe_points(grid, cells))
 
         return self._cached_or_compute(key, compute)
 
@@ -547,26 +542,29 @@ class OrderingService:
         if graph is None:
             graph = algorithm.build_grid_graph(grid)
         return self._finish(
-            key, algorithm, graph, _describe_grid(grid), config,
-            probe=symmetric_grid_probe(grid),
+            key, graph, _describe_grid(grid), config,
+            lambda: algorithm.order_grid_with_fiedler(grid, graph),
         )
 
     def _compute_graph(self, key: str, graph: Graph,
-                       config: SpectralConfig, domain: str,
-                       probe: Optional[np.ndarray]) -> OrderArtifact:
+                       config: SpectralConfig, domain: str
+                       ) -> OrderArtifact:
         algorithm = self._algorithm(config)
-        return self._finish(key, algorithm, graph, domain, config, probe)
+        return self._finish(
+            key, graph, domain, config,
+            lambda: algorithm.order_graph_with_fiedler(graph),
+        )
 
-    def _finish(self, key: str, algorithm: SpectralLPM, graph: Graph,
-                domain: str, config: SpectralConfig,
-                probe: Optional[np.ndarray]) -> OrderArtifact:
+    def _finish(self, key: str, graph: Graph, domain: str,
+                config: SpectralConfig,
+                solve: Callable[[], Tuple[LinearOrder, list]]
+                ) -> OrderArtifact:
         # Thread-local delta: concurrent solves on other keys must not
         # leak into this artifact's provenance (or double-count stats).
         with span("service.solve", key=key[:12], domain=domain) as sp:
             before = thread_solver_invocations()
             with Timer() as timer:
-                order, fiedlers = algorithm.order_graph_with_fiedler(
-                    graph, probe)
+                order, fiedlers = solve()
             solver_calls = thread_solver_invocations() - before
             provenance = _provenance(graph, fiedlers)
             sp.set_attribute("solver_calls", solver_calls)
@@ -620,9 +618,9 @@ def _provenance(graph: Graph, fiedlers: list) -> Dict:
         "eigenvalues": tuple(float(v) for v in first.eigenvalues),
     }
     if len(fiedlers) == 1 and len(first.vector) == graph.num_vertices:
-        lap = laplacian(graph)
         residual = float(np.linalg.norm(
-            lap.matvec(first.vector) - first.value * first.vector
+            laplacian_matvec(graph, first.vector)
+            - first.value * first.vector
         ))
         info["residual"] = residual / max(abs(first.value), 1e-300)
     return info

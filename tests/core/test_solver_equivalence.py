@@ -12,10 +12,15 @@ approximation noise, so rank-level equality is not guaranteed there).
 
 All comparisons ride on the same snap_ties/canonicalization oracles the
 production pipeline uses.
+
+Full radius-1 grids have one more, implementation-independent input:
+their closed-form Fiedler pair (products of cosines), which ``auto``
+serves them from.  Every exact backend must equal it.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import SpectralLPM, fiedler_vector
 from repro.core.spectral import snap_ties, symmetric_grid_probe
@@ -30,6 +35,14 @@ ALL_BACKENDS = EXACT_BACKENDS + ["multilevel"]
 
 def orders_for(make):
     return {b: make(b) for b in ALL_BACKENDS}
+
+
+def closed_form_order(grid, **options):
+    """The grid oracle: the order ``auto`` builds from the closed-form
+    Fiedler pair."""
+    order, [result] = SpectralLPM(**options).order_grid_with_fiedler(grid)
+    assert result.backend == "closed-form"
+    return order
 
 
 # ----------------------------------------------------------------------
@@ -55,7 +68,7 @@ def test_long_path_identical_across_all_backends():
 def test_square_grid_identical_across_all_backends(side):
     grid = Grid((side, side))
     orders = orders_for(lambda b: SpectralLPM(backend=b).order_grid(grid))
-    reference = orders["dense"]
+    reference = closed_form_order(grid)
     for backend, order in orders.items():
         assert order == reference, backend
 
@@ -64,7 +77,22 @@ def test_cube_grid_exact_backends_identical():
     grid = Grid((7, 7, 7))
     orders = {b: SpectralLPM(backend=b).order_grid(grid)
               for b in EXACT_BACKENDS}
-    reference = orders["dense"]
+    reference = closed_form_order(grid)
+    for backend, order in orders.items():
+        assert order == reference, backend
+
+
+# ----------------------------------------------------------------------
+# The bfs tie-break starts from the snapped groups: on non-square grids
+# a whole column ties for the minimum, and solver noise must not pick
+# the start.
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shape", [(13, 5), (20, 7), (24, 30), (40, 25)])
+def test_bfs_tie_break_identical_across_exact_backends(shape):
+    grid = Grid(shape)
+    orders = {b: SpectralLPM(backend=b, tie_break="bfs").order_grid(grid)
+              for b in EXACT_BACKENDS}
+    reference = closed_form_order(grid, tie_break="bfs")
     for backend, order in orders.items():
         assert order == reference, backend
 
@@ -110,8 +138,9 @@ def test_grids_between_the_cutoffs_identical(shape):
     grid = Grid(shape)
     orders = {b: SpectralLPM(backend=b).order_grid(grid)
               for b in CUTOFF_BACKENDS}
+    reference = closed_form_order(grid)
     for backend, order in orders.items():
-        assert order == orders["dense"], backend
+        assert order == reference, backend
 
 
 def test_weighted_grid_between_the_cutoffs_identical():
@@ -150,6 +179,59 @@ def test_large_grids_identical_on_scipy_and_lobpcg(shape, options):
     orders = {b: SpectralLPM(backend=b, **options).order_grid(grid)
               for b in ("scipy", "lobpcg")}
     assert orders["scipy"] == orders["lobpcg"]
+    if not options:
+        assert orders["scipy"] == closed_form_order(grid)
+
+
+# ----------------------------------------------------------------------
+# The grid oracle as a property: any product of weighted paths in 1-4
+# dimensions, including axes whose lambda_2 values differ by less than
+# the grouping tolerance, orders as the dense backend orders it.
+# ----------------------------------------------------------------------
+MAX_CELLS = 300
+
+
+@st.composite
+def weighted_grids(draw):
+    ndim = draw(st.integers(1, 4))
+    shape, budget = [], MAX_CELLS
+    for _ in range(ndim):
+        side = draw(st.integers(1, max(1, min(12, budget))))
+        shape.append(side)
+        budget //= side
+    weights = [draw(st.floats(0.1, 10.0)) for _ in shape]
+    twin = draw(st.sampled_from([None, 0.0, 1e-9, 1e-7]))
+    if twin is not None and ndim > 1 and shape[0] > 1 and shape[1] > 1:
+        # Axis 1's single-path lambda matches axis 0's up to ``twin``
+        # (relative), far inside the 1e-6 grouping tolerance.
+        def path_lambda(side):
+            return np.sin(np.pi / (2 * side)) ** 2
+        weights[1] = (weights[0] * path_lambda(shape[0])
+                      / path_lambda(shape[1]) * (1.0 + twin))
+    return Grid(tuple(shape)), weights
+
+
+@given(case=weighted_grids(), tie_break=st.sampled_from(["index", "bfs"]),
+       probe_seed=st.one_of(st.none(), st.integers(0, 2 ** 16)))
+def test_closed_form_equals_dense_on_weighted_grids(case, tie_break,
+                                                    probe_seed):
+    grid, weights = case
+
+    def weight(offset):
+        return weights[list(offset).index(1)]
+
+    options = {"weight": weight, "tie_break": tie_break}
+    if probe_seed is not None:
+        options["probe"] = np.random.default_rng(
+            probe_seed).standard_normal(grid.size)
+    order, results = SpectralLPM(**options).order_grid_with_fiedler(grid)
+    reference, expected = SpectralLPM(
+        backend="dense", **options).order_grid_with_fiedler(grid)
+    assert order == reference
+    assert [r.multiplicity for r in results] == \
+        [r.multiplicity for r in expected]
+    if grid.size >= 3:
+        assert results[0].backend == "closed-form"
 
 
 # ----------------------------------------------------------------------

@@ -153,7 +153,7 @@ def test_factory_builds_for_laplacian_and_caches_by_content():
     assert multilevel_preconditioner_for(twin) is first
 
 
-def test_factory_returns_none_for_general_spd_and_caches_verdict():
+def test_factory_returns_none_for_general_spd_and_stores_no_verdict():
     dense = np.array([[2.0, 1.0, 0.0],
                       [1.0, 2.0, 1.0],
                       [0.0, 1.0, 2.0]])
@@ -166,15 +166,20 @@ def test_factory_returns_none_for_general_spd_and_caches_verdict():
     assert len(backends._PRECONDITIONER_CACHE) == 0
 
 
-def test_factory_cache_evicts_fifo():
+def test_factory_cache_evicts_least_recently_used():
     cache = backends._PRECONDITIONER_CACHE
     laps = [laplacian(path_graph(side)) for side in (5, 6, 7, 8, 9)]
-    for lap in laps:
+    for lap in laps[:4]:
         multilevel_preconditioner_for(lap)
+    # Re-reading the oldest entry makes it the most recently used, so
+    # the fifth build evicts the second-oldest (a FIFO would evict the
+    # oldest).
+    multilevel_preconditioner_for(laps[0])
+    multilevel_preconditioner_for(laps[4])
     assert len(cache) == cache.capacity
-    # The oldest entry made room for the newest.
-    assert backends._matrix_content_key(laps[0]) not in cache
-    assert backends._matrix_content_key(laps[-1]) in cache
+    assert backends._matrix_content_key(laps[0]) in cache
+    assert backends._matrix_content_key(laps[1]) not in cache
+    assert backends._matrix_content_key(laps[4]) in cache
 
 
 def test_distinct_weights_get_distinct_preconditioners():

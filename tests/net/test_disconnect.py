@@ -21,6 +21,7 @@ from repro.net import (
     SpectralServer,
 )
 from repro.net.framing import handshake_bytes, recv_exact, send_frame
+from repro.net.server import _peer_closed
 from repro.obs import registry
 from repro.serve.protocol import OrderRequestMessage
 from repro.service import ShardedIndexFrontend
@@ -64,6 +65,23 @@ def test_client_death_mid_request_frees_the_slot():
         while _dropped() == dropped_before and time.monotonic() < deadline:
             time.sleep(0.01)
         assert _dropped() - dropped_before == 1
+
+
+def test_peer_closed_sees_a_pending_eof_without_consuming_data():
+    # The dispatcher's check before a reply: a peer that closed while
+    # its request ran is seen before the send (which would succeed),
+    # and a live peer's pending bytes stay for the reader.
+    ours, theirs = socket.socketpair()
+    try:
+        assert not _peer_closed(ours)
+        theirs.sendall(b"x")
+        assert not _peer_closed(ours)
+        assert ours.recv(1) == b"x"
+        theirs.close()
+        assert _peer_closed(ours)
+    finally:
+        ours.close()
+        theirs.close()
 
 
 def test_client_reconnects_after_server_drops_connections():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import SpectralLPM
 from repro.errors import DimensionError, InvalidParameterError
 from repro.geometry import Grid
 from repro.query import (
@@ -43,6 +44,33 @@ def test_window_candidates_rank_window():
     assert set(int(v) for v in hits) == {1, 3}
     with pytest.raises(InvalidParameterError):
         window_candidates(ranks, 2, 0)
+
+
+def _grid_order():
+    return SpectralLPM().order_grid(Grid((11, 9)))
+
+
+def _point_set_order():
+    grid = Grid((14, 14))
+    cells = np.random.default_rng(4).choice(grid.size, 120, replace=False)
+    return SpectralLPM().order_points(grid, cells)[0]
+
+
+@pytest.mark.parametrize("make_order", [_grid_order, _point_set_order])
+def test_window_slice_equals_the_rank_comparison(make_order):
+    # Reading the window as a slice of the permutation returns the array
+    # the all-ranks comparison returns, also where the window crosses
+    # rank 0 or rank N - 1.
+    order = make_order()
+    n = order.n
+    ranks = order.ranks
+    cells = {order.item_at(r) for r in (0, 1, 2, n // 2, n - 2, n - 1)}
+    for cell in sorted(cells):
+        for window in (1, 2, 3, 7, n // 2, n - 1, n, 3 * n):
+            sliced = window_candidates(ranks, cell, window,
+                                       order.permutation)
+            reference = window_candidates(ranks, cell, window)
+            assert np.array_equal(sliced, reference), (cell, window)
 
 
 def test_recall_perfect_on_1d_identity():

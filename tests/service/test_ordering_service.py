@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import SpectralConfig, SpectralLPM
-from repro.errors import InvalidParameterError
-from repro.geometry import Grid
+from repro.errors import DomainError, InvalidParameterError
+from repro.geometry import Grid, PointSet
 from repro.graph import path_graph
 from repro.linalg import solver_invocations
 from repro.api import make_mapping
@@ -167,6 +167,26 @@ def test_points_domain_cached_and_canonicalized():
     assert np.array_equal(cells1, cells2)
     direct, _ = SpectralLPM().order_points(grid, [1, 2, 3, 9, 10, 11])
     assert order1 == direct
+
+
+@pytest.mark.parametrize("cells, error", [
+    ([], InvalidParameterError),
+    ([99], DomainError),
+])
+def test_point_entry_points_share_the_point_set_rule(cells, error):
+    # PointSet, SpectralLPM.order_points and the service's order_points
+    # agree on what a valid point set is, and the service rejects an
+    # invalid one before it computes, caches or counts anything.
+    grid = Grid((4, 4))
+    service = OrderingService()
+    before = service.stats
+    for entry in (lambda: PointSet(grid, cells),
+                  lambda: SpectralLPM().order_points(grid, cells),
+                  lambda: service.order_points(grid, cells)):
+        with pytest.raises(error) as raised:
+            entry()
+        assert raised.type is error
+    assert service.stats == before
 
 
 # ----------------------------------------------------------------------
