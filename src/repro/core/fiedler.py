@@ -61,10 +61,14 @@ from repro.linalg.backends import (
 from repro.linalg.operators import canonical_in_span
 from repro.linalg.power import deterministic_start
 
-#: Bound on a closed-form grid pair's certificate
-#: ``||L v - B diag(mu) B^T v||`` (``B`` the group's cosines, ``mu``
-#: their eigenvalues), relative to ``4 * sum(weights)``, which bounds
-#: the spectrum.  An honest pair reads about 1e-16 times sqrt(n).
+#: Relative tolerance grouping eigenvalues into the ``lambda_2``
+#: eigenspace: :func:`fiedler_vector`'s default ``rtol``, and the
+#: grouping :func:`grid_fiedler_result` reproduces.
+FIEDLER_GROUP_RTOL = 1e-6
+
+#: Bound on a closed-form grid pair's certificate residual
+#: (:func:`grid_fiedler_result`), relative to ``4 * sum(weights)``,
+#: which bounds the spectrum.  An honest pair reads about 1e-16.
 CLOSED_FORM_RESIDUAL_RTOL = 1e-9
 
 
@@ -147,7 +151,7 @@ def _multilevel_fiedler_result(graph: Graph, probe: np.ndarray,
 
 def fiedler_vector(graph: Graph, backend: str = "auto",
                    probe: np.ndarray | None = None,
-                   rtol: float = 1e-6,
+                   rtol: float = FIEDLER_GROUP_RTOL,
                    multilevel_tol: float = MULTILEVEL_QUALITY_RTOL,
                    solver_tol: float | None = None,
                    hierarchy_cache=None) -> FiedlerResult:
@@ -200,7 +204,7 @@ def fiedler_vector(graph: Graph, backend: str = "auto",
 
 def _fiedler_vector(graph: Graph, backend: str = "auto",
                     probe: np.ndarray | None = None,
-                    rtol: float = 1e-6,
+                    rtol: float = FIEDLER_GROUP_RTOL,
                     multilevel_tol: float = MULTILEVEL_QUALITY_RTOL,
                     solver_tol: float | None = None,
                     hierarchy_cache=None,
@@ -342,8 +346,8 @@ def _exact_fiedler_result(graph: Graph, exact_backend: str,
 
 
 def grid_fiedler_result(shape: Sequence[int], weights: Sequence[float],
-                        graph: Graph, probe: np.ndarray | None = None,
-                        rtol: float = 1e-6) -> FiedlerResult | None:
+                        graph: Graph,
+                        probe: np.ndarray) -> FiedlerResult | None:
     """The canonical Fiedler pair of a full grid, in closed form.
 
     The orthogonal radius-1 graph of a grid is the Cartesian product of
@@ -357,16 +361,21 @@ def grid_fiedler_result(shape: Sequence[int], weights: Sequence[float],
 
     The answer is :func:`fiedler_vector`'s, not an approximation of it:
     the same window (4 smallest nontrivial eigenvalues, doubled while
-    inside the group), the same ``rtol`` grouping of ``lambda_2``, and
-    :func:`~repro.linalg.operators.canonical_in_span` of the group's
-    cosines with the same ``probe``.
+    inside the group), the same :data:`FIEDLER_GROUP_RTOL` grouping of
+    ``lambda_2``, and :func:`~repro.linalg.operators.canonical_in_span`
+    of the group's cosines with the same ``probe``.
 
     One Laplacian matvec against ``graph``, the graph being ordered,
-    certifies the pair; above :data:`CLOSED_FORM_RESIDUAL_RTOL` the
-    graph is not the product these weights describe, and ``None`` tells
-    the caller to solve it numerically.  Counts as one eigensolve with
-    backend ``"closed-form"``
-    (:func:`~repro.linalg.backends.counted_solve`).
+    certifies the pair.  It is applied to the canonical vector plus a
+    fixed generic vector (:func:`~repro.linalg.power.deterministic_start`)
+    and must give the group's image of the first plus the product's
+    Laplacian applied to the second.  The first term shows that the
+    cosines are the graph's eigenvectors; the second, that ``graph`` is
+    the product, so an edge missing, extra or reweighted anywhere
+    shows, even between cells the Fiedler vector ties.  Above
+    :data:`CLOSED_FORM_RESIDUAL_RTOL`, ``None`` tells the caller to
+    solve ``graph`` numerically.  Counts as one eigensolve with backend
+    ``"closed-form"`` (:func:`~repro.linalg.backends.counted_solve`).
     """
     shape = tuple(int(side) for side in shape)
     n = int(np.prod(shape))
@@ -383,7 +392,7 @@ def grid_fiedler_result(shape: Sequence[int], weights: Sequence[float],
     with counted_solve("closed-form", n, k) as stats:
         values, modes = _product_spectrum(shape, weights, k + 1)
         lambda2 = float(values[1])
-        tol = _group_tol(lambda2, rtol)
+        tol = _group_tol(lambda2, FIEDLER_GROUP_RTOL)
         while (values[1:] <= lambda2 + tol).all() and k < n - 1:
             k = min(n - 1, 2 * k)
             values, modes = _product_spectrum(shape, weights, k + 1)
@@ -391,9 +400,11 @@ def grid_fiedler_result(shape: Sequence[int], weights: Sequence[float],
         basis = np.column_stack([_product_cosine(shape, modes[j])
                                  for j in group])
         vector = canonical_in_span(basis, probe)
-        image = basis @ (values[group] * (basis.T @ vector))
+        witness = deterministic_start(n)
+        expected = (basis @ (values[group] * (basis.T @ vector))
+                    + _product_laplacian_matvec(shape, weights, witness))
         residual = float(np.linalg.norm(
-            laplacian_matvec(graph, vector) - image))
+            laplacian_matvec(graph, vector + witness) - expected))
         scale = 4.0 * sum(float(w) for w, side in zip(weights, shape)
                           if side > 1)
         if stats is not None:
@@ -430,6 +441,25 @@ def _product_spectrum(shape: tuple, weights: Sequence[float],
                                  np.tile(ks, len(values))[keep]])
         values = total[keep]
     return values, modes
+
+
+def _product_laplacian_matvec(shape: tuple, weights: Sequence[float],
+                              x: np.ndarray) -> np.ndarray:
+    """``L x`` for the product of weighted paths, one difference per
+    axis: each edge ``(c, c + e_a)`` adds ``w_a (x[c] - x[c + e_a])``
+    to row ``c`` and its negative to row ``c + e_a``."""
+    cube = x.reshape(shape)
+    out = np.zeros_like(cube)
+    for axis, (side, weight) in enumerate(zip(shape, weights)):
+        if side < 2:
+            continue
+        flow = float(weight) * np.diff(cube, axis=axis)
+        lower = [slice(None)] * len(shape)
+        upper = [slice(None)] * len(shape)
+        lower[axis], upper[axis] = slice(None, -1), slice(1, None)
+        out[tuple(lower)] -= flow
+        out[tuple(upper)] += flow
+    return out.ravel()
 
 
 def _product_cosine(shape: tuple, mode: np.ndarray) -> np.ndarray:

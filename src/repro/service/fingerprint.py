@@ -34,8 +34,11 @@ from repro.graph.adjacency import Graph
 
 #: Version prefix folded into every digest.  Bump when the meaning of a
 #: stored order changes (new tie-break semantics, changed canonical
-#: probe, ...) so stale artifacts can never be served.
-FINGERPRINT_VERSION = 1
+#: probe, ...) so stale artifacts can never be served.  Version 2: the
+#: ``bfs`` tie-break starts from the snapped tie groups, and ``auto``
+#: orders full radius-1 grids above the multilevel cutoff from their
+#: exact closed-form pair instead of the multilevel approximation.
+FINGERPRINT_VERSION = 2
 
 Domain = Union[Grid, Graph]
 
@@ -73,7 +76,8 @@ def config_fingerprint(config: SpectralConfig) -> str:
     they differ from their declared default.  Two configs are still
     fingerprint-equal iff dataclass-equal, but a config that leaves the
     new knobs alone hashes exactly as it did before they existed —
-    default-config artifacts cached by earlier releases stay valid.
+    default-config artifacts cached under the same
+    :data:`FINGERPRINT_VERSION` stay valid.
     """
     if not isinstance(config, SpectralConfig):
         raise InvalidParameterError(

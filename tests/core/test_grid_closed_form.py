@@ -5,8 +5,9 @@ so its Fiedler pair is a combination of cosine products, known exactly.
 ``auto`` serves every such grid from it.  These tests pin where it is
 used and where it is not, that it counts as one eigensolve everywhere
 solves are counted (backend ``"closed-form"``), that its eigenvalues
-show the spectral gap, and that a pair failing its one-matvec
-certificate falls back to the numeric order.  Its agreement with every
+show the spectral gap, and that a pair failing its certificate falls
+back to the numeric order, even where the graph being ordered differs
+from the product only between tied cells.  Its agreement with every
 exact backend is pinned in ``test_solver_equivalence.py``.
 """
 
@@ -15,8 +16,9 @@ import pytest
 
 import repro.core.fiedler as fiedler
 from repro.core import SpectralConfig, SpectralLPM
+from repro.core.spectral import symmetric_grid_probe
 from repro.geometry import Grid, PointSet
-from repro.graph import grid_graph
+from repro.graph import Graph, grid_graph
 from repro.linalg import scipy_available, solver_invocations
 from repro.obs import capture_spans, registry, tracing
 from repro.service import OrderingService, OrderRequest
@@ -165,8 +167,38 @@ def test_corrupted_closed_form_vector_falls_back_to_the_numeric_order(
 
 def test_certificate_rejects_a_graph_the_weights_do_not_describe():
     grid = Grid((8, 6))
+    probe = symmetric_grid_probe(grid)
     graph = grid_graph(grid, weight=lambda offset: 1.0 + offset[0])
-    assert fiedler.grid_fiedler_result(grid.shape, (1.0, 1.0),
-                                       graph) is None
-    certified = fiedler.grid_fiedler_result(grid.shape, (2.0, 1.0), graph)
+    assert fiedler.grid_fiedler_result(grid.shape, (1.0, 1.0), graph,
+                                       probe) is None
+    certified = fiedler.grid_fiedler_result(grid.shape, (2.0, 1.0), graph,
+                                            probe)
     assert certified is not None and certified.backend == "closed-form"
+
+
+def row_edges(shape):
+    """The axis-0 edges of a 2-D grid, between cells of one column."""
+    rows, cols = shape
+    return [(i * cols + j, (i + 1) * cols + j)
+            for i in range(rows - 1) for j in range(cols)]
+
+
+@pytest.mark.parametrize("change", ["drop axis 1", "rewire axis 1"])
+def test_certificate_sees_edges_between_tied_cells(change):
+    # The Fiedler vector of a 9x4 grid varies along axis 0 only, so its
+    # own matvec cannot see axis-1 edges: every one of them joins two
+    # cells with equal entries.
+    grid = Grid((9, 4))
+    edges = row_edges(grid.shape)
+    if change == "rewire axis 1":
+        # Each row becomes a path 0-2-1-3 instead of 0-1-2-3: same
+        # edge count, still connected, a different graph.
+        edges += [(i * 4 + a, i * 4 + b) for i in range(9)
+                  for a, b in ((0, 2), (2, 1), (1, 3))]
+    graph = Graph.from_edges(grid.size, edges)
+    assert fiedler.grid_fiedler_result(
+        grid.shape, (1.0, 1.0), graph, symmetric_grid_probe(grid)) is None
+    order, results = SpectralLPM().order_grid_with_fiedler(grid, graph)
+    assert all(r.backend != "closed-form" for r in results)
+    assert order == SpectralLPM(backend="dense").order_graph(
+        graph, probe=symmetric_grid_probe(grid))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.service.fingerprint as fingerprint
 from repro.core import SpectralConfig, SpectralLPM
 from repro.errors import DomainError, InvalidParameterError
 from repro.geometry import Grid, PointSet
@@ -122,6 +123,25 @@ def test_tampered_store_permutation_is_recomputed(tmp_path):
     assert store.load_failures == 1
     assert fresh.stats.computed == 1
     assert np.array_equal(again.ranks, solved.ranks)
+
+
+def test_orders_stored_under_fingerprint_version_1_are_not_served(
+        tmp_path, monkeypatch):
+    """Version 1 keys name orders whose bfs start came from the raw
+    Fiedler vector and whose large auto grids came from the multilevel
+    approximation: a store holding them serves none, it solves again."""
+    grid = Grid((13, 5))
+    config = SpectralConfig(tie_break="bfs")
+    monkeypatch.setattr(fingerprint, "FINGERPRINT_VERSION", 1)
+    OrderingService(store=ArtifactStore(tmp_path)).order_grid(grid, config)
+    monkeypatch.undo()
+    assert fingerprint.FINGERPRINT_VERSION == 2
+    store = ArtifactStore(tmp_path)
+    fresh = OrderingService(store=store)
+    fresh.order_grid(grid, config)
+    assert fresh.stats.disk_hits == 0
+    assert fresh.stats.computed == 1
+    assert len(store) == 2
 
 
 def test_store_accepts_artifactstore_instance(grid, tmp_path):
