@@ -38,7 +38,6 @@ from repro.mapping.interface import (
     MappingCapabilities,
     SpectralBisectionMapping,
     SpectralMapping,
-    SpectralMultilevelMapping,
 )
 
 #: What callers may pass where a mapping is expected.
@@ -99,9 +98,11 @@ def make_mapping(spec: MappingSpec, *, service=None,
         spectral mappings (curves are pure arithmetic and ignore it).
     config:
         Spectral configuration applied when ``spec`` names the spectral
-        family; ``"spectral-rb"`` / ``"spectral-ml"`` adopt its shared
-        fields (``backend``, ``connectivity``).  Ignored by curve names,
-        which is what keeps a mixed-name loop one call per name.
+        family; ``"spectral-rb"`` adopts its shared fields
+        (``backend``, ``connectivity``).  A multilevel order is
+        ``config=SpectralConfig(backend="multilevel")``.  Ignored by
+        curve names, which is what keeps a mixed-name loop one call per
+        name.
     kwargs:
         Per-family keyword overrides (they win over ``config``).  Curve
         names accept none.
@@ -135,12 +136,6 @@ def make_mapping(spec: MappingSpec, *, service=None,
                 if config is not None else {})
         base.update(kwargs)
         return SpectralBisectionMapping(**base)
-    if lowered == "spectral-ml":
-        base = ({"backend": config.backend,
-                 "connectivity": config.connectivity}
-                if config is not None else {})
-        base.update(kwargs)
-        return SpectralMultilevelMapping(**base)
     if kwargs:
         raise InvalidParameterError(
             f"curve mapping {spec!r} accepts no keyword arguments"

@@ -79,7 +79,6 @@ class ProcessPoolFrontend(MessageFrontend):
                  workers: Optional[int] = None,
                  cache_dir=None,
                  memory_entries: int = 128,
-                 hierarchy_entries: int = 32,
                  max_indexes: int = 16,
                  index_defaults: Optional[dict] = None,
                  fleet: Optional[ProcessFleet] = None):
@@ -94,7 +93,6 @@ class ProcessPoolFrontend(MessageFrontend):
             self._fleet = ProcessFleet(
                 shards, workers=workers, cache_dir=cache_dir,
                 memory_entries=memory_entries,
-                hierarchy_entries=hierarchy_entries,
                 max_indexes=max_indexes,
                 index_defaults=index_defaults,
             )

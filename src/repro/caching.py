@@ -1,12 +1,13 @@
 """A small generic LRU cache and a single-flight table, shared by every
 caching layer.
 
-Both the ordering service's in-memory artifact tier
-(:mod:`repro.service.ordering`) and the graph layer's coarsening
-hierarchy cache (:mod:`repro.graph.coarsening`) need the same mechanics
-— ordered-dict recency, capacity eviction, hit/miss counters — and the
-graph layer cannot import the service layer, so the shared
-implementation lives here next to :mod:`repro.errors`.  Capacity counts
+The ordering service's in-memory artifact tier
+(:mod:`repro.service.ordering`), the sharded frontend's index table and
+the eigensolver's preconditioner cache (:mod:`repro.linalg.backends`)
+need the same mechanics — ordered-dict recency, capacity eviction,
+hit/miss counters — and the linalg layer cannot import the service
+layer, so the shared implementation lives here next to
+:mod:`repro.errors`.  Capacity counts
 entries, not bytes: values of wildly different sizes each occupy one
 slot, which keeps the policy predictable for callers that know their
 workload mix.

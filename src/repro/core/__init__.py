@@ -9,13 +9,7 @@ from repro.core.extensions import (
     weighted_radius_model,
 )
 from repro.core.fiedler import FiedlerResult, fiedler_value, fiedler_vector
-from repro.core.multilevel import (
-    MultilevelEigenspace,
-    MultilevelResult,
-    multilevel_eigenspace,
-    multilevel_fiedler,
-    multilevel_order,
-)
+from repro.core.multilevel import MultilevelEigenspace, multilevel_eigenspace
 from repro.core.ordering import LinearOrder, order_by_values
 from repro.core.refinement import (
     OBJECTIVES,
@@ -38,12 +32,9 @@ __all__ = [
     "FiedlerResult",
     "LinearOrder",
     "MultilevelEigenspace",
-    "MultilevelResult",
     "OBJECTIVES",
     "RefinementResult",
     "multilevel_eigenspace",
-    "multilevel_fiedler",
-    "multilevel_order",
     "refine_order",
     "SpectralConfig",
     "SpectralLPM",

@@ -29,7 +29,8 @@ Backend dispatch
 (:mod:`repro.core.multilevel`); ``"auto"`` also selects it for graphs
 above :data:`repro.linalg.backends.MULTILEVEL_CUTOFF` vertices, falling
 back to the exact path whenever the approximate pair misses the
-``multilevel_tol`` relative-residual quality bound.
+:data:`~repro.linalg.backends.MULTILEVEL_QUALITY_RTOL` relative error
+bound.
 
 Full grids in closed form
 -------------------------
@@ -47,6 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.multilevel import GROUP_RTOL, _connected_eigenspace
 from repro.errors import GraphStructureError, InvalidParameterError
 from repro.graph.adjacency import Graph
 from repro.graph.laplacian import laplacian, laplacian_matvec
@@ -54,7 +56,6 @@ from repro.graph.traversal import is_connected
 from repro.linalg import backends as backend_registry
 from repro.linalg.backends import (
     BACKENDS,
-    MULTILEVEL_QUALITY_RTOL,
     counted_solve,
     smallest_eigenpairs,
 )
@@ -62,8 +63,8 @@ from repro.linalg.operators import canonical_in_span
 from repro.linalg.power import deterministic_start
 
 #: Relative tolerance grouping eigenvalues into the ``lambda_2``
-#: eigenspace: :func:`fiedler_vector`'s default ``rtol``, and the
-#: grouping :func:`grid_fiedler_result` reproduces.
+#: eigenspace, in :func:`fiedler_vector`'s exact backends and in
+#: :func:`grid_fiedler_result`, which reproduces them.
 FIEDLER_GROUP_RTOL = 1e-6
 
 #: Bound on a closed-form grid pair's certificate residual
@@ -103,22 +104,16 @@ class FiedlerResult:
     backend: str
 
 
-def _multilevel_fiedler_result(graph: Graph, probe: np.ndarray,
-                               quality_rtol: float,
-                               strict: bool,
-                               hierarchy_cache=None) -> FiedlerResult | None:
+def _multilevel_result(graph: Graph, probe: np.ndarray,
+                       strict: bool) -> FiedlerResult | None:
     """The multilevel approximation as a :class:`FiedlerResult`.
 
     Returns ``None`` when ``strict`` is off (the ``auto`` path) and the
-    bottom Ritz pair misses the relative-residual quality bound
-    ``||L y - theta y|| <= quality_rtol * theta`` — the caller then runs
-    an exact backend instead.
+    bottom Ritz pair's relative eigenvalue error estimate exceeds
+    :data:`~repro.linalg.backends.MULTILEVEL_QUALITY_RTOL` (read at call
+    time) — the caller then runs an exact backend instead.
     """
-    # Imported lazily: repro.core.multilevel pulls in the ordering
-    # helpers, which import this module.
-    from repro.core.multilevel import GROUP_RTOL, _connected_eigenspace
-
-    space = _connected_eigenspace(graph, hierarchy_cache=hierarchy_cache)
+    space = _connected_eigenspace(graph)
     theta0 = float(space.values[0])
     group_tol = max(GROUP_RTOL * max(abs(theta0), 1e-12), 1e-10)
     group = np.flatnonzero(space.values <= theta0 + group_tol)
@@ -137,7 +132,8 @@ def _multilevel_fiedler_result(graph: Graph, probe: np.ndarray,
             error_bound = residual ** 2 / (float(outside[0]) - theta0)
         else:
             error_bound = residual
-        if error_bound / denominator > quality_rtol:
+        if error_bound / denominator > \
+                backend_registry.MULTILEVEL_QUALITY_RTOL:
             return None
     vector = canonical_in_span(space.vectors[:, group], probe)
     return FiedlerResult(
@@ -150,11 +146,7 @@ def _multilevel_fiedler_result(graph: Graph, probe: np.ndarray,
 
 
 def fiedler_vector(graph: Graph, backend: str = "auto",
-                   probe: np.ndarray | None = None,
-                   rtol: float = FIEDLER_GROUP_RTOL,
-                   multilevel_tol: float = MULTILEVEL_QUALITY_RTOL,
-                   solver_tol: float | None = None,
-                   hierarchy_cache=None) -> FiedlerResult:
+                   probe: np.ndarray | None = None) -> FiedlerResult:
     """The canonical Fiedler pair of a connected graph.
 
     Parameters
@@ -163,34 +155,18 @@ def fiedler_vector(graph: Graph, backend: str = "auto",
         A connected graph with at least 2 vertices.
     backend:
         Eigensolver backend (see :mod:`repro.linalg.backends`).
-        ``"multilevel"`` requests the coarsen-solve-refine approximation
-        explicitly; ``"auto"`` uses it for graphs above
+        ``"multilevel"`` always returns the coarsen-solve-refine
+        approximation; ``"auto"`` uses it for graphs above
         :data:`~repro.linalg.backends.MULTILEVEL_CUTOFF` vertices when
-        the quality bound holds.
+        its pair meets
+        :data:`~repro.linalg.backends.MULTILEVEL_QUALITY_RTOL`.  The
+        exact backends group ``lambda_2`` by
+        :data:`FIEDLER_GROUP_RTOL` and solve to
+        :data:`~repro.linalg.backends.DEFAULT_SOLVER_TOL`.
     probe:
         Optional deterministic direction used to pick a canonical vector
         inside a degenerate eigenspace.  Defaults to a fixed quasi-random
         vector; pass e.g. a coordinate functional to bias the choice.
-    rtol:
-        Relative tolerance for grouping eigenvalues into the ``lambda_2``
-        eigenspace.
-    multilevel_tol:
-        Relative-residual bound for accepting a multilevel answer under
-        ``backend="auto"`` (``||L y - theta y|| <= multilevel_tol *
-        theta``).  Ignored for other backends; an explicit
-        ``backend="multilevel"`` always returns the approximation.
-    solver_tol:
-        Residual tolerance handed to the exact eigensolver backends
-        (:func:`repro.linalg.backends.smallest_eigenpairs`'s ``tol``).
-        ``None`` keeps the registry default
-        (:data:`~repro.linalg.backends.DEFAULT_SOLVER_TOL`); looser
-        values trade accuracy for iteration count on the preconditioned
-        backends.  Ignored by the multilevel path, whose accuracy knob
-        is ``multilevel_tol``.
-    hierarchy_cache:
-        Optional :class:`~repro.graph.coarsening.HierarchyCache` used by
-        the multilevel path to reuse matching/prolongation chains across
-        solves of the same topology.  Ignored by the exact backends.
 
     Raises
     ------
@@ -198,16 +174,11 @@ def fiedler_vector(graph: Graph, backend: str = "auto",
         If the graph is disconnected (``lambda_2 = 0`` there; order the
         components separately — see :mod:`repro.core.components`).
     """
-    return _fiedler_vector(graph, backend, probe, rtol, multilevel_tol,
-                           solver_tol, hierarchy_cache)
+    return _fiedler_vector(graph, backend, probe)
 
 
 def _fiedler_vector(graph: Graph, backend: str = "auto",
                     probe: np.ndarray | None = None,
-                    rtol: float = FIEDLER_GROUP_RTOL,
-                    multilevel_tol: float = MULTILEVEL_QUALITY_RTOL,
-                    solver_tol: float | None = None,
-                    hierarchy_cache=None,
                     known_connected: bool = False) -> FiedlerResult:
     """:func:`fiedler_vector`; ``known_connected`` skips the connectivity
     check for a caller that has just labelled the graph's components
@@ -231,9 +202,8 @@ def _fiedler_vector(graph: Graph, backend: str = "auto",
 
     if backend == "multilevel" or (
             backend == "auto" and n > backend_registry.MULTILEVEL_CUTOFF):
-        result = _multilevel_fiedler_result(
-            graph, probe, multilevel_tol, strict=backend == "multilevel",
-            hierarchy_cache=hierarchy_cache)
+        result = _multilevel_result(graph, probe,
+                                    strict=backend == "multilevel")
         if result is not None:
             return result
 
@@ -243,8 +213,7 @@ def _fiedler_vector(graph: Graph, backend: str = "auto",
     # same Laplacian: on the scipy backend they share one LU factor,
     # released when this call returns.
     with backend_registry.shared_factorization():
-        return _exact_fiedler_result(graph, exact_backend, probe, rtol,
-                                     solver_tol)
+        return _exact_fiedler_result(graph, exact_backend, probe)
 
 
 def _checked_probe(probe: np.ndarray | None, n: int) -> np.ndarray:
@@ -259,15 +228,14 @@ def _checked_probe(probe: np.ndarray | None, n: int) -> np.ndarray:
     return probe
 
 
-def _group_tol(lambda2: float, rtol: float) -> float:
+def _group_tol(lambda2: float) -> float:
     """Width of the ``lambda_2`` group: eigenvalues up to
     ``lambda_2 + _group_tol`` share its eigenspace."""
-    return max(rtol * max(abs(lambda2), 1.0), 1e-10)
+    return max(FIEDLER_GROUP_RTOL * max(abs(lambda2), 1.0), 1e-10)
 
 
 def _exact_fiedler_result(graph: Graph, exact_backend: str,
-                          probe: np.ndarray, rtol: float,
-                          solver_tol: float | None) -> FiedlerResult:
+                          probe: np.ndarray) -> FiedlerResult:
     """The canonical Fiedler pair from a concrete matrix backend."""
     n = graph.num_vertices
     lap = laplacian(graph)
@@ -277,9 +245,9 @@ def _exact_fiedler_result(graph: Graph, exact_backend: str,
     # computed eigenvalue rises above it.
     k = min(n - 1, 4)
     values, vectors = smallest_eigenpairs(lap, k, backend=exact_backend,
-                                          deflate=[ones], tol=solver_tol)
+                                          deflate=[ones])
     lambda2 = float(values[0])
-    tol = _group_tol(lambda2, rtol)
+    tol = _group_tol(lambda2)
     # Window entirely inside the group means multiplicity >= k (stars,
     # complete graphs).  Double the window until a value above the group
     # appears: for dense each call is a full eigh anyway, and for the
@@ -291,9 +259,9 @@ def _exact_fiedler_result(graph: Graph, exact_backend: str,
     while (values <= lambda2 + tol).all() and k < n - 1:
         k = min(n - 1, 2 * k)
         values, vectors = smallest_eigenpairs(
-            lap, k, backend=exact_backend, deflate=[ones], tol=solver_tol)
+            lap, k, backend=exact_backend, deflate=[ones])
         lambda2 = float(values[0])
-        tol = _group_tol(lambda2, rtol)
+        tol = _group_tol(lambda2)
     group = np.flatnonzero(values <= lambda2 + tol)
     basis = vectors[:, group]
     # Guard against solver drift: project the eigenspace basis against the
@@ -317,8 +285,7 @@ def _exact_fiedler_result(graph: Graph, exact_backend: str,
         while basis.shape[1] < n - 1:
             deflate = [ones] + [basis[:, j] for j in range(basis.shape[1])]
             extra_values, extra_vectors = smallest_eigenpairs(
-                lap, 1, backend=exact_backend, deflate=deflate,
-                tol=solver_tol, x0=guess)
+                lap, 1, backend=exact_backend, deflate=deflate, x0=guess)
             extra_seen.append(float(extra_values[0]))
             if extra_values[0] > lambda2 + tol:
                 break
@@ -392,7 +359,7 @@ def grid_fiedler_result(shape: Sequence[int], weights: Sequence[float],
     with counted_solve("closed-form", n, k) as stats:
         values, modes = _product_spectrum(shape, weights, k + 1)
         lambda2 = float(values[1])
-        tol = _group_tol(lambda2, FIEDLER_GROUP_RTOL)
+        tol = _group_tol(lambda2)
         while (values[1:] <= lambda2 + tol).all() and k < n - 1:
             k = min(n - 1, 2 * k)
             values, modes = _product_spectrum(shape, weights, k + 1)

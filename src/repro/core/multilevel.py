@@ -1,4 +1,4 @@
-"""Multilevel spectral ordering.
+"""Multilevel approximation of the Fiedler pair.
 
 The scalability extension of Spectral LPM: instead of solving the
 Fiedler problem on the full graph, coarsen it by heavy-edge matching
@@ -28,6 +28,10 @@ The result approximates the true Fiedler pair — the Ritz value typically
 lands well within a percent of ``lambda_2`` — and the induced order is
 competitive with exact Spectral LPM at a fraction of the eigensolver
 cost, making million-cell grids practical without scipy.
+:func:`multilevel_eigenspace` is the algorithm; the ``"multilevel"``
+backend (:func:`repro.core.fiedler.fiedler_vector`, and so
+``SpectralLPM(backend="multilevel")``) turns its bottom Ritz group into
+the canonical Fiedler vector and orders by it like every other backend.
 
 The same hierarchy preconditions the ``lobpcg`` backend
 (:class:`MultilevelPreconditioner`).  A preconditioner is built from the
@@ -41,15 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.ordering import LinearOrder, order_by_values
-from repro.core.tie_breaking import tie_break_keys
 from repro.errors import GraphStructureError, InvalidParameterError
 from repro.graph.adjacency import Graph
-from repro.graph.coarsening import HierarchyCache, coarsen_hierarchy
-from repro.graph.laplacian import laplacian, rayleigh_quotient
+from repro.graph.coarsening import coarsen_hierarchy
+from repro.graph.laplacian import laplacian
 from repro.graph.traversal import is_connected
 from repro.linalg.backends import smallest_eigenpairs
-from repro.linalg.operators import canonical_in_span, orthonormalize_block
+from repro.linalg.operators import orthonormalize_block
 from repro.linalg.power import deterministic_start
 from repro.linalg.sparse import CSRMatrix
 
@@ -82,17 +84,6 @@ class MultilevelEigenspace:
     vectors: np.ndarray      # matching orthonormal Ritz vectors
     residuals: np.ndarray    # true residual norms ||L y - theta y||
     levels: int              # coarsening levels used
-    coarsest_size: int
-
-
-@dataclass(frozen=True)
-class MultilevelResult:
-    """The multilevel approximation and its quality diagnostics."""
-
-    order: LinearOrder
-    vector: np.ndarray
-    rayleigh: float         # quotient of the returned vector
-    levels: int             # coarsening levels used
     coarsest_size: int
 
 
@@ -367,8 +358,7 @@ class MultilevelPreconditioner:
 
 def multilevel_eigenspace(graph: Graph, block_size: int = 4,
                           min_size: int = 64, smoothing_steps: int = 40,
-                          coarse_backend: str = "dense",
-                          hierarchy_cache: HierarchyCache | None = None
+                          coarse_backend: str = "dense"
                           ) -> MultilevelEigenspace:
     """Approximate bottom Laplacian eigenpairs via coarsen-filter-project.
 
@@ -389,14 +379,6 @@ def multilevel_eigenspace(graph: Graph, block_size: int = 4,
     coarse_backend:
         Eigensolver backend for the coarsest solve (must be a
         matrix-level backend, i.e. not ``"multilevel"``).
-    hierarchy_cache:
-        Optional :class:`~repro.graph.coarsening.HierarchyCache`.  When
-        given, the matching/prolongation chain for this graph's topology
-        is computed canonically on the unit-weighted structure and
-        reused across solves (only contraction and smoothing see the
-        actual weights) — deterministic and history-independent; when
-        ``None`` the hierarchy is built from scratch with weight-aware
-        matching.
     """
     if not is_connected(graph):
         raise GraphStructureError(
@@ -404,14 +386,12 @@ def multilevel_eigenspace(graph: Graph, block_size: int = 4,
             "components separately"
         )
     return _connected_eigenspace(graph, block_size, min_size,
-                                 smoothing_steps, coarse_backend,
-                                 hierarchy_cache)
+                                 smoothing_steps, coarse_backend)
 
 
 def _connected_eigenspace(graph: Graph, block_size: int = 4,
                           min_size: int = 64, smoothing_steps: int = 40,
-                          coarse_backend: str = "dense",
-                          hierarchy_cache: HierarchyCache | None = None
+                          coarse_backend: str = "dense"
                           ) -> MultilevelEigenspace:
     """:func:`multilevel_eigenspace` without the connectivity check, for
     :func:`~repro.core.fiedler.fiedler_vector`, which has checked (or
@@ -429,10 +409,7 @@ def _connected_eigenspace(graph: Graph, block_size: int = 4,
         raise InvalidParameterError(
             f"block_size must be >= 1, got {block_size}"
         )
-    if hierarchy_cache is not None:
-        levels = hierarchy_cache.hierarchy(graph, min_size=min_size)
-    else:
-        levels = coarsen_hierarchy(graph, min_size=min_size)
+    levels = coarsen_hierarchy(graph, min_size=min_size)
     graphs = [graph] + [level.graph for level in levels]
     coarsest = graphs[-1]
     nc = coarsest.num_vertices
@@ -480,67 +457,3 @@ def _connected_eigenspace(graph: Graph, block_size: int = 4,
         levels=len(levels),
         coarsest_size=nc,
     )
-
-
-def multilevel_fiedler(graph: Graph, min_size: int = 64,
-                       smoothing_steps: int = 40,
-                       backend: str = "dense",
-                       block_size: int = 4,
-                       probe: np.ndarray | None = None,
-                       hierarchy_cache: HierarchyCache | None = None
-                       ) -> MultilevelResult:
-    """Approximate Fiedler vector and order via coarsen-solve-refine.
-
-    Parameters
-    ----------
-    graph:
-        A connected graph with at least 2 vertices.
-    min_size:
-        Coarsening stops at this many vertices; the coarsest problem is
-        solved exactly.
-    smoothing_steps:
-        Chebyshev filter degree applied after each prolongation.
-    backend:
-        Eigensolver backend for the coarsest solve.
-    block_size:
-        Vectors carried through the hierarchy (see
-        :func:`multilevel_eigenspace`).
-    probe:
-        Optional deterministic canonicalization direction for degenerate
-        (or near-degenerate) ``lambda_2`` eigenspaces; defaults to the
-        fixed quasi-random vector the exact pipeline uses.
-    hierarchy_cache:
-        Optional coarsening-hierarchy cache (see
-        :func:`multilevel_eigenspace`).
-    """
-    from repro.core.spectral import snap_ties
-
-    n = graph.num_vertices
-    space = multilevel_eigenspace(
-        graph, block_size=block_size, min_size=min_size,
-        smoothing_steps=smoothing_steps, coarse_backend=backend,
-        hierarchy_cache=hierarchy_cache,
-    )
-    theta0 = float(space.values[0])
-    group_tol = max(GROUP_RTOL * max(abs(theta0), 1e-12), 1e-10)
-    group = np.flatnonzero(space.values <= theta0 + group_tol)
-    basis = space.vectors[:, group]
-    if probe is None:
-        probe = deterministic_start(n)
-    vector = canonical_in_span(basis, np.asarray(probe, dtype=np.float64))
-    quotient = rayleigh_quotient(graph, vector)
-    snapped = snap_ties(vector)
-    keys = tie_break_keys("index", n)
-    order = order_by_values(snapped, tie_break=keys)
-    return MultilevelResult(
-        order=order,
-        vector=vector,
-        rayleigh=float(quotient),
-        levels=space.levels,
-        coarsest_size=space.coarsest_size,
-    )
-
-
-def multilevel_order(graph: Graph, **kwargs) -> LinearOrder:
-    """Just the order from :func:`multilevel_fiedler`."""
-    return multilevel_fiedler(graph, **kwargs).order

@@ -45,6 +45,7 @@ from repro.graph.adjacency import Graph
 from repro.graph.builders import grid_graph, induced_grid_graph
 from repro.graph.traversal import connected_components
 from repro.graph.weights import weight_function
+from repro.linalg.backends import BACKENDS
 
 DISCONNECTED_POLICIES = ("per-component", "error")
 
@@ -112,11 +113,6 @@ class SpectralConfig:
     on_disconnected: str = "per-component"
     component_arrangement: str = "by_min_vertex"
     snap_tol: float = 1e-9
-    # Extension fields (added after the v1 fingerprint schema froze):
-    # the service fingerprint serializes them only at non-default values,
-    # so configs that never touch them keep their v1 identity.
-    solver_tol: float = 1e-9
-    multilevel_tol: float = 0.05
 
 
 class SpectralLPM:
@@ -127,10 +123,11 @@ class SpectralLPM:
     connectivity:
         Grid graph model: ``"orthogonal"`` (the paper's default,
         Manhattan-distance-1 edges) or ``"moore"`` (Figure 4's
-        8-connectivity, generalized).
+        8-connectivity, generalized).  The aliases 4 and 8 are stored
+        under those names, so :attr:`config` has one spelling per model.
     radius:
-        Neighbourhood radius of the grid graph (Section-4 weighted model
-        uses ``radius > 1``).
+        Neighbourhood radius of the grid graph, at least 1 (Section-4
+        weighted model uses ``radius > 1``).
     weight:
         Edge-weight model name or callable (see
         :mod:`repro.graph.weights`); the Section-4 footnote model is
@@ -152,7 +149,8 @@ class SpectralLPM:
           and the in-house Lanczos in between; the multilevel
           approximation above
           :data:`~repro.linalg.backends.MULTILEVEL_CUTOFF` vertices
-          whenever it meets its relative-residual quality bound.
+          whenever it meets its quality bound
+          (:data:`~repro.linalg.backends.MULTILEVEL_QUALITY_RTOL`).
         * ``"dense"`` — exact and simple; the oracle the others are
           tested against.  It computes every eigenpair in O(n^3), so it
           wins only on graphs of a few hundred vertices.
@@ -164,11 +162,12 @@ class SpectralLPM:
           residual tolerance.
         * ``"scipy"`` — fastest exact option for large graphs; requires
           the ``[perf]`` extra.
-        * ``"multilevel"`` — coarsen-solve-refine approximation: orders
-          of magnitude faster on huge graphs, with a documented quality
-          tolerance instead of solver-precision guarantees (exact
-          symmetry ties may resolve differently than under the exact
-          backends).
+        * ``"multilevel"`` — coarsen-solve-refine approximation
+          (:func:`~repro.core.multilevel.multilevel_eigenspace`):
+          orders of magnitude faster on huge graphs, with a documented
+          quality tolerance instead of solver-precision guarantees
+          (exact symmetry ties may resolve differently than under the
+          exact backends).  The one way to ask for a multilevel order.
     tie_break:
         How equal Fiedler entries are ordered (``"index"`` or ``"bfs"``).
     probe:
@@ -183,20 +182,11 @@ class SpectralLPM:
     snap_tol:
         Fiedler entries closer than this are treated as exact ties (see
         :func:`snap_ties`); 0 disables snapping.
-    solver_tol:
-        Residual tolerance handed to the exact eigensolver backends
-        (see :func:`repro.core.fiedler.fiedler_vector`); must be > 0.
-        The default matches
-        :data:`~repro.linalg.backends.DEFAULT_SOLVER_TOL`.
-    multilevel_tol:
-        Relative-residual quality bound for accepting a multilevel
-        answer under ``backend="auto"``; must be > 0.  The default
-        matches :data:`~repro.linalg.backends.MULTILEVEL_QUALITY_RTOL`.
-    hierarchy_cache:
-        Optional :class:`~repro.graph.coarsening.HierarchyCache` shared
-        with other instances: the multilevel backend then reuses
-        matching/prolongation chains across solves of the same topology.
-        ``None`` (the default) coarsens from scratch every solve.
+
+    The backend, radius, connectivity, tie-break, policies and
+    ``snap_tol`` are validated here: a bad value raises
+    :class:`~repro.errors.InvalidParameterError` before any graph is
+    built or any cache is keyed.
 
     Examples
     --------
@@ -212,10 +202,15 @@ class SpectralLPM:
                  probe: np.ndarray | None = None,
                  on_disconnected: str = "per-component",
                  component_arrangement: str = "by_min_vertex",
-                 snap_tol: float = 1e-9,
-                 solver_tol: float = 1e-9,
-                 multilevel_tol: float = 0.05,
-                 hierarchy_cache=None):
+                 snap_tol: float = 1e-9):
+        if backend not in BACKENDS:
+            raise InvalidParameterError(
+                f"unknown backend {backend!r}; expected one of {BACKENDS}"
+            )
+        if int(radius) < 1:
+            raise InvalidParameterError(
+                f"radius must be >= 1, got {radius}"
+            )
         if tie_break not in TIE_BREAK_STRATEGIES:
             raise InvalidParameterError(
                 f"unknown tie_break {tie_break!r}; "
@@ -231,7 +226,7 @@ class SpectralLPM:
                 f"unknown component_arrangement {component_arrangement!r}; "
                 f"expected one of {COMPONENT_ARRANGEMENTS}"
             )
-        self._connectivity = connectivity
+        self._connectivity = _normalize_connectivity(connectivity)
         self._radius = int(radius)
         self._weight = weight
         self._backend = backend
@@ -244,22 +239,10 @@ class SpectralLPM:
                 f"snap_tol must be >= 0, got {snap_tol}"
             )
         self._snap_tol = float(snap_tol)
-        if not solver_tol > 0:
-            raise InvalidParameterError(
-                f"solver_tol must be > 0, got {solver_tol}"
-            )
-        self._solver_tol = float(solver_tol)
-        if not multilevel_tol > 0:
-            raise InvalidParameterError(
-                f"multilevel_tol must be > 0, got {multilevel_tol}"
-            )
-        self._multilevel_tol = float(multilevel_tol)
-        self._hierarchy_cache = hierarchy_cache
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_config(cls, config: SpectralConfig,
-                    hierarchy_cache=None) -> "SpectralLPM":
+    def from_config(cls, config: SpectralConfig) -> "SpectralLPM":
         """Instantiate the algorithm a :class:`SpectralConfig` describes.
 
         The round-trip invariant ``SpectralLPM.from_config(lpm.config)``
@@ -276,9 +259,6 @@ class SpectralLPM:
             on_disconnected=config.on_disconnected,
             component_arrangement=config.component_arrangement,
             snap_tol=config.snap_tol,
-            solver_tol=config.solver_tol,
-            multilevel_tol=config.multilevel_tol,
-            hierarchy_cache=hierarchy_cache,
         )
 
     @property
@@ -295,7 +275,7 @@ class SpectralLPM:
                   else "callable:"
                   + getattr(self._weight, "__name__", "custom"))
         return SpectralConfig(
-            connectivity=str(self._connectivity),
+            connectivity=self._connectivity,
             radius=self._radius,
             weight=weight,
             backend=self._backend,
@@ -303,8 +283,6 @@ class SpectralLPM:
             on_disconnected=self._on_disconnected,
             component_arrangement=self._component_arrangement,
             snap_tol=self._snap_tol,
-            solver_tol=self._solver_tol,
-            multilevel_tol=self._multilevel_tol,
         )
 
     @property
@@ -429,9 +407,7 @@ class SpectralLPM:
         axis offset, and only along axes with edges (others weigh 0).
         """
         if (self._backend != "auto" or self._radius != 1
-                or grid.size < 3
-                or _normalize_connectivity(self._connectivity)
-                != "orthogonal"):
+                or grid.size < 3 or self._connectivity != "orthogonal"):
             return None
         weight = weight_function(self._weight)
         weights = tuple(
@@ -465,10 +441,7 @@ class SpectralLPM:
     def fiedler(self, graph: Graph) -> FiedlerResult:
         """Expose the Fiedler pair for a connected graph (diagnostics)."""
         return fiedler_vector(graph, backend=self._backend,
-                              probe=self._probe,
-                              multilevel_tol=self._multilevel_tol,
-                              solver_tol=self._solver_tol,
-                              hierarchy_cache=self._hierarchy_cache)
+                              probe=self._probe)
 
     def build_grid_graph(self, grid: Grid) -> Graph:
         """Step 1: the configured graph model of a grid domain."""
@@ -487,9 +460,6 @@ class SpectralLPM:
             # items the stable order is by vertex id.
             return LinearOrder(np.array([0, 1]))
         result = _fiedler_vector(graph, backend=self._backend, probe=probe,
-                                 multilevel_tol=self._multilevel_tol,
-                                 solver_tol=self._solver_tol,
-                                 hierarchy_cache=self._hierarchy_cache,
                                  known_connected=True)
         if recorder is not None:
             recorder.append(result)

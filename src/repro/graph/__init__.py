@@ -3,7 +3,6 @@
 from repro.graph.adjacency import DUPLICATE_POLICIES, Graph
 from repro.graph.coarsening import (
     CoarseningLevel,
-    HierarchyCache,
     coarsen,
     coarsen_hierarchy,
     contract,
@@ -51,7 +50,6 @@ __all__ = [
     "DUPLICATE_POLICIES",
     "Graph",
     "GridTopology",
-    "HierarchyCache",
     "bfs_order",
     "coarsen",
     "coarsen_hierarchy",

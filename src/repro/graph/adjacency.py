@@ -337,8 +337,8 @@ class Graph:
         the same vertex count and the same undirected edge set.  The
         digest is computed from the canonical CSR arrays with SHA-256, so
         it is deterministic across processes and Python versions (unlike
-        ``hash()``).  Used to key caches of weight-independent artifacts
-        such as coarsening hierarchies.
+        ``hash()``).  It is the topology half of
+        :meth:`content_fingerprint`.
         """
         h = hashlib.sha256(b"graph-structure-v1")
         h.update(np.int64(self._n).tobytes())

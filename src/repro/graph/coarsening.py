@@ -20,7 +20,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.caching import LRUCache
 from repro.errors import InvalidParameterError
 from repro.graph.adjacency import Graph
 
@@ -33,10 +32,9 @@ from repro.graph.adjacency import Graph
 #: from a Python loop over every vertex into a few array passes per round.
 DOMINANT_EDGE_CUTOFF = 4096
 
-# Process-wide count of heavy-edge matchings computed.  Matching is the
-# irreducible cost a hierarchy cache exists to avoid, so tests and
-# services assert on the delta of this counter to prove reuse actually
-# happened (mirroring the eigensolver counter in repro.linalg.backends).
+# Process-wide count of heavy-edge matchings computed, mirroring the
+# eigensolver counter in repro.linalg.backends: tests assert on its
+# delta to show that a request ran no coarsening at all.
 _MATCHING_INVOCATIONS = 0
 
 
@@ -174,9 +172,8 @@ def contract(graph: Graph, fine_to_coarse: np.ndarray,
     Edges whose endpoints land on the same coarse vertex vanish; parallel
     edges have their weights summed, so the coarse Laplacian is the
     Galerkin restriction of the fine one under piecewise-constant
-    interpolation.  This is the weight-dependent half of :func:`coarsen`;
-    a cached projection lets callers re-contract a known topology under
-    new edge weights without recomputing the matching.
+    interpolation.  This is the second half of :func:`coarsen`, after
+    the matching.
     """
     fine_to_coarse = np.asarray(fine_to_coarse, dtype=np.int64)
     if fine_to_coarse.shape != (graph.num_vertices,):
@@ -248,90 +245,3 @@ def coarsen_hierarchy(graph: Graph, min_size: int = 64,
                                       fine_to_coarse=projection))
         current = coarse
     return levels
-
-
-class HierarchyCache:
-    """A cache of coarsening hierarchies keyed by graph *topology*.
-
-    The matching/prolongation chain of a hierarchy depends only on the
-    graph's structure plus edge weights, and in practice the structure
-    dominates: re-ordering the same grid under a different ``weight=``
-    configuration rebuilds an (almost) identical chain from scratch.
-    This cache computes the chain **canonically** — the matchings run on
-    the *unit-weighted copy* of the structure — and stores the per-level
-    ``fine_to_coarse`` projections keyed by
-    :meth:`~repro.graph.adjacency.Graph.structure_fingerprint`.  Every
-    call (hit or miss) then rebuilds the coarse graphs by
-    :func:`contract` — a few vectorized passes — with the *actual* edge
-    weights, so the expensive matchings run once per topology and only
-    the contraction and the smoothing downstream see the weights.
-
-    Canonical matching is what makes the cache safe to share: the chain
-    served for a graph is a pure function of its structure, never of
-    which weighting happened to be requested first, so results are
-    deterministic and history-independent (a persistent order store
-    keyed by graph content can trust them).  The price is that, for
-    non-uniformly-weighted graphs, the chain may differ from what
-    weight-aware matching (:func:`coarsen_hierarchy`) would build; the
-    chain stays a valid Galerkin hierarchy either way, and the
-    multilevel solver's quality gate judges the resulting eigenpairs on
-    their actual residuals.  Entries are evicted least-recently-used
-    beyond ``max_entries``.
-    """
-
-    def __init__(self, max_entries: int = 32):
-        # The LRU locks internally: a service running
-        # single-flight solves on *different* keys may enter
-        # concurrently; projections themselves are immutable once
-        # stored.  Concurrent misses on one structure may duplicate a
-        # matching (harmless: both chains are identical by determinism)
-        # rather than serialize the whole coarsening.
-        self._projections: "LRUCache[Tuple, Tuple[np.ndarray, ...]]" = \
-            LRUCache(max_entries)
-
-    @property
-    def hits(self) -> int:
-        """Structure-fingerprint hits (matchings reused)."""
-        return self._projections.counters()[0]
-
-    @property
-    def misses(self) -> int:
-        """Structure-fingerprint misses (matchings computed)."""
-        return self._projections.counters()[1]
-
-    def __len__(self) -> int:
-        return len(self._projections)
-
-    def clear(self) -> None:
-        """Drop every cached hierarchy (counters are kept)."""
-        self._projections.clear()
-
-    def hierarchy(self, graph: Graph, min_size: int = 64,
-                  max_levels: int = 20) -> List[CoarseningLevel]:
-        """Like :func:`coarsen_hierarchy`, with canonical cached matchings.
-
-        On a structure-fingerprint miss the matching chain is computed
-        on the unit-weighted copy of ``graph``'s structure and stored;
-        either way the stored projections are replayed against
-        ``graph``'s current weights via :func:`contract`.
-        """
-        key = (graph.structure_fingerprint(), int(min_size),
-               int(max_levels))
-        projections = self._projections.get(key)
-        if projections is None:
-            indptr, indices, weights = graph.csr_arrays()
-            unit = Graph(graph.num_vertices, indptr, indices,
-                         np.ones(len(weights)))
-            unit_levels = coarsen_hierarchy(unit, min_size=min_size,
-                                            max_levels=max_levels)
-            projections = tuple(level.fine_to_coarse
-                                for level in unit_levels)
-            self._projections.put(key, projections)
-        levels: List[CoarseningLevel] = []
-        current = graph
-        for projection in projections:
-            coarse = contract(current, projection)
-            levels.append(CoarseningLevel(graph=coarse,
-                                          fine_to_coarse=projection))
-            current = coarse
-        return levels

@@ -66,8 +66,11 @@ Backend selection under ``auto``
 * graphs above ``MULTILEVEL_CUTOFF`` vertices (only via
   :func:`~repro.core.fiedler.fiedler_vector`, which sees the graph):
   ``multilevel`` with a quality check — the approximate pair is accepted
-  only when its relative residual is within the configured tolerance,
-  otherwise the exact path runs.
+  only when its estimated relative ``lambda_2`` error is within
+  :data:`MULTILEVEL_QUALITY_RTOL`, otherwise the exact path runs.  The
+  multilevel solve coarsens the graph on its own edge weights every
+  time (nothing is cached across solves), so its answer depends only on
+  the graph, whichever front asked.
 
 The cutoffs are hardware policy, not algorithmic constants — the
 crossover points move with BLAS quality, core count, and whether scipy
@@ -170,8 +173,9 @@ LOBPCG_CUTOFF = cutoff_from_env("REPRO_LOBPCG_CUTOFF", 4096)
 #: the ``REPRO_MULTILEVEL_CUTOFF`` environment variable.
 MULTILEVEL_CUTOFF = cutoff_from_env("REPRO_MULTILEVEL_CUTOFF", 131_072)
 
-#: Default relative-residual tolerance for accepting a multilevel result
-#: under ``auto`` (``||L y - theta y|| <= tol * theta``).
+#: Bound on the estimated relative ``lambda_2`` error of a multilevel
+#: result accepted under ``auto``; read at each solve, like
+#: :data:`MULTILEVEL_CUTOFF`.
 MULTILEVEL_QUALITY_RTOL = 0.05
 
 #: Default residual tolerance of the iterative exact backends (relative

@@ -9,7 +9,6 @@ from repro.mapping.interface import (
     MappingCapabilities,
     SpectralBisectionMapping,
     SpectralMapping,
-    SpectralMultilevelMapping,
     paper_mappings,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "MappingCapabilities",
     "SpectralBisectionMapping",
     "SpectralMapping",
-    "SpectralMultilevelMapping",
     "paper_mappings",
 ]

@@ -35,7 +35,6 @@ from typing import Dict, List
 import numpy as np
 
 from repro.core.bisection import spectral_bisection_order
-from repro.core.multilevel import multilevel_order
 from repro.core.ordering import LinearOrder
 from repro.core.spectral import SpectralLPM
 from repro.curves.base import enclosing_bits
@@ -47,7 +46,7 @@ from repro.geometry.pointset import PointSet
 from repro.graph.adjacency import Graph
 
 #: Mapping names accepted by :func:`repro.api.make_mapping`.
-MAPPING_NAMES = CURVE_NAMES + ("spectral", "spectral-rb", "spectral-ml")
+MAPPING_NAMES = CURVE_NAMES + ("spectral", "spectral-rb")
 
 #: The five mappings compared in the paper's Section 5.
 PAPER_MAPPING_NAMES = ("sweep", "peano", "gray", "hilbert", "spectral")
@@ -330,49 +329,6 @@ class SpectralBisectionMapping(LocalityMapping):
     def _order_graph_domain(self, graph: Graph, service) -> LinearOrder:
         return spectral_bisection_order(graph, backend=self._backend,
                                         leaf_size=self._leaf_size)
-
-    def _order_point_set(self, points: PointSet, service) -> LinearOrder:
-        from repro.graph.builders import induced_grid_graph
-        graph, _ = induced_grid_graph(points.grid, points.cells,
-                                      connectivity=self._connectivity)
-        return self._order_graph_domain(graph, service)
-
-
-class SpectralMultilevelMapping(LocalityMapping):
-    """Multilevel coarsen-solve-refine spectral ordering.
-
-    The scalability variant: heavy-edge-matching coarsening, an exact
-    coarsest solve, and smoothed prolongation — see
-    :func:`repro.core.multilevel.multilevel_fiedler`.
-    """
-
-    def __init__(self, min_size: int = 64, smoothing_steps: int = 40,
-                 connectivity="orthogonal", backend: str = "dense"):
-        super().__init__()
-        self._min_size = min_size
-        self._smoothing_steps = smoothing_steps
-        self._connectivity = connectivity
-        self._backend = backend
-
-    @property
-    def name(self) -> str:
-        return "spectral-ml"
-
-    def cache_identity(self):
-        return ("spectral-ml", self._min_size, self._smoothing_steps,
-                str(self._connectivity), self._backend)
-
-    def _compute_order(self, grid: Grid) -> LinearOrder:
-        from repro.graph.builders import grid_graph
-        graph = grid_graph(grid, connectivity=self._connectivity)
-        return self._order_graph_domain(graph, None)
-
-    def _order_graph_domain(self, graph: Graph, service) -> LinearOrder:
-        return multilevel_order(
-            graph, min_size=self._min_size,
-            smoothing_steps=self._smoothing_steps,
-            backend=self._backend,
-        )
 
     def _order_point_set(self, points: PointSet, service) -> LinearOrder:
         from repro.graph.builders import induced_grid_graph

@@ -122,7 +122,7 @@ class ProcessFleet:
         Root of the per-shard artifact stores
         (see :func:`shard_store_dirs`).  ``None`` keeps every worker
         memory-only — restarts then start cold.
-    memory_entries, hierarchy_entries, max_indexes, index_defaults:
+    memory_entries, max_indexes, index_defaults:
         Forwarded to every worker's shard services / index table.
 
     Examples
@@ -136,7 +136,6 @@ class ProcessFleet:
                  workers: Optional[int] = None,
                  cache_dir=None,
                  memory_entries: int = 128,
-                 hierarchy_entries: int = 32,
                  max_indexes: int = 16,
                  index_defaults: Optional[dict] = None):
         if shards < 1:
@@ -156,7 +155,6 @@ class ProcessFleet:
         )
         self._worker_kwargs = dict(
             memory_entries=memory_entries,
-            hierarchy_entries=hierarchy_entries,
             max_indexes=max_indexes,
             index_defaults=dict(index_defaults or {}),
         )

@@ -98,8 +98,7 @@ class ShardWorker:
 
     def __init__(self, worker_id: int, shard_ids: Sequence[int],
                  num_shards: int, store_dirs: Dict[int, str],
-                 memory_entries: int = 128, hierarchy_entries: int = 32,
-                 max_indexes: int = 16,
+                 memory_entries: int = 128, max_indexes: int = 16,
                  index_defaults: Optional[dict] = None):
         self.worker_id = int(worker_id)
         self.shard_ids = tuple(int(s) for s in shard_ids)
@@ -108,8 +107,7 @@ class ShardWorker:
             self.worker_id, self.shard_ids,
             [OrderingService(memory_entries=memory_entries,
                              store=(store_dirs.get(shard)
-                                    if shard in self.shard_ids else None),
-                             hierarchy_entries=hierarchy_entries)
+                                    if shard in self.shard_ids else None))
              for shard in range(self.num_shards)],
             index_defaults=index_defaults,
             max_indexes=max_indexes,
@@ -219,8 +217,7 @@ class ShardWorker:
 
 def worker_main(worker_id: int, shard_ids: Sequence[int],
                 num_shards: int, conn, store_dirs: Dict[int, str],
-                memory_entries: int = 128, hierarchy_entries: int = 32,
-                max_indexes: int = 16,
+                memory_entries: int = 128, max_indexes: int = 16,
                 index_defaults: Optional[dict] = None) -> None:
     """Entry point of a spawned worker process.
 
@@ -234,7 +231,6 @@ def worker_main(worker_id: int, shard_ids: Sequence[int],
     worker = ShardWorker(
         worker_id, shard_ids, num_shards, store_dirs,
         memory_entries=memory_entries,
-        hierarchy_entries=hierarchy_entries,
         max_indexes=max_indexes,
         index_defaults=index_defaults,
     )

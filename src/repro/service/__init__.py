@@ -4,8 +4,8 @@ The paper computes a spectral order once per domain and reuses it
 everywhere; this package is the subsystem that owns that lifecycle.
 :class:`OrderingService` fronts the core pipeline with an in-memory LRU,
 an optional versioned on-disk artifact store (zero eigensolves after a
-restart), a shared coarsening-hierarchy cache, and a topology-grouping
-batch API.  See :mod:`repro.service.ordering` for the full story.
+restart), and a topology-grouping batch API.  See
+:mod:`repro.service.ordering` for the full story.
 """
 
 from repro.caching import LRUCache

@@ -38,19 +38,12 @@ from repro.graph.adjacency import Graph
 #: ``bfs`` tie-break starts from the snapped tie groups, and ``auto``
 #: orders full radius-1 grids above the multilevel cutoff from their
 #: exact closed-form pair instead of the multilevel approximation.
-FINGERPRINT_VERSION = 2
+#: Version 3: the service coarsens multilevel solves on the real edge
+#: weights, as the library always did, so its multilevel orders of
+#: non-uniformly weighted graphs change.
+FINGERPRINT_VERSION = 3
 
 Domain = Union[Grid, Graph]
-
-#: The :class:`SpectralConfig` fields that existed when the v1 digest
-#: schema froze.  They are always serialized; fields added later are
-#: serialized only when set to a non-default value, so configs that do
-#: not use them keep their original fingerprint (and every artifact
-#: cached under it) while any explicit override still changes the key.
-_V1_CONFIG_FIELDS = frozenset({
-    "connectivity", "radius", "weight", "backend", "tie_break",
-    "on_disconnected", "component_arrangement", "snap_tol",
-})
 
 
 def _digest(kind: str, *parts: bytes) -> str:
@@ -70,25 +63,13 @@ def config_fingerprint(config: SpectralConfig) -> str:
     Python 3), so two configs share a fingerprint iff they are equal —
     across processes, interpreter restarts, and ``PYTHONHASHSEED``
     values.
-
-    One refinement: fields added to :class:`SpectralConfig` *after* the
-    v1 schema froze (:data:`_V1_CONFIG_FIELDS`) are serialized only when
-    they differ from their declared default.  Two configs are still
-    fingerprint-equal iff dataclass-equal, but a config that leaves the
-    new knobs alone hashes exactly as it did before they existed —
-    default-config artifacts cached under the same
-    :data:`FINGERPRINT_VERSION` stay valid.
     """
     if not isinstance(config, SpectralConfig):
         raise InvalidParameterError(
             f"expected a SpectralConfig, got {type(config).__name__}"
         )
-    parts = []
-    for field in dataclasses.fields(config):
-        value = getattr(config, field.name)
-        if field.name not in _V1_CONFIG_FIELDS and value == field.default:
-            continue
-        parts.append(f"{field.name}={value!r}".encode("utf-8"))
+    parts = [f"{field.name}={getattr(config, field.name)!r}"
+             .encode("utf-8") for field in dataclasses.fields(config)]
     return _digest("config", *parts)
 
 

@@ -6,7 +6,7 @@ domain is computed **once** and then reused by every downstream consumer
 pipeline (:class:`~repro.core.spectral.SpectralLPM`) deliberately knows
 nothing about reuse; this module is the layer that adds it.
 
-An :class:`OrderingService` composes three caches:
+An :class:`OrderingService` composes two caches:
 
 * an in-memory LRU of :class:`~repro.service.artifacts.OrderArtifact`
   (:class:`repro.caching.LRUCache`), keyed by the stable fingerprints
@@ -14,14 +14,12 @@ An :class:`OrderingService` composes three caches:
 * an optional on-disk :class:`~repro.service.store.ArtifactStore`, so a
   restarted service pays **zero eigensolves** for every domain it has
   seen before;
-* a :class:`~repro.graph.coarsening.HierarchyCache` shared by every
-  solve the service runs, so even cache *misses* that share a topology
-  reuse the coarsening chain.
 
 and one batching front door, :meth:`OrderingService.order_many`, which
 groups requests by graph topology so N weight configurations over one
-domain pay a single graph build (and, under the multilevel backend, a
-single coarsening) instead of N.
+domain pay a single graph build instead of N.  Every miss computes
+exactly what :class:`~repro.core.spectral.SpectralLPM` computes for the
+same config, so a served order never depends on which front served it.
 
 The service is safe to share across threads, and misses are
 **single-flight** (:class:`~repro.caching.SingleFlight`): concurrent
@@ -58,7 +56,6 @@ from repro.geometry.pointset import PointSet
 from repro.graph.adjacency import Graph
 from repro.graph.builders import grid_graph_from_topology, \
     grid_graph_topology, induced_grid_graph
-from repro.graph.coarsening import HierarchyCache
 from repro.graph.laplacian import laplacian_matvec
 from repro.graph.weights import weight_names
 from repro.linalg.backends import thread_solver_invocations
@@ -196,8 +193,6 @@ class OrderingService:
         Optional persistent tier: an
         :class:`~repro.service.store.ArtifactStore` or a directory path
         (wrapped in one).  ``None`` keeps the service memory-only.
-    hierarchy_entries:
-        Capacity of the shared coarsening-hierarchy cache.
 
     Examples
     --------
@@ -210,8 +205,7 @@ class OrderingService:
     """
 
     def __init__(self, memory_entries: int = 128,
-                 store: Union[ArtifactStore, str, None] = None,
-                 hierarchy_entries: int = 32):
+                 store: Union[ArtifactStore, str, None] = None):
         # The memory tier is the service's shared hot path; the LRU's
         # own lock keeps hit/miss counters exact even for callers that
         # reach the cache outside the service lock.
@@ -220,7 +214,6 @@ class OrderingService:
         if store is not None and not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
         self._store: Optional[ArtifactStore] = store
-        self._hierarchy = HierarchyCache(hierarchy_entries)
         self._stats = ServiceStats()  # guarded-by: _lock
         # Guards the memory tier and the stats; solves themselves run
         # outside it (different keys in parallel).
@@ -253,11 +246,6 @@ class OrderingService:
     def store(self) -> Optional[ArtifactStore]:
         """The persistent tier, when configured."""
         return self._store
-
-    @property
-    def hierarchy_cache(self) -> HierarchyCache:
-        """The coarsening-hierarchy cache shared by every solve."""
-        return self._hierarchy
 
     # ------------------------------------------------------------------
     # Public ordering API
@@ -376,57 +364,53 @@ class OrderingService:
         ``(domain, config)`` pairs).  Grid requests are grouped by graph
         topology — ``(shape, connectivity, radius)`` — and each group
         pays **one** topology build regardless of how many weight models
-        it spans; with the multilevel backend the shared hierarchy cache
-        likewise runs the coarsening matchings once per topology.  Cache
-        hits (memory or disk) skip even that.  Results align with the
-        input order.
+        it spans.  Cache hits (memory or disk) skip even that.  Results
+        align with the input order.
         """
         normalized = normalize_requests(requests)
         results: List[Optional[LinearOrder]] = [None] * len(normalized)
 
-        # Partition: grid requests group by topology; graphs go direct.
-        groups: Dict[Tuple, List[int]] = {}
+        # Partition: grid requests group by the topology of their
+        # canonical config; graphs go direct.
+        groups: Dict[Tuple, List[Tuple[int, SpectralConfig]]] = {}
         for i, request in enumerate(normalized):
             if isinstance(request.domain, Grid):
-                group = (request.domain.shape,
-                         request.config.connectivity,
-                         request.config.radius)
-                groups.setdefault(group, []).append(i)
+                config = self._resolve(request.config).config
+                group = (request.domain.shape, config.connectivity,
+                         config.radius)
+                groups.setdefault(group, []).append((i, config))
             else:
                 results[i] = self.order_graph(request.domain,
                                               request.config)
 
-        for indices in groups.values():
+        for members in groups.values():
             # Built lazily and shared by every miss in the group: a
             # fully-warm (or fully-coalesced) group never builds it.
             topology_box: List = [None]
-            for i in indices:
-                request = normalized[i]
-                key = order_key(request.config,
-                                domain_fingerprint(request.domain))
-                compute = self._grouped_compute(key, request,
+            for i, config in members:
+                grid = normalized[i].domain
+                key = order_key(config, domain_fingerprint(grid))
+                compute = self._grouped_compute(key, grid, config,
                                                 topology_box)
                 results[i] = self._cached_or_compute(key, compute).order
         return results
 
-    def _grouped_compute(self, key: str, request: OrderRequest,
+    def _grouped_compute(self, key: str, grid: Grid,
+                         config: SpectralConfig,
                          topology_box: List) -> Callable[[], OrderArtifact]:
         """A compute closure sharing one topology across a batch group."""
 
         def compute() -> OrderArtifact:
             if topology_box[0] is None:
                 topology_box[0] = grid_graph_topology(
-                    request.domain,
-                    connectivity=request.config.connectivity,
-                    radius=request.config.radius,
+                    grid, connectivity=config.connectivity,
+                    radius=config.radius,
                 )
                 with self._lock:
                     self._stats.topology_builds += 1
                 _TOPOLOGY_BUILDS.inc()
-            graph = grid_graph_from_topology(topology_box[0],
-                                             request.config.weight)
-            return self._compute_grid(key, request.domain, request.config,
-                                      graph=graph)
+            graph = grid_graph_from_topology(topology_box[0], config.weight)
+            return self._compute_grid(key, grid, config, graph=graph)
 
         return compute
 
@@ -450,7 +434,11 @@ class OrderingService:
                     "the SpectralLPM instance itself for callable "
                     "weights (computed uncached)"
                 )
-            return _Resolved(config, None, True)
+            # Keyed by the algorithm's own config: SpectralLPM rejects
+            # a bad field before any key exists, and spells each
+            # connectivity one way, so its aliases share one key.
+            return _Resolved(SpectralLPM.from_config(config).config,
+                             None, True)
         if isinstance(config, SpectralLPM):
             return _Resolved(config.config, config, config.cacheable)
         raise InvalidParameterError(
@@ -532,13 +520,9 @@ class OrderingService:
         _OUTCOMES.inc(outcome="disk")
         return artifact
 
-    def _algorithm(self, config: SpectralConfig) -> SpectralLPM:
-        return SpectralLPM.from_config(config,
-                                       hierarchy_cache=self._hierarchy)
-
     def _compute_grid(self, key: str, grid: Grid, config: SpectralConfig,
                       graph: Optional[Graph]) -> OrderArtifact:
-        algorithm = self._algorithm(config)
+        algorithm = SpectralLPM.from_config(config)
         if graph is None:
             graph = algorithm.build_grid_graph(grid)
         return self._finish(
@@ -549,7 +533,7 @@ class OrderingService:
     def _compute_graph(self, key: str, graph: Graph,
                        config: SpectralConfig, domain: str
                        ) -> OrderArtifact:
-        algorithm = self._algorithm(config)
+        algorithm = SpectralLPM.from_config(config)
         return self._finish(
             key, graph, domain, config,
             lambda: algorithm.order_graph_with_fiedler(graph),

@@ -81,8 +81,8 @@ def routing_fingerprint(domain: ShardableDomain) -> str:
     """The SHA-256 fingerprint a domain is routed by.
 
     All configurations over one domain share this fingerprint, so they
-    land on one shard and keep amortizing shared work (topology builds,
-    coarsening hierarchies) exactly as in a single service.
+    land on one shard and keep amortizing shared work (topology builds)
+    exactly as in a single service.
     """
     if isinstance(domain, Grid):
         return grid_fingerprint(domain)

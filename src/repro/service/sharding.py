@@ -14,11 +14,10 @@ and the socket server answer remote requests by calling these methods.
 
 Why shard by *domain* fingerprint (not the full order key)?  All
 configurations over one domain land on one shard, so that shard's
-hierarchy cache and topology batching keep amortizing shared work
-exactly as they do in a single service; distinct domains spread across
-shards, so each shard's memory LRU and disk store stay proportional to
-its slice of the keyspace, and per-shard disk stores never contend on
-one directory.  The routing is deterministic and process-independent
+topology batching keeps amortizing shared work exactly as it does in a
+single service; distinct domains spread across shards, so each shard's
+memory LRU and disk store stay proportional to its slice of the
+keyspace, and per-shard disk stores never contend on one directory.  The routing is deterministic and process-independent
 (SHA-256, not ``hash()``), so a fleet of processes given the same shard
 count and store directories agree on ownership — the multi-process
 deployment story is "run one frontend per process over shared per-shard
@@ -72,7 +71,7 @@ class ShardedIndexFrontend:
         Per-shard store arguments (directory paths or
         :class:`~repro.service.ArtifactStore` instances), one per
         shard; ``None`` keeps every shard memory-only.
-    memory_entries, hierarchy_entries:
+    memory_entries:
         Forwarded to each created shard service.
     index_defaults:
         Default keyword arguments applied to every
@@ -98,7 +97,6 @@ class ShardedIndexFrontend:
                  services: Optional[Sequence[OrderingService]] = None,
                  stores: Optional[Sequence] = None,
                  memory_entries: int = 128,
-                 hierarchy_entries: int = 32,
                  index_defaults: Optional[dict] = None,
                  max_indexes: int = 64):
         if services is not None:
@@ -132,7 +130,6 @@ class ShardedIndexFrontend:
                 OrderingService(
                     memory_entries=memory_entries,
                     store=(stores[i] if stores is not None else None),
-                    hierarchy_entries=hierarchy_entries,
                 )
                 for i in range(int(shards))
             ]

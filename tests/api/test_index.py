@@ -83,11 +83,11 @@ def test_config_built_index_accepts_spectral_config_specs(grid8):
 def test_rb_and_ml_views_are_cached_per_index(grid8):
     from repro.linalg.backends import solver_invocations
     index = SpectralIndex.build(grid8, mapping="hilbert")
-    for name in ("spectral-rb", "spectral-ml"):
-        first = index.ranks_for(name)
+    for spec in ("spectral-rb", SpectralConfig(backend="multilevel")):
+        first = index.ranks_for(spec)
         before = solver_invocations()
-        second = index.ranks_for(name)
-        assert solver_invocations() - before == 0, name
+        second = index.ranks_for(spec)
+        assert solver_invocations() - before == 0, spec
         assert np.array_equal(first, second)
 
 

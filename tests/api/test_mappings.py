@@ -15,7 +15,6 @@ from repro.mapping import (
     ExplicitMapping,
     SpectralBisectionMapping,
     SpectralMapping,
-    SpectralMultilevelMapping,
 )
 from repro.service import OrderingService
 
@@ -28,8 +27,10 @@ def test_make_mapping_resolves_names():
     assert isinstance(make_mapping("spectral"), SpectralMapping)
     assert isinstance(make_mapping("spectral-rb"),
                       SpectralBisectionMapping)
-    assert isinstance(make_mapping("spectral-ml"),
-                      SpectralMultilevelMapping)
+    # Multilevel orders are the spectral family under its backend.
+    multilevel = make_mapping(SpectralConfig(backend="multilevel"))
+    assert isinstance(multilevel, SpectralMapping)
+    assert multilevel.algorithm.config.backend == "multilevel"
 
 
 def test_make_mapping_accepts_spectral_config_as_spec():
@@ -79,7 +80,7 @@ def test_every_family_satisfies_the_protocol():
         make_mapping("hilbert"),
         make_mapping("spectral"),
         make_mapping("spectral-rb"),
-        make_mapping("spectral-ml"),
+        make_mapping(SpectralConfig(backend="multilevel")),
         ExplicitMapping(grid, LinearOrder(np.arange(9))),
     ]
     for mapping in families:
@@ -109,8 +110,9 @@ def test_capabilities_reflect_reality():
 # ----------------------------------------------------------------------
 def test_order_domain_grid_matches_order_for_grid():
     grid = Grid((5, 5))
-    for name in ("hilbert", "spectral", "spectral-rb", "spectral-ml"):
-        mapping = make_mapping(name)
+    for spec in ("hilbert", "spectral", "spectral-rb",
+                 SpectralConfig(backend="multilevel")):
+        mapping = make_mapping(spec)
         assert (mapping.order_domain(grid)
                 == mapping.order_for_grid(grid))
 
@@ -163,7 +165,7 @@ def test_graph_domain_dispatch():
     assert order == spectral.algorithm.order_graph(graph)
     rb = make_mapping("spectral-rb")
     assert rb.order_domain(graph).n == graph.num_vertices
-    ml = make_mapping("spectral-ml")
+    ml = make_mapping("spectral", backend="multilevel")
     assert ml.order_domain(graph).n == graph.num_vertices
     with pytest.raises(DomainError):
         make_mapping("hilbert").order_domain(graph)
@@ -172,6 +174,6 @@ def test_graph_domain_dispatch():
 def test_rb_and_ml_point_set_orders_cover_positions():
     grid = Grid((6, 6))
     ps = PointSet(grid, np.arange(14))
-    for name in ("spectral-rb", "spectral-ml"):
-        order = make_mapping(name).order_domain(ps)
+    for spec in ("spectral-rb", SpectralConfig(backend="multilevel")):
+        order = make_mapping(spec).order_domain(ps)
         assert sorted(order.permutation) == list(range(len(ps)))

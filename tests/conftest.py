@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, settings
 
 from repro.core import SpectralLPM
 from repro.geometry import Grid
-from repro.graph import grid_graph
+from repro.graph import Graph, grid_graph
 
 # One conservative profile for every property test: no deadline (CI boxes
 # vary wildly) and a bounded example budget so the suite stays fast.
@@ -56,6 +56,23 @@ def dense_lpm() -> SpectralLPM:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+def _random_weight_grid_graph(side: int, seed: int) -> Graph:
+    """The ``side x side`` orthogonal grid graph with edge weights drawn
+    uniformly from [0.1, 2) at ``seed``: a graph whose heavy-edge
+    coarsening depends on its weights."""
+    rng = np.random.default_rng(seed)
+    u, v, _ = grid_graph(Grid((side, side))).edge_arrays()
+    return Graph.from_edges(side * side, np.stack([u, v], axis=1),
+                            rng.uniform(0.1, 2.0, len(u)))
+
+
+@pytest.fixture
+def random_weight_grid_graph():
+    """Factory ``(side, seed) -> Graph`` of seeded random-weight grid
+    graphs."""
+    return _random_weight_grid_graph
 
 
 @pytest.fixture

@@ -51,16 +51,18 @@ def test_auto_quality_gate_falls_back(monkeypatch):
     # A zero quality tolerance rejects any nonzero residual, so auto
     # must serve the exact answer instead.
     monkeypatch.setattr(backends, "MULTILEVEL_CUTOFF", 100)
+    monkeypatch.setattr(backends, "MULTILEVEL_QUALITY_RTOL", 0.0)
     graph = grid_graph(Grid((16, 16)))
-    result = fiedler_vector(graph, backend="auto", multilevel_tol=0.0)
+    result = fiedler_vector(graph, backend="auto")
     assert result.backend != "multilevel"
     expected = 2 * (1 - np.cos(np.pi / 16))
     assert result.value == pytest.approx(expected)
 
 
-def test_explicit_multilevel_ignores_quality_gate():
+def test_explicit_multilevel_ignores_quality_gate(monkeypatch):
+    monkeypatch.setattr(backends, "MULTILEVEL_QUALITY_RTOL", 0.0)
     graph = grid_graph(Grid((16, 16)))
-    result = fiedler_vector(graph, backend="multilevel", multilevel_tol=0.0)
+    result = fiedler_vector(graph, backend="multilevel")
     assert result.backend == "multilevel"
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import (
     LinearOrder,
+    SpectralConfig,
     SpectralLPM,
     spectral_order,
     symmetric_grid_probe,
@@ -201,6 +202,24 @@ def test_invalid_config_rejected():
         SpectralLPM(on_disconnected="ignore")
     with pytest.raises(InvalidParameterError):
         SpectralLPM(component_arrangement="shuffled")
+    with pytest.raises(InvalidParameterError):
+        SpectralLPM(backend="magma")
+    with pytest.raises(InvalidParameterError):
+        SpectralLPM(radius=0)
+    with pytest.raises(InvalidParameterError):
+        SpectralLPM(connectivity="hexagonal")
+    with pytest.raises(InvalidParameterError):
+        SpectralLPM.from_config(SpectralConfig(backend="magma"))
+
+
+@pytest.mark.parametrize("alias, name", [
+    (4, "orthogonal"), ("4", "orthogonal"), ("orthogonal", "orthogonal"),
+    (8, "moore"), ("8", "moore"), ("moore", "moore"),
+])
+def test_connectivity_is_stored_under_its_canonical_name(alias, name):
+    assert SpectralLPM(connectivity=alias).config.connectivity == name
+    assert SpectralLPM.from_config(
+        SpectralConfig(connectivity=alias)).config.connectivity == name
 
 
 def test_config_reporting():

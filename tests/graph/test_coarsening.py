@@ -9,6 +9,7 @@ from repro.graph import (
     Graph,
     coarsen,
     coarsen_hierarchy,
+    contract,
     grid_graph,
     heavy_edge_matching,
     is_connected,
@@ -104,3 +105,9 @@ def test_hierarchy_validation():
         coarsen_hierarchy(g, min_size=1)
     with pytest.raises(InvalidParameterError):
         coarsen_hierarchy(g, max_levels=0)
+
+
+def test_contract_validates_projection_shape():
+    graph = grid_graph(Grid((3, 3)))
+    with pytest.raises(InvalidParameterError):
+        contract(graph, np.zeros(4, dtype=np.int64))

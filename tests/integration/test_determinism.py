@@ -10,13 +10,17 @@ import pytest
 
 from repro.core import (
     SpectralLPM,
-    multilevel_order,
+    multilevel_eigenspace,
+    order_by_values,
+    snap_ties,
     spectral_bisection_order,
 )
 from repro.datasets import dataset_by_name
 from repro.geometry import Grid
 from repro.graph import grid_graph
 from repro.linalg import scipy_available
+from repro.linalg.operators import canonical_in_span
+from repro.linalg.power import deterministic_start
 from repro.api import make_mapping
 from repro.mapping import MAPPING_NAMES
 from repro.query import knn_window_recall, random_boxes
@@ -55,8 +59,20 @@ def test_bisection_and_multilevel_cross_backend():
         spectral_bisection_order(graph, backend=b) for b in BACKENDS
     ]
     assert all(o == bisection_orders[0] for o in bisection_orders)
-    ml_orders = [multilevel_order(graph, backend=b) for b in
-                 ("dense", "lanczos")]
+    # The multilevel coarse solve's backend changes neither the
+    # spectrum nor the order of the canonical vector in the lambda_2
+    # group (the multilevel backend's rule; bases may differ).
+    spaces = [multilevel_eigenspace(graph, coarse_backend=b)
+              for b in ("dense", "lanczos")]
+    np.testing.assert_allclose(spaces[0].values, spaces[1].values,
+                               atol=1e-10)
+    probe = deterministic_start(graph.num_vertices)
+    ml_orders = [
+        order_by_values(snap_ties(canonical_in_span(
+            space.vectors[:, space.values <= 1.01 * space.values[0]],
+            probe)))
+        for space in spaces
+    ]
     assert ml_orders[0] == ml_orders[1]
 
 

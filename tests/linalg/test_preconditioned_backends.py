@@ -367,8 +367,7 @@ def test_tiny_systems_work(backend):
 @pytest.mark.parametrize("backend", ["lobpcg"])
 def test_custom_tol_is_respected(backend):
     # A loose tolerance must still produce residuals within its own
-    # bound; the pipeline threads SpectralConfig.solver_tol through
-    # this parameter.
+    # bound.
     n = 64
     lap = laplacian(path_graph(n))
     values, vectors = smallest_eigenpairs(lap, 1, backend=backend,

@@ -8,7 +8,8 @@ an ``order_graph``-family call given a grid, raises
 orders exactly like the grid it names.  Behind the transports, a raw
 order request whose domain is neither a grid nor a graph comes back
 from a worker or the server as the same error, never an
-``AttributeError``.
+``AttributeError``.  And every front serves the library's multilevel
+order of a random-weight graph, bit for bit.
 
 The pool spawns real workers, hence the ``multiproc`` mark; the remote
 cases also open sockets (``net``).
@@ -19,6 +20,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ProcessPoolFrontend
+from repro.core import SpectralConfig, SpectralLPM
 from repro.errors import InvalidParameterError
 from repro.geometry import Grid, PointSet
 from repro.graph.builders import grid_graph
@@ -71,6 +73,13 @@ def test_wrong_kind_domain_is_invalid_on_every_front(front, method,
 
 def test_shape_tuple_orders_like_its_grid(front):
     assert front.order_grid((6, 6)) == front.order_grid(GRID)
+
+
+def test_multilevel_permutation_is_the_library_one(
+        front, random_weight_grid_graph):
+    graph = random_weight_grid_graph(20, seed=20)
+    assert front.order_graph(graph, SpectralConfig(backend="multilevel")) \
+        == SpectralLPM(backend="multilevel").order_graph(graph)
 
 
 def test_worker_rejects_pointset_order_request():

@@ -6,7 +6,7 @@ import pytest
 from repro.core import SpectralConfig, SpectralLPM
 from repro.errors import InvalidParameterError
 from repro.geometry import Grid
-from repro.graph import matching_invocations, path_graph
+from repro.graph import path_graph
 from repro.linalg import solver_invocations
 from repro.service import OrderingService, OrderRequest
 
@@ -30,31 +30,6 @@ def test_same_topology_builds_graph_once():
     service.order_many(requests)
     assert service.stats.topology_builds == 1
     assert service.stats.computed == len(WEIGHTS)
-
-
-def test_same_topology_coarsens_once_under_multilevel():
-    grid = Grid((16, 16))
-    # Reference cost: one multilevel solve from scratch runs the full
-    # matching chain.
-    baseline_service = OrderingService()
-    before = matching_invocations()
-    baseline_service.order_grid(
-        grid, SpectralConfig(weight="unit", backend="multilevel"))
-    one_chain = matching_invocations() - before
-    assert one_chain >= 1
-
-    service = OrderingService()
-    requests = [OrderRequest(grid, SpectralConfig(weight=w,
-                                                  backend="multilevel"))
-                for w in WEIGHTS]
-    before = matching_invocations()
-    orders = service.order_many(requests)
-    delta = matching_invocations() - before
-    assert delta == one_chain, \
-        "N same-topology configs must run the coarsening matchings once"
-    assert len(orders) == len(WEIGHTS)
-    for order in orders:
-        assert sorted(order.permutation) == list(range(grid.size))
 
 
 def test_fully_warm_batch_builds_nothing():

@@ -12,7 +12,7 @@ from repro.linalg import solver_invocations
 from repro.api import make_mapping
 from repro.mapping import SpectralMapping
 from repro.query import LinearStore
-from repro.service import ArtifactStore, OrderingService
+from repro.service import ArtifactStore, OrderingService, ServiceStats
 
 
 @pytest.fixture
@@ -125,23 +125,36 @@ def test_tampered_store_permutation_is_recomputed(tmp_path):
     assert np.array_equal(again.ranks, solved.ranks)
 
 
-def test_orders_stored_under_fingerprint_version_1_are_not_served(
-        tmp_path, monkeypatch):
-    """Version 1 keys name orders whose bfs start came from the raw
-    Fiedler vector and whose large auto grids came from the multilevel
-    approximation: a store holding them serves none, it solves again."""
+def _assert_not_served_under(version, tmp_path, monkeypatch):
+    """An order stored under an older FINGERPRINT_VERSION is never
+    served: a store holding it solves again."""
     grid = Grid((13, 5))
     config = SpectralConfig(tie_break="bfs")
-    monkeypatch.setattr(fingerprint, "FINGERPRINT_VERSION", 1)
+    monkeypatch.setattr(fingerprint, "FINGERPRINT_VERSION", version)
     OrderingService(store=ArtifactStore(tmp_path)).order_grid(grid, config)
     monkeypatch.undo()
-    assert fingerprint.FINGERPRINT_VERSION == 2
+    assert fingerprint.FINGERPRINT_VERSION == 3
     store = ArtifactStore(tmp_path)
     fresh = OrderingService(store=store)
     fresh.order_grid(grid, config)
     assert fresh.stats.disk_hits == 0
     assert fresh.stats.computed == 1
     assert len(store) == 2
+
+
+def test_orders_stored_under_fingerprint_version_1_are_not_served(
+        tmp_path, monkeypatch):
+    """Version 1 keys name orders whose bfs start came from the raw
+    Fiedler vector and whose large auto grids came from the multilevel
+    approximation."""
+    _assert_not_served_under(1, tmp_path, monkeypatch)
+
+
+def test_orders_stored_under_fingerprint_version_2_are_not_served(
+        tmp_path, monkeypatch):
+    """Version 2 keys name service multilevel orders coarsened on
+    unit-weight copies of the graph."""
+    _assert_not_served_under(2, tmp_path, monkeypatch)
 
 
 def test_store_accepts_artifactstore_instance(grid, tmp_path):
@@ -245,8 +258,8 @@ def test_config_from_callable_weight_rejected_loudly(grid):
 
 def test_multilevel_orders_are_history_independent():
     """Same (config, domain) through services with different request
-    histories must produce identical orders (regression test: the
-    hierarchy cache's matchings are canonical, not first-come)."""
+    histories must produce identical orders: no coarsening outlives the
+    solve that built it."""
     grid = Grid((14, 14))
     target = SpectralConfig(weight="inverse_euclidean",
                             connectivity="moore", backend="multilevel")
@@ -254,7 +267,7 @@ def test_multilevel_orders_are_history_independent():
                            backend="multilevel")
 
     with_history = OrderingService()
-    with_history.order_grid(grid, other)     # warms the hierarchy cache
+    with_history.order_grid(grid, other)     # same topology first
     a = with_history.order_grid(grid, target)
 
     cold = OrderingService()
@@ -287,6 +300,46 @@ def test_invalid_config_rejected(grid):
     service = OrderingService()
     with pytest.raises(InvalidParameterError):
         service.order_grid(grid, config="spectral")
+
+
+@pytest.mark.parametrize("config", [
+    SpectralConfig(backend="magma"),
+    SpectralConfig(radius=0),
+    SpectralConfig(connectivity="hexagonal"),
+], ids=["backend", "radius", "connectivity"])
+def test_bad_config_field_raises_before_any_key_or_compute(config):
+    """Even a domain that needs no solve (two cells) rejects the config
+    up front: nothing is computed, cached or counted."""
+    service = OrderingService()
+    grid = Grid((1, 2))
+    calls = [
+        lambda: service.grid_artifact(grid, config),
+        lambda: service.order_graph(path_graph(2), config),
+        lambda: service.order_points(grid, [0, 1], config),
+        lambda: service.order_many([(grid, config)]),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameterError):
+            call()
+    assert service.stats == ServiceStats()
+
+
+def test_connectivity_aliases_share_one_key_and_one_solve():
+    grid = Grid((30, 30))
+    service = OrderingService()
+    before = solver_invocations()
+    artifacts = [
+        service.grid_artifact(grid, SpectralConfig(connectivity="orthogonal")),
+        service.grid_artifact(grid, SpectralConfig(connectivity=4)),
+        service.grid_artifact(grid, SpectralLPM(connectivity=4)),
+    ]
+    assert len({artifact.key for artifact in artifacts}) == 1
+    assert [artifact.source for artifact in artifacts] == \
+        ["computed", "memory", "memory"]
+    service.order_many([(grid, SpectralConfig(connectivity="4"))])
+    assert service.stats.computed == 1
+    assert service.stats.memory_hits == 3
+    assert solver_invocations() - before == 1
 
 
 # ----------------------------------------------------------------------
