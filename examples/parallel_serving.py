@@ -4,17 +4,18 @@ Run with::
 
     python examples/parallel_serving.py
 
-One engine, four ways to put traffic through it.  A mixed range/nn/join
-batch executes through ``query_many`` at ``parallelism`` 1 and 4 (the
-queries run on the caller's thread either way; ``parallelism`` only
-widens a cold batch's view solves, so results match bit for bit and
-buffer accounting is exact), the same index serves an asyncio event
-loop through ``AsyncSpectralIndex``, and a ``ShardedIndexFrontend``
-partitions a population of domains over per-shard ordering services by
-their content-hash fingerprints.
+One engine, three ways to put traffic through it.  A mixed
+range/nn/join batch executes through ``query_many`` on the calling
+thread (threads sharing the index get the same answers bit for bit, and
+buffer accounting stays exact), the same index serves an asyncio event
+loop through ``AsyncSpectralIndex`` (every call on one executor
+thread), and a ``ShardedIndexFrontend`` partitions a population of
+domains over per-shard ordering services by their content-hash
+fingerprints.
 """
 
 import asyncio
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,25 +51,27 @@ def main() -> None:
     index = SpectralIndex.build((SIDE, SIDE), buffer_capacity=16)
     batch = build_batch(rng, SIDE * SIDE)
 
-    # -- batches: same answers at any parallelism ----------------------
+    # -- batches: threads sharing the index get the same answers -------
     sequential = index.query_many(batch)
-    parallel = index.query_many(batch, parallelism=4)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        shared = list(pool.map(index.query_many, [batch, batch]))
     identical = all(
         np.array_equal(a.results, b.results) if hasattr(a, "results")
         else np.array_equal(a.neighbors, b.neighbors)
         if hasattr(a, "neighbors") else a == b
-        for a, b in zip(sequential, parallel)
+        for run in shared
+        for a, b in zip(sequential, run)
     )
     stats = index.buffer_stats()
-    print(f"query_many at parallelism 1 and 4: {len(batch)} queries, "
-          f"bit-identical={identical}")
+    print(f"query_many here and on two threads sharing the index: "
+          f"{len(batch)} queries, bit-identical={identical}")
     print(f"buffer conservation: {stats.hits} hits + {stats.misses} "
           f"misses == {stats.accesses} accesses "
           f"({stats.hits + stats.misses == stats.accesses})")
 
     # -- asyncio: the same index behind an event loop -----------------
     async def serve():
-        async with AsyncSpectralIndex(index, workers=4) as aindex:
+        async with AsyncSpectralIndex(index) as aindex:
             return await asyncio.gather(
                 aindex.nn((5, 5), k=4),
                 aindex.range(((2, 2), (9, 9))),
@@ -90,8 +93,7 @@ def main() -> None:
     print(f"sharded frontend: {len(list(sides))} domains -> "
           f"shards {sorted(set(placement.values()))}, "
           f"solves per shard {per_shard}")
-    result = front.query_many((12, 12), [NNQuery(50, k=4)],
-                              parallelism=2)
+    result = front.query_many((12, 12), [NNQuery(50, k=4)])
     print(f"routed query on grid(12,12) via shard "
           f"{front.shard_of((12, 12))}: {result[0].neighbors.tolist()}")
 

@@ -24,8 +24,8 @@ The pieces, in dependency order:
   ``join``, and the vectorized ``query_many`` (one batched order
   acquisition, then the queries in input order on the caller's thread).
 * **Serving fronts** — :class:`AsyncSpectralIndex`
-  (:mod:`repro.api.aio`) runs the same surface as coroutines on an
-  executor for event-loop services,
+  (:mod:`repro.api.aio`) runs the same surface as coroutines on one
+  executor thread for event-loop services,
   :class:`~repro.service.ShardedIndexFrontend` partitions traffic over
   the fingerprint keyspace to per-shard services in-process,
   :class:`ProcessPoolFrontend` serves the identical surface over a

@@ -4,22 +4,24 @@ An async service embedding the index (an aiohttp/FastAPI handler, a
 worker consuming a queue) must not block its event loop on a range scan
 or — far worse — a cold eigensolve.  :class:`AsyncSpectralIndex` wraps
 a :class:`~repro.api.SpectralIndex` and exposes the same query surface
-as coroutines that run the synchronous engine on a thread-pool
-executor, so the loop stays responsive and concurrent requests overlap:
+as coroutines that run the synchronous engine on one private executor
+thread, so the loop stays responsive:
 
     index = AsyncSpectralIndex.build((64, 64))
     execution = await index.range(((4, 4), (9, 9)))
     results = await index.query_many([...])      # gather-friendly
     await index.aclose()
 
-Safety comes from the layers below, not from here: the wrapped index's
-lazy state is single-flight, the ordering service coalesces identical
-solves, and the buffer pool locks per access — so any number of
-in-flight coroutines (or a mix of async and plain-thread callers
-sharing one ``SpectralIndex``) see exactly-once materialization and
-exact accounting.  Every call, ``query_many`` included, is one executor
-job: a batch runs on one thread exactly as the sync path runs it, and
-concurrent batches overlap with each other.
+Every call, ``query_many`` included, is one job on that thread, and
+jobs run in submission order: a batch runs exactly as the sync path
+runs it, and gathered batches run back to back.  Query execution holds
+the GIL, so a wider executor only made them contend — four gathered
+600-query batches took about twice as long on six threads as on one.
+A cold solve therefore delays the calls queued behind it; callers who
+want overlap share the wrapped index with their own threads, which is
+safe because the layers below lock their state: the index's lazy views
+are single-flight, the ordering service coalesces identical solves, and
+the buffer pool locks per access.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from repro.api.mappings import MappingSpec
 from repro.api.queries import NNResult, Query
 from repro.core.ordering import LinearOrder
 from repro.errors import InvalidParameterError
-from repro.parallel import ensure_workers
 from repro.query.engine import QueryExecution, WorkloadReport
 from repro.query.join import JoinReport
 
@@ -50,40 +51,21 @@ class AsyncSpectralIndex:
     index:
         The synchronous index to serve.  It may simultaneously be used
         directly from other threads; all shared state is locked there.
-    workers:
-        Width of the owned executor; ``None`` takes
-        :class:`~concurrent.futures.ThreadPoolExecutor`'s own default
-        (``min(32, cpus + 4)``).  Ignored when ``executor`` is supplied.
-    executor:
-        An externally owned :class:`~concurrent.futures.ThreadPoolExecutor`
-        to run on instead; the caller keeps responsibility for shutting
-        it down (:meth:`aclose` will not touch it).
     """
 
-    def __init__(self, index: SpectralIndex, *,
-                 workers: Optional[int] = None,
-                 executor: Optional[ThreadPoolExecutor] = None):
+    def __init__(self, index: SpectralIndex):
         if not isinstance(index, SpectralIndex):
             raise InvalidParameterError(
                 f"index must be a SpectralIndex, got {type(index).__name__}"
             )
         self._index = index
-        if executor is not None:
-            self._executor = executor
-            self._owns_executor = False
-        else:
-            width = (None if workers is None
-                     else ensure_workers(workers, name="workers"))
-            self._executor = ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="repro-aio")
-            self._owns_executor = True
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-aio")
 
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, domain: DomainLike,
-              mapping: MappingSpec = "spectral", *,
-              workers: Optional[int] = None,
-              executor: Optional[ThreadPoolExecutor] = None,
+              mapping: MappingSpec = "spectral",
               **build_kwargs) -> "AsyncSpectralIndex":
         """:meth:`SpectralIndex.build` wrapped for asyncio serving.
 
@@ -92,8 +74,7 @@ class AsyncSpectralIndex:
         no solve happens until the first query — so this stays a plain
         classmethod, not a coroutine.
         """
-        return cls(SpectralIndex.build(domain, mapping, **build_kwargs),
-                   workers=workers, executor=executor)
+        return cls(SpectralIndex.build(domain, mapping, **build_kwargs))
 
     # ------------------------------------------------------------------
     @property
@@ -161,34 +142,22 @@ class AsyncSpectralIndex:
         return await self._run(self._index.workload, boxes, plan=plan,
                                mapping=mapping)
 
-    async def query_many(self, queries: Sequence[Query], *,
-                         parallelism: Optional[int] = None) -> List:
+    async def query_many(self, queries: Sequence[Query]) -> List:
         """Awaitable :meth:`SpectralIndex.query_many`, as one executor
-        job.
-
-        The batch runs on one executor thread exactly as the sync path
-        runs it (``parallelism`` keeps its meaning there: the width of
-        the cold batch's non-batchable view solves), so results and
-        accounting match it field for field, and
-        ``asyncio.gather(index.query_many(a), index.query_many(b))``
-        overlaps the two batches.
-        """
-        return await self._run(self._index.query_many, queries,
-                               parallelism=parallelism)
+        job, so results and accounting match the sync path field for
+        field."""
+        return await self._run(self._index.query_many, queries)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the owned executor (no-op for a borrowed one)."""
-        if self._owns_executor:
-            self._executor.shutdown(wait=True)
+        """Shut down the executor once its queued calls finish."""
+        self._executor.shutdown(wait=True)
 
     async def aclose(self) -> None:
         """Awaitable :meth:`close` (shutdown waits off the event loop)."""
-        if self._owns_executor:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(
-                None, functools.partial(self._executor.shutdown,
-                                        wait=True))
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(
+            None, functools.partial(self._executor.shutdown, wait=True))
 
     async def __aenter__(self) -> "AsyncSpectralIndex":
         return self

@@ -59,7 +59,6 @@ from repro.geometry.pointset import PointSet
 from repro.graph.adjacency import Graph
 from repro.mapping.interface import LocalityMapping, SpectralMapping
 from repro.obs import Timer, registry, span
-from repro.parallel import ensure_workers, map_in_threads
 from repro.query.engine import LinearStore, QueryExecution, WorkloadReport
 from repro.query.join import JoinReport, window_join_report
 from repro.query.nn import window_candidates
@@ -321,32 +320,23 @@ class SpectralIndex:
         view = self._view_for(mapping)
         return self._join_on(view, cells_a, cells_b, epsilon, window)
 
-    def query_many(self, queries: Sequence[Query], *,
-                   parallelism: Optional[int] = None) -> List:
+    def query_many(self, queries: Sequence[Query]) -> List:
         """Execute a heterogeneous query batch; results align with input.
 
         Order acquisition is batched: every not-yet-materialized
         cacheable spectral mapping the batch references goes through
         :meth:`~repro.service.OrderingService.order_many` in one call,
         so K same-topology configurations share a single graph build
-        (and cache hits skip even that).
+        (and cache hits skip even that).  Every other missing view is
+        then materialized in turn.
 
-        The queries then run in input order on the caller's thread:
-        each is a few microseconds of numpy glued by Python, which
-        holds the GIL, so threads would only contend for it.
-
-        Parameters
-        ----------
-        parallelism:
-            Worker threads for the batch's *non-batchable* view
-            materializations (non-cacheable mappings, per-mapping
-            services, curve encodes): their eigensolves spend their
-            time in GIL-releasing BLAS kernels, so a cold batch
-            spanning K independent mappings overlaps its K solves.
-            ``None`` means 1.  Results and accounting never depend on
-            it.
+        The whole batch runs on the caller's thread, queries in input
+        order.  Each query is a few microseconds of numpy glued by
+        Python, which holds the GIL, and under ``auto`` a full radius-1
+        grid's spectral view is a closed-form pair, so a thread pool
+        measured slower than this loop for the queries and for a cold
+        batch's views alike.
         """
-        workers = ensure_workers(parallelism)
         queries = list(queries)
         for query in queries:
             if not isinstance(query, (RangeQuery, NNQuery, JoinQuery)):
@@ -354,12 +344,11 @@ class SpectralIndex:
                     f"unknown query type {type(query).__name__}; expected "
                     "RangeQuery, NNQuery or JoinQuery"
                 )
-        with span("api.query_many", batch=len(queries),
-                  parallelism=workers):
+        with span("api.query_many", batch=len(queries)):
             mappings = [self._default if query.mapping is None
                         else self._resolve(query.mapping)
                         for query in queries]
-            self._materialize_many(mappings, parallelism=workers)
+            self._order_batched_views(mappings)
             views = [self._materialize(mapping) for mapping in mappings]
             return [self._execute_query(view, query)
                     for view, query in zip(views, queries)]
@@ -441,39 +430,37 @@ class SpectralIndex:
             view, _ = self._flights.do(key, lambda: self._build_view(mapping))
         return view
 
-    def _materialize_many(self, mappings: Sequence[LocalityMapping],
-                          parallelism: int = 1) -> None:
-        """Materialize a batch's missing views.
+    def _order_batched_views(self, mappings: Sequence[LocalityMapping]
+                             ) -> None:
+        """Publish a batch's missing cacheable spectral views from one
+        :meth:`~repro.service.OrderingService.order_many` call (one
+        graph build per topology).
 
-        Cacheable spectral mappings the index's service can order go
-        through one :meth:`~repro.service.OrderingService.order_many`
-        call (one graph build per topology) and are published directly:
-        the service already coalesces their misses with any concurrent
-        request, so they hold no flight here.  Everything else goes
-        through :meth:`_materialize`, across ``parallelism`` workers.
+        Only mappings the index's own service orders over a grid or a
+        graph qualify, and only when two or more are missing; the
+        service already coalesces their misses with any concurrent
+        request, so they hold no flight here.  Every other view is left
+        to :meth:`_materialize`.
         """
-        missing: Dict[Tuple, LocalityMapping] = {}
+        if not isinstance(self._domain, (Grid, Graph)):
+            return
+        batch: Dict[Tuple, SpectralMapping] = {}
         with self._lock:
             for mapping in mappings:
                 key = self._view_key(mapping)
-                if key not in self._views:
-                    missing.setdefault(key, mapping)
-        batch: List[Tuple[Tuple, SpectralMapping]] = []
-        if isinstance(self._domain, (Grid, Graph)):
-            batch = [
-                (key, m) for key, m in missing.items()
-                if isinstance(m, SpectralMapping)
-                and m.algorithm.cacheable and m.service is None
-            ]
-        if len(batch) > 1:
-            requests = [OrderRequest(self._domain, m.algorithm.config)
-                        for _, m in batch]
-            orders = self._service.order_many(requests)
-            for (key, m), order in zip(batch, orders):
-                self._publish_view(key, _MappingView(mapping=m, order=order))
-                del missing[key]
-        map_in_threads(self._materialize, list(missing.values()),
-                       parallelism, thread_name_prefix="repro-view")
+                if (key not in self._views
+                        and isinstance(mapping, SpectralMapping)
+                        and mapping.algorithm.cacheable
+                        and mapping.service is None):
+                    batch.setdefault(key, mapping)
+        if len(batch) < 2:
+            return
+        orders = self._service.order_many(
+            [OrderRequest(self._domain, m.algorithm.config)
+             for m in batch.values()])
+        for (key, mapping), order in zip(batch.items(), orders):
+            self._publish_view(key, _MappingView(mapping=mapping,
+                                                 order=order))
 
     def _publish_view(self, key: Tuple, view: _MappingView) -> _MappingView:
         """Publish ``view`` unless one is already present; returns the

@@ -29,7 +29,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.net.errors import (
@@ -50,7 +50,6 @@ from repro.net.framing import (
 from repro.net.messages import ServerHealth, ServerHello, WorkerMetricsRequest
 from repro.obs import registry, span, tracing_enabled
 from repro.obs.tracing import current_context
-from repro.parallel import ensure_workers
 from repro.serve.frontend import MessageFrontend
 from repro.serve.protocol import (
     HealthRequest,
@@ -251,16 +250,6 @@ class RemoteFrontend(MessageFrontend):
             response = self._roundtrip(message)
             _ROUNDTRIP_SECONDS.observe(time.monotonic() - start)
         return unwrap_response(response)
-
-    def query_many(self, domain: Any, queries: Sequence[Any], *,
-                   parallelism: Optional[int] = None) -> List[Any]:
-        """Routed :meth:`~repro.api.SpectralIndex.query_many`.
-
-        ``parallelism`` is validated for surface compatibility but the
-        degree of concurrency is the server's decision.
-        """
-        ensure_workers(parallelism)
-        return self._index_op(domain, "query_many", (list(queries),), {})
 
     # ------------------------------------------------------------------
     # Introspection

@@ -52,7 +52,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.caching import SingleFlight
-from repro.core.spectral import SpectralConfig
+from repro.core.spectral import SpectralConfig, SpectralLPM
 from repro.errors import InvalidParameterError
 from repro.net.config import NET_QUEUE_DEPTH, NET_TIMEOUT
 from repro.net.errors import (
@@ -574,8 +574,11 @@ class SpectralServer:
                 and (config is None
                      or isinstance(config, SpectralConfig))):
             return serve_message(self._frontend, message)
-        key = order_key(config or SpectralConfig(),
-                        domain_fingerprint(domain))
+        # Keyed by the canonical config, as the service keys its cache,
+        # so every spelling of one order (None, connectivity=4) rides
+        # one flight.
+        canonical = SpectralLPM.from_config(config or SpectralConfig())
+        key = order_key(canonical.config, domain_fingerprint(domain))
         # The leader always fetches the full artifact: the flight's
         # waiters may want either shape, and the order *is*
         # artifact.order, so bit-identity holds by construction.

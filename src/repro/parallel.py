@@ -1,12 +1,13 @@
 """Shared thread fan-out: one worker-count rule, one map implementation.
 
 Threads run only where they overlap work that leaves the GIL: the
-facade's ``query_many`` fans out a cold batch's non-batchable view
-solves (BLAS), and the sharded frontend, the process pool and the
-fleet supervisor fan ``order_many`` / ``broadcast`` across shards,
-worker pipes and processes.  They must agree on what a valid worker
-count is and on the sequential-below-two fast path, so both live here,
-next to :mod:`repro.errors`, importable from any layer without cycles.
+sharded frontend, the process pool and the fleet supervisor fan
+``order_many`` / ``broadcast`` across shards, worker pipes and
+processes.  Query batches never fan out: ``query_many`` runs on the
+caller's thread on every front.  The fan-outs must agree on what a
+valid worker count is and on the sequential-below-two fast path, so
+both live here, next to :mod:`repro.errors`, importable from any layer
+without cycles.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ def _with_context(fn: Callable[[T], R],
     return wrapper
 
 
-def ensure_workers(parallelism: Optional[int], *,
-                   name: str = "parallelism") -> int:
+def ensure_workers(parallelism: Optional[int]) -> int:
     """Validate a worker count: ``None`` means 1, else an int >= 1.
 
     Floats and bools are rejected rather than coerced — ``int(2.7)``
@@ -47,12 +47,12 @@ def ensure_workers(parallelism: Optional[int], *,
         return 1
     if isinstance(parallelism, bool) or not isinstance(parallelism, int):
         raise InvalidParameterError(
-            f"{name} must be an integer >= 1 or None, "
+            "parallelism must be an integer >= 1 or None, "
             f"got {parallelism!r}"
         )
     if parallelism < 1:
         raise InvalidParameterError(
-            f"{name} must be >= 1, got {parallelism}"
+            f"parallelism must be >= 1, got {parallelism}"
         )
     return parallelism
 

@@ -126,13 +126,9 @@ class MessageFrontend:
         kwargs = dict(kwargs, epsilon=epsilon, window=window)
         return self._index_op(domain, "join", (cells_a, cells_b), kwargs)
 
-    def query_many(self, domain: Any, queries: Sequence, *,
-                   parallelism: Optional[int] = None) -> List:
-        """Routed :meth:`~repro.api.SpectralIndex.query_many`, run by
-        the serving end with the same ``parallelism``."""
-        ensure_workers(parallelism)  # validate before shipping
-        return self._index_op(domain, "query_many", (list(queries),),
-                              {"parallelism": parallelism})
+    def query_many(self, domain: Any, queries: Sequence) -> List:
+        """Routed :meth:`~repro.api.SpectralIndex.query_many`."""
+        return self._index_op(domain, "query_many", (list(queries),), {})
 
     def _index_op(self, domain: Any, op: str, args: Tuple,
                   kwargs: Dict[str, Any]) -> Any:

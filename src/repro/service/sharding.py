@@ -240,18 +240,23 @@ class ShardedIndexFrontend:
         # Imported lazily: repro.service must stay importable without
         # pulling the whole facade in (and the facade imports us).
         from repro.api.index import SpectralIndex
+        from repro.api.mappings import make_mapping
         from repro.mapping.interface import LocalityMapping
 
         domain = coerce_domain(domain)
         # Fingerprinted once (graphs hash O(edges)): the fingerprint is
         # both the table key and the routing input.
         fingerprint = routing_fingerprint(domain)
-        spec_key = (("instance", id(mapping))
-                    if isinstance(mapping, LocalityMapping)
-                    else repr(mapping))
         kwargs = dict(self._index_defaults)
         kwargs.update(build_kwargs)
-        key = (fingerprint, spec_key,
+        if not isinstance(mapping, LocalityMapping):
+            mapping = make_mapping(mapping, config=kwargs.get("config"))
+        # Keyed as the index keys its views, so every spelling of one
+        # order ("spectral", SpectralConfig(), connectivity=4) shares
+        # one index and its page layout.
+        identity = mapping.cache_identity()
+        key = (fingerprint,
+               ("instance", id(mapping)) if identity is None else identity,
                tuple(sorted((name, repr(value))
                             for name, value in kwargs.items())))
         with self._lock:
@@ -266,11 +271,9 @@ class ShardedIndexFrontend:
                 self._indexes.put(key, index)
         return index
 
-    def query_many(self, domain, queries: Sequence, *,
-                   parallelism: Optional[int] = None) -> List:
+    def query_many(self, domain, queries: Sequence) -> List:
         """Routed :meth:`~repro.api.SpectralIndex.query_many`."""
-        return self.index_for(domain).query_many(
-            queries, parallelism=parallelism)
+        return self.index_for(domain).query_many(queries)
 
     def range(self, domain, box, **kwargs):
         """Routed :meth:`~repro.api.SpectralIndex.range`."""

@@ -6,8 +6,8 @@ rate for the same buffer size.  The implementation is a textbook
 ordered-dict LRU with hit/miss/eviction accounting.
 
 One pool may be shared by every query running against one
-:class:`~repro.query.LinearStore` — including queries from concurrent
-``AsyncSpectralIndex`` batches or plain threads sharing one index — so
+:class:`~repro.query.LinearStore` — including queries from plain
+threads and ``AsyncSpectralIndex`` fronts sharing one index — so
 each access, and each ``access_many`` batch, is atomic: an internal
 lock guards the recency order and the counters, keeping the
 conservation law ``hits + misses == accesses`` exact under any

@@ -2,21 +2,22 @@
 
 Contracts pinned here:
 
-* ``query_many(parallelism=K)`` returns **bit-identical** results to the
-  sequential path — for range, nn, and join queries, over grid and
-  point-set domains, including per-query mapping overrides — because
-  every query runs on the caller's thread; ``parallelism`` only widens
-  the cold batch's non-batchable view solves, which still overlap;
+* ``query_many`` runs a batch on the caller's thread: a cold batch
+  builds every view there (curves, non-cacheable and cacheable
+  spectral mappings) and executes its queries there, in input order;
+* threads sharing one index and calling ``query_many`` at once each
+  get **bit-identical** results to a sequential run — for range, nn,
+  and join queries, over grid and point-set domains, including
+  per-query mapping overrides;
 * N threads hammering one index pay **exactly** the right number of
   eigensolves (the index's single-flight views compose with the
   service's request coalescing), asserted against the process-wide
   ``solver_invocations`` counter — including for *non-cacheable*
   mappings the service cannot coalesce;
 * buffer accounting stays conservation-exact when threads share one
-  index, and a batch's per-query buffer hits match the sequential run;
-* ``workload``/``execute_workload`` ignore their deprecated
-  ``parallelism`` with a ``DeprecationWarning``;
-* ``AsyncSpectralIndex`` serves the same answers through an event loop.
+  index, and a batch's per-query buffer hits match a sequential twin;
+* ``AsyncSpectralIndex`` serves the same answers through an event loop,
+  every call on one executor thread.
 """
 
 import asyncio
@@ -63,6 +64,14 @@ def _run_threads(n, target):
     assert not errors, errors
 
 
+def _run_batch_in_threads(index, batch, n=4):
+    """``index.query_many(batch)`` from ``n`` threads at once."""
+    results = [None] * n
+    _run_threads(n, lambda i: results.__setitem__(
+        i, index.query_many(batch)))
+    return results
+
+
 def _assert_identical(sequential, parallel):
     assert len(sequential) == len(parallel)
     for a, b in zip(sequential, parallel):
@@ -101,26 +110,26 @@ def _grid_batch():
 # Bit-identical results, grid domain
 # ----------------------------------------------------------------------
 def test_parallel_query_many_bit_identical_on_grid():
+    """Threads sharing one warm index each get the sequential answers."""
     index = SpectralIndex.build((12, 12))
     sequential = index.query_many(_grid_batch())
-    for workers in (2, 4, 8):
-        _assert_identical(sequential,
-                          index.query_many(_grid_batch(),
-                                           parallelism=workers))
+    for results in _run_batch_in_threads(index, _grid_batch()):
+        _assert_identical(sequential, results)
 
 
 def test_parallel_query_many_bit_identical_on_fresh_index():
-    """Parallel execution on a *cold* index (views + stores not yet
-    materialized) matches a sequential run on an identical twin."""
+    """Threads racing on a *cold* index (views + stores not yet
+    materialized) each match a sequential run on an identical twin."""
     sequential = SpectralIndex.build((11, 11)).query_many(_grid_batch())
-    parallel = SpectralIndex.build((11, 11)).query_many(_grid_batch(),
-                                                        parallelism=4)
-    _assert_identical(sequential, parallel)
+    index = SpectralIndex.build((11, 11))
+    for results in _run_batch_in_threads(index, _grid_batch()):
+        _assert_identical(sequential, results)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_query_many_runs_every_query_on_the_callers_thread(monkeypatch,
-                                                            workers):
+def test_query_many_runs_every_query_on_the_callers_thread(monkeypatch):
+    """A cold batch builds its views and runs its queries on the
+    caller's thread: a curve, a non-cacheable (callable-weight)
+    spectral mapping and the cacheable default each build there."""
     seen = []
 
     def recording(op, real):
@@ -131,38 +140,24 @@ def test_query_many_runs_every_query_on_the_callers_thread(monkeypatch,
 
     for owner, name, op in ((LinearStore, "range_query", "range"),
                             (SpectralIndex, "_nn_impl", "nn"),
-                            (SpectralIndex, "_join_impl", "join")):
+                            (SpectralIndex, "_join_impl", "join"),
+                            (SpectralIndex, "_build_view", "view")):
         monkeypatch.setattr(owner, name,
                             recording(op, getattr(owner, name)))
-    batch = _grid_batch()
-    SpectralIndex.build((12, 12)).query_many(batch, parallelism=workers)
-    assert len(seen) == len(batch)
-    assert {op for op, _ in seen} == {"range", "nn", "join"}
+    callable_weight = make_mapping("spectral", weight=lambda d: 1.0)
+    batch = [
+        RangeQuery(((1, 1), (6, 6))),
+        NNQuery((7, 2), k=3, mapping="hilbert"),
+        NNQuery(17, k=4, mapping=callable_weight),
+        JoinQuery([0, 1, 2, 12, 13], [50, 51, 62, 73], epsilon=2,
+                  window=24),
+    ]
+    SpectralIndex.build((12, 12)).query_many(batch)
+    ops = [op for op, _ in seen]
+    assert ops.count("view") == 3
+    assert len(ops) - ops.count("view") == len(batch)
+    assert set(ops) == {"range", "nn", "join", "view"}
     assert {ident for _, ident in seen} == {threading.get_ident()}
-
-
-def test_non_cacheable_views_still_materialize_concurrently(monkeypatch):
-    """``parallelism=2`` overlaps two cold non-cacheable view solves:
-    each materializer waits at a two-party barrier, which only breaks
-    (after its timeout) if the two run one after the other."""
-    def batch():
-        return [NNQuery(10, k=4,
-                        mapping=make_mapping("spectral",
-                                             weight=lambda d, s=s: s))
-                for s in (1.0, 2.0)]
-
-    sequential = SpectralIndex.build((8, 8)).query_many(batch())
-    barrier = threading.Barrier(2, timeout=20)
-    real = SpectralIndex._build_view
-
-    def rendezvous(self, mapping):
-        barrier.wait()
-        return real(self, mapping)
-
-    monkeypatch.setattr(SpectralIndex, "_build_view", rendezvous)
-    parallel = SpectralIndex.build((8, 8)).query_many(batch(),
-                                                      parallelism=2)
-    _assert_identical(sequential, parallel)
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +173,8 @@ def test_parallel_query_many_bit_identical_on_point_set():
         + [NNQuery(cells[5], k=3, window=9)]
     )
     sequential = index.query_many(batch)
-    _assert_identical(sequential, index.query_many(batch, parallelism=4))
+    for results in _run_batch_in_threads(index, batch):
+        _assert_identical(sequential, results)
     # Neighbours come back as flat *grid* indices of occupied cells.
     for result in sequential[:8]:
         assert all(int(c) in set(cells) for c in result.neighbors)
@@ -187,7 +183,7 @@ def test_parallel_query_many_bit_identical_on_point_set():
 def test_point_set_range_queries_still_rejected():
     index = SpectralIndex.build(PointSet(Grid((6, 6)), range(12)))
     with pytest.raises(DomainError):
-        index.query_many([RangeQuery(((0, 0), (2, 2)))], parallelism=2)
+        index.query_many([RangeQuery(((0, 0), (2, 2)))])
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +199,7 @@ def test_n_thread_query_many_runs_exactly_one_solve_per_config():
     results = [None] * 6
 
     def hit(i):
-        results[i] = index.query_many(batch, parallelism=2)
+        results[i] = index.query_many(batch)
 
     _run_threads(6, hit)
 
@@ -266,19 +262,25 @@ def test_buffer_accounting_exact_under_parallel_query_many():
     index = SpectralIndex.build((16, 16), buffer_capacity=8)
     batch = [RangeQuery(((i % 8, i % 8), (i % 8 + 5, i % 8 + 5)))
              for i in range(24)]
-    results = index.query_many(batch, parallelism=4)
+    results = index.query_many(batch)
     stats = index.buffer_stats()
     assert stats is not None
     assert stats.hits + stats.misses == stats.accesses
-    assert stats.accesses == sum(e.pages_fetched for e in results)
+    pages = sum(e.pages_fetched for e in results)
+    assert stats.accesses == pages
     # The batch runs in input order on one thread, so a buffered twin
-    # run sequentially agrees on every field, buffer hits included.
+    # agrees on every field, buffer hits included.
     twin = SpectralIndex.build((16, 16), buffer_capacity=8)
     _assert_identical(twin.query_many(batch), results)
     assert twin.buffer_stats() == stats
+    # Threads sharing the pool interleave their hits, but no access is
+    # lost or counted twice.
+    _run_batch_in_threads(index, batch)
+    stats = index.buffer_stats()
+    assert stats.hits + stats.misses == stats.accesses == 5 * pages
 
 
-def test_workload_parallelism_conserves_accounting():
+def test_workload_conserves_accounting():
     index = SpectralIndex.build((16, 16), buffer_capacity=8)
     boxes = [((i % 6, i % 6), (i % 6 + 7, i % 6 + 7)) for i in range(20)]
     report = index.workload(boxes)
@@ -293,18 +295,6 @@ def test_workload_parallelism_conserves_accounting():
 
 
 # ----------------------------------------------------------------------
-# The parallelism knob
-# ----------------------------------------------------------------------
-def test_parallelism_rejects_nonsense():
-    index = SpectralIndex.build((6, 6))
-    for bad in (0, -1, 2.5, True):
-        with pytest.raises(InvalidParameterError):
-            index.query_many([NNQuery(3, k=2)], parallelism=bad)
-        with pytest.raises(InvalidParameterError):
-            AsyncSpectralIndex(index, workers=bad)
-
-
-# ----------------------------------------------------------------------
 # Asyncio facade
 # ----------------------------------------------------------------------
 def test_async_index_smoke():
@@ -312,7 +302,7 @@ def test_async_index_smoke():
     expected = sync_index.query_many(_grid_batch())
 
     async def main():
-        async with AsyncSpectralIndex.build((10, 10), workers=4) as index:
+        async with AsyncSpectralIndex.build((10, 10)) as index:
             ranks = await index.ranks()
             single = await index.nn((4, 4), k=6)
             batches = await asyncio.gather(
@@ -332,12 +322,12 @@ def test_async_query_many_matches_sync_on_buffered_twins():
     batch = _grid_batch() + [RangeQuery(((i, i), (i + 4, i + 4)))
                              for i in range(6)]
     sync_index = SpectralIndex.build((12, 12), buffer_capacity=4)
-    expected = sync_index.query_many(batch, parallelism=2)
+    expected = sync_index.query_many(batch)
 
     async def main():
         async with AsyncSpectralIndex.build(
                 (12, 12), buffer_capacity=4) as index:
-            results = await index.query_many(batch, parallelism=2)
+            results = await index.query_many(batch)
             return results, index.index.buffer_stats()
 
     results, stats = asyncio.run(main())
@@ -351,7 +341,7 @@ def test_async_index_shares_a_sync_index_and_service():
     before = solver_invocations()
 
     async def main():
-        index = AsyncSpectralIndex(sync_index, workers=2)
+        index = AsyncSpectralIndex(sync_index)
         try:
             return await asyncio.gather(
                 index.range(((0, 0), (4, 4))),
@@ -370,6 +360,27 @@ def test_async_index_shares_a_sync_index_and_service():
     assert np.array_equal(nn_result.neighbors,
                           sync_index.nn(10, k=3).neighbors)
     assert hilbert == sync_index.order_for("hilbert")
+
+
+def test_async_index_runs_every_call_on_one_thread(monkeypatch):
+    """Gathered calls queue on one executor thread, off the loop's."""
+    seen = set()
+    real = SpectralIndex._execute_query
+
+    def recording(self, view, query):
+        seen.add(threading.get_ident())
+        return real(self, view, query)
+
+    monkeypatch.setattr(SpectralIndex, "_execute_query", recording)
+
+    async def main():
+        async with AsyncSpectralIndex.build((10, 10)) as index:
+            await asyncio.gather(*(index.query_many(_grid_batch())
+                                   for _ in range(4)))
+
+    asyncio.run(main())
+    assert len(seen) == 1
+    assert threading.get_ident() not in seen
 
 
 def test_async_index_rejects_non_index():

@@ -102,10 +102,6 @@ class TestQuerySurface:
         want = frontend.nn(grid, (2, 2), 4)
         assert list(got.neighbors) == list(want.neighbors)
 
-    def test_query_many_validates_parallelism(self, remote):
-        with pytest.raises(InvalidParameterError):
-            remote.query_many(Grid((6, 6)), [], parallelism=-1)
-
     def test_server_side_error_reraises_original_type(self, remote):
         # An out-of-domain NN cell fails inside the server's frontend;
         # the client re-raises the same exception type, not a wrapper.

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.core.spectral import SpectralConfig
 from repro.geometry.grid import Grid
 from repro.linalg.backends import solver_invocations
 from repro.net import RemoteFrontend, SpectralServer
@@ -71,6 +72,46 @@ def test_k_cold_clients_pay_one_solve():
         # ...and K-1 requests served off the in-flight leader.
         assert (_counter_value("repro_net_coalesced_total")
                 - coalesced_before) == K - 1
+
+
+def test_config_spellings_share_one_flight():
+    """Clients spelling one order differently (``None``, the default
+    config, ``connectivity=4``) ride one flight: the server keys it by
+    the canonical config, as the service keys its cache."""
+    spellings = [None, SpectralConfig(), SpectralConfig(connectivity=4),
+                 SpectralConfig(connectivity="orthogonal")]
+    gated = GatedFrontend(ShardedIndexFrontend(shards=1))
+    grid = Grid((13, 11))  # unique to this test: must be a cold miss
+    with SpectralServer(gated, dispatchers=len(spellings),
+                        queue_depth=2 * len(spellings)) as server:
+        host, port = server.address
+        results = [None] * len(spellings)
+        errors = []
+
+        def hit(i):
+            try:
+                with RemoteFrontend(host, port, read_timeout=60) as client:
+                    results[i] = client.order_grid(grid, spellings[i])
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hit, args=(i,))
+                   for i in range(len(spellings))]
+        for t in threads:
+            t.start()
+        # Every request is either a leader inside the gated frontend or
+        # a waiter on a flight; only then is the gate opened.
+        deadline = time.monotonic() + 20
+        while (gated.calls + server.flight_waiters < len(spellings)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        gated.gate.set()
+        for t in threads:
+            t.join(timeout=60)
+
+    assert not errors, errors
+    assert all(r == results[0] for r in results)
+    assert gated.calls == 1
 
 
 def test_distinct_fingerprints_do_not_coalesce():

@@ -116,7 +116,7 @@ def test_index_for_caches_and_routes_queries():
     result = front.nn((8, 8), 10, 3)
     assert np.array_equal(result.neighbors,
                           direct.nn(10, 3).neighbors)
-    many = front.query_many((8, 8), [NNQuery(5, k=4)], parallelism=2)
+    many = front.query_many((8, 8), [NNQuery(5, k=4)])
     assert np.array_equal(many[0].neighbors,
                           direct.nn(5, 4).neighbors)
     execution = front.range((8, 8), ((1, 1), (4, 4)))
@@ -124,6 +124,14 @@ def test_index_for_caches_and_routes_queries():
                           direct.range(((1, 1), (4, 4))).results)
     report = front.join((8, 8), [0, 1], [9, 17], epsilon=2, window=12)
     assert report == direct.join([0, 1], [9, 17], epsilon=2, window=12)
+
+
+def test_index_for_shares_one_index_across_config_spellings():
+    front = ShardedIndexFrontend(shards=2)
+    index = front.index_for((12, 12), "spectral")
+    assert front.index_for((12, 12), SpectralConfig()) is index
+    assert front.index_for((12, 12),
+                           SpectralConfig(connectivity=4)) is index
 
 
 def test_stats_are_per_shard_and_combined():
