@@ -126,10 +126,14 @@ def test_parallel_query_many_bit_identical_on_fresh_index():
         _assert_identical(sequential, results)
 
 
-def test_query_many_runs_every_query_on_the_callers_thread(monkeypatch):
+@pytest.mark.parametrize("callers", [1, 2, 4])
+def test_query_many_runs_every_query_on_the_callers_thread(monkeypatch,
+                                                            callers):
     """A cold batch builds its views and runs its queries on the
-    caller's thread: a curve, a non-cacheable (callable-weight)
-    spectral mapping and the cacheable default each build there."""
+    caller's thread, whether one thread calls or several share the
+    index: a curve, a non-cacheable (callable-weight) spectral mapping
+    and the cacheable default each build once, on a caller's thread,
+    and every caller runs its whole batch itself."""
     seen = []
 
     def recording(op, real):
@@ -138,10 +142,15 @@ def test_query_many_runs_every_query_on_the_callers_thread(monkeypatch):
             return real(self, *args, **kwargs)
         return wrapper
 
+    # Each view is published once, by the flight leader that built it.
+    # A caller that checked the views just before that flight landed
+    # leads a flight of its own, whose _build_view finds the published
+    # view and returns it, so only one caller counts every build.
     for owner, name, op in ((LinearStore, "range_query", "range"),
                             (SpectralIndex, "_nn_impl", "nn"),
                             (SpectralIndex, "_join_impl", "join"),
-                            (SpectralIndex, "_build_view", "view")):
+                            (SpectralIndex, "_build_view", "view"),
+                            (SpectralIndex, "_publish_view", "publish")):
         monkeypatch.setattr(owner, name,
                             recording(op, getattr(owner, name)))
     callable_weight = make_mapping("spectral", weight=lambda d: 1.0)
@@ -152,12 +161,27 @@ def test_query_many_runs_every_query_on_the_callers_thread(monkeypatch):
         JoinQuery([0, 1, 2, 12, 13], [50, 51, 62, 73], epsilon=2,
                   window=24),
     ]
-    SpectralIndex.build((12, 12)).query_many(batch)
+    index = SpectralIndex.build((12, 12))
+    idents = [None] * callers
+
+    def call(i):
+        idents[i] = threading.get_ident()
+        index.query_many(batch)
+
+    _run_threads(callers, call)
+    assert len(set(idents)) == callers
     ops = [op for op, _ in seen]
-    assert ops.count("view") == 3
-    assert len(ops) - ops.count("view") == len(batch)
-    assert set(ops) == {"range", "nn", "join", "view"}
-    assert {ident for _, ident in seen} == {threading.get_ident()}
+    assert ops.count("publish") == 3
+    assert ops.count("view") >= 3
+    if callers == 1:
+        assert ops.count("view") == 3
+    assert set(ops) == {"range", "nn", "join", "view", "publish"}
+    assert {ident for _, ident in seen} <= set(idents)
+    for ident in idents:
+        mine = [op for op, who in seen
+                if who == ident and op not in ("view", "publish")]
+        assert len(mine) == len(batch)
+        assert set(mine) == {"range", "nn", "join"}
 
 
 # ----------------------------------------------------------------------
