@@ -3,7 +3,7 @@
 :mod:`repro.knobs` is the single source of truth for deployment knobs:
 name, type, default, and the one module allowed to resolve it from the
 environment (through a validating helper such as
-``cutoff_from_env`` / ``positive_int_from_env``).  This rule flags:
+``positive_int_from_env`` / ``positive_float_from_env``).  This rule flags:
 
 * a ``REPRO_*`` read (``os.environ[...]``, ``os.environ.get``,
   ``os.getenv``, or a validating-helper call) whose key is not

@@ -200,8 +200,9 @@ def _fiedler_vector(graph: Graph, backend: str = "auto",
         )
     probe = _checked_probe(probe, n)
 
-    if backend == "multilevel" or (
-            backend == "auto" and n > backend_registry.MULTILEVEL_CUTOFF):
+    approximate = backend == "multilevel" or (
+        backend == "auto" and n > backend_registry.MULTILEVEL_CUTOFF)
+    if approximate:
         result = _multilevel_result(graph, probe,
                                     strict=backend == "multilevel")
         if result is not None:
@@ -209,6 +210,9 @@ def _fiedler_vector(graph: Graph, backend: str = "auto",
 
     exact_backend = backend if backend != "auto" \
         else backend_registry.resolve_auto(n, min(4, n - 1))
+    if approximate:
+        # auto's approximate pair missed its quality check.
+        backend_registry.count_fallback("multilevel", exact_backend)
     # The window solve and every closure certificate below solve the
     # same Laplacian: on the scipy backend they share one LU factor,
     # released when this call returns.

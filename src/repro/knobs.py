@@ -3,9 +3,15 @@
 Every environment variable the library (or its test/CI harness) reads
 is declared here, once, with its type, default, and the one module that
 is allowed to read it from the environment — always through a
-validating helper (:func:`repro.linalg.backends.cutoff_from_env`,
-:func:`repro.net.config.positive_int_from_env`, ...), never a bare
+validating helper (:func:`repro.net.config.positive_int_from_env`,
+:func:`repro.net.config.positive_float_from_env`), never a bare
 ``os.environ[...]`` that would silently swallow a typo.
+
+The library itself reads only the socket server's two deployment
+settings.  Nothing else that decides an order may come from the
+environment: orders are cached under their configuration and domain
+alone, so ``auto``'s backend cutoffs are constants in
+:mod:`repro.linalg.backends`.
 
 Two consumers keep this registry honest:
 
@@ -51,34 +57,6 @@ class Knob:
 
 #: Every ``REPRO_*`` variable, in documentation order.
 KNOBS: Tuple[Knob, ...] = (
-    Knob(
-        name="REPRO_DENSE_CUTOFF",
-        kind="int >= 1",
-        default="225 with scipy installed, 441 without",
-        reader="repro.linalg.backends",
-        description="Largest vertex count solved by the dense eigensolver "
-                    "before switching to iterative backends; overrides "
-                    "both defaults.",
-    ),
-    Knob(
-        name="REPRO_LOBPCG_CUTOFF",
-        kind="int >= 1",
-        default="4096",
-        reader="repro.linalg.backends",
-        description="Vertex count above which the auto policy picks the "
-                    "multilevel-preconditioned LOBPCG backend on the "
-                    "scipy-less leg.",
-    ),
-    Knob(
-        name="REPRO_MULTILEVEL_CUTOFF",
-        kind="int >= 1",
-        default="131072",
-        reader="repro.linalg.backends",
-        description="Vertex count above which the auto policy picks the "
-                    "multilevel (coarsen-and-refine) backend (full "
-                    "orthogonal radius-1 grids take their closed-form "
-                    "pair at any size).",
-    ),
     Knob(
         name="REPRO_NET_TIMEOUT",
         kind="float seconds > 0",

@@ -7,7 +7,6 @@ from repro.linalg.backends import (
     LOBPCG_CUTOFF,
     MULTILEVEL_CUTOFF,
     MULTILEVEL_QUALITY_RTOL,
-    cutoff_from_env,
     multilevel_preconditioner_for,
     scipy_available,
     smallest_eigenpairs,
@@ -42,7 +41,6 @@ __all__ = [
     "MULTILEVEL_CUTOFF",
     "MULTILEVEL_QUALITY_RTOL",
     "canonical_in_span",
-    "cutoff_from_env",
     "deflation_matrix",
     "deterministic_start",
     "lanczos_symmetric",

@@ -72,12 +72,12 @@ Backend selection under ``auto``
   time (nothing is cached across solves), so its answer depends only on
   the graph, whichever front asked.
 
-The cutoffs are hardware policy, not algorithmic constants — the
-crossover points move with BLAS quality, core count, and whether scipy
-is installed.  They can be overridden per deployment through the
-environment variables ``REPRO_DENSE_CUTOFF``,
-``REPRO_LOBPCG_CUTOFF`` and ``REPRO_MULTILEVEL_CUTOFF`` (positive
-integers, validated at import).
+The cutoffs are module constants, not environment knobs: an order is
+cached under its :class:`~repro.core.spectral.SpectralConfig` and its
+domain alone, so nothing outside that key may move ``auto``'s choice.
+``MULTILEVEL_CUTOFF`` in particular picks an approximation whose order
+differs from the exact one; an approximate order is asked for with
+``backend="multilevel"``, which is part of the key.
 
 All backends return eigenvalues in ascending order with orthonormal
 eigenvector columns; all are cross-validated in the test suite.
@@ -86,7 +86,6 @@ eigenvector columns; all are cross-validated in the test suite.
 from __future__ import annotations
 
 import importlib.util
-import os
 import threading
 from contextlib import contextmanager
 from typing import Iterator, Sequence, Tuple
@@ -96,7 +95,6 @@ import numpy as np
 from repro.caching import LRUCache
 from repro.errors import (
     BackendUnavailableError,
-    ConfigurationError,
     ConvergenceError,
     InvalidParameterError,
 )
@@ -114,29 +112,16 @@ _SOLVE_SECONDS = registry().histogram(
     "repro_linalg_solve_seconds",
     "Eigensolve latency by resolved backend.")
 
+# Solves one backend handed to another.  Always on: the span attributes
+# that also record a switch exist only while a trace is recording.
+_FALLBACKS = registry().counter(
+    "repro_linalg_fallbacks_total",
+    "Solves handed from one eigensolver backend to another.")
 
-def cutoff_from_env(name: str, default: int) -> int:
-    """Resolve a backend cutoff from the environment, with validation.
 
-    Absent or empty variables yield ``default``; anything else must parse
-    as a positive integer or :class:`~repro.errors.ConfigurationError`
-    is raised (a silently ignored typo in a tuning knob is worse than a
-    loud startup failure).
-    """
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return int(default)
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise ConfigurationError(
-            f"{name} must be a positive integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"{name} must be a positive integer, got {value}"
-        )
-    return value
+def count_fallback(source: str, target: str) -> None:
+    """Count one solve that backend ``source`` handed to ``target``."""
+    _FALLBACKS.inc(**{"from": source, "to": target})
 
 
 #: ``auto``'s dense cutoff when scipy is installed: the largest size at
@@ -151,27 +136,23 @@ NUMPY_DENSE_CUTOFF = 441
 #: Matrices at or below this size use the dense path under ``auto``:
 #: :data:`SCIPY_DENSE_CUTOFF` when scipy is installed, else
 #: :data:`NUMPY_DENSE_CUTOFF`.  ``find_spec`` locates scipy without
-#: importing it, so ``import repro`` stays scipy-free.  Overridable via
-#: the ``REPRO_DENSE_CUTOFF`` environment variable.
-DENSE_CUTOFF = cutoff_from_env(
-    "REPRO_DENSE_CUTOFF",
-    SCIPY_DENSE_CUTOFF if importlib.util.find_spec("scipy") is not None
-    else NUMPY_DENSE_CUTOFF)
+#: importing it, so ``import repro`` stays scipy-free.
+DENSE_CUTOFF = (SCIPY_DENSE_CUTOFF
+                if importlib.util.find_spec("scipy") is not None
+                else NUMPY_DENSE_CUTOFF)
 
 #: Without scipy, matrices above this size use the preconditioned LOBPCG
 #: backend under ``auto`` instead of plain Lanczos: that is the regime
 #: where the multilevel preconditioner's O(1) iteration count beats the
 #: flat Lanczos sweep by more than the hierarchy-construction overhead
-#: costs.  Overridable via the ``REPRO_LOBPCG_CUTOFF`` environment
-#: variable.
-LOBPCG_CUTOFF = cutoff_from_env("REPRO_LOBPCG_CUTOFF", 4096)
+#: costs.
+LOBPCG_CUTOFF = 4096
 
 #: Graphs above this many vertices use the multilevel approximation under
 #: ``auto`` (subject to its quality check).  Only meaningful at the
 #: :func:`repro.core.fiedler.fiedler_vector` level, where the graph
-#: structure needed for coarsening is still available.  Overridable via
-#: the ``REPRO_MULTILEVEL_CUTOFF`` environment variable.
-MULTILEVEL_CUTOFF = cutoff_from_env("REPRO_MULTILEVEL_CUTOFF", 131_072)
+#: structure needed for coarsening is still available.
+MULTILEVEL_CUTOFF = 131_072
 
 #: Bound on the estimated relative ``lambda_2`` error of a multilevel
 #: result accepted under ``auto``; read at each solve, like
@@ -356,6 +337,7 @@ def _smallest_lobpcg(matrix: CSRMatrix, k: int,
         # iteration could not certify the pairs (bad preconditioner
         # fit, non-Laplacian input); the flat Lanczos sweep is slower
         # but assumption-free.
+        count_fallback("lobpcg", "lanczos")
         if stats is not None:
             stats["fallback"] = "lanczos"
         return _smallest_lanczos(matrix, k, deflate, tol, stats=stats)
@@ -435,6 +417,7 @@ def _smallest_scipy(matrix: CSRMatrix, k: int,
         # eigsh requires k < n; fall back to dense for tiny systems.
         # (The deflation must carry over — dropping it would let the
         # deflated directions back into the bottom of the spectrum.)
+        count_fallback("scipy", "dense")
         return _smallest_dense(matrix, k, deflate)
     # Shift-invert around a point just below the spectrum: the matrix
     # M = A - sigma I is then definite and the smallest eigenvalues map
@@ -591,6 +574,7 @@ def _run_backend(matrix: CSRMatrix, k: int, backend: str,
         return _smallest_dense(matrix, k, deflate)
     if backend in ("lanczos", "lobpcg"):
         if k > n - len(deflate):
+            count_fallback(backend, "dense")
             if stats is not None:
                 stats["dense_fallback"] = True
             return _smallest_dense(matrix, k, deflate)

@@ -1,11 +1,10 @@
 """Deployment knobs of the network tier, resolved and validated once.
 
-The same treatment as the ``REPRO_*_CUTOFF`` solver knobs
-(:func:`repro.linalg.backends.cutoff_from_env`): absent or empty
-variables mean the default, anything else must parse — a silently
-ignored typo in a production timeout is worse than a loud import-time
-failure.  Standard library only, so :mod:`repro.net` stays importable
-without numpy.
+These are the only environment variables the library reads (see
+:mod:`repro.knobs`).  Absent or empty variables mean the default,
+anything else must parse — a silently ignored typo in a production
+timeout is worse than a loud import-time failure.  Standard library
+only, so :mod:`repro.net` stays importable without numpy.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ Three pieces, all standard library only:
   pickle IPC boundary to ``repro.serve`` workers, producing stitched
   traces with JSONL export.
 - :mod:`repro.obs.timers` — the shared monotonic :class:`Timer` used by
-  calibration, the serve CLI, and benchmarks.
+  the serving stack, the serve CLI, and benchmarks.
 
 Tracing is off by default and free when off (one boolean check per span
 site); metric updates are always on and cost one lock + add, the same
@@ -47,7 +47,7 @@ from repro.obs.tracing import (
     format_trace,
     phase_totals,
 )
-from repro.obs.timers import Timer, best_of
+from repro.obs.timers import Timer
 
 __all__ = [
     "Counter",
@@ -77,5 +77,4 @@ __all__ = [
     "format_trace",
     "phase_totals",
     "Timer",
-    "best_of",
 ]

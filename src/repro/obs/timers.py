@@ -1,16 +1,16 @@
-"""Shared wall-clock timing utilities.
+"""Shared wall-clock timing utility.
 
-Every user-facing timing in the repo (calibration, serve CLI warm-up,
-benchmarks) goes through this module so reported numbers come from one
-monotonic-clock code path (``time.perf_counter``).
+Every timing the library reports (solve and query latency histograms,
+serve CLI warm-up, benchmarks) goes through :class:`Timer`, so reported
+numbers come from one monotonic-clock code path (``time.perf_counter``).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Optional
+from typing import Optional
 
-__all__ = ["Timer", "best_of"]
+__all__ = ["Timer"]
 
 
 class Timer:
@@ -51,19 +51,3 @@ class Timer:
     @property
     def millis(self) -> float:
         return self.seconds * 1e3
-
-
-def best_of(fn: Callable[[], object], repeats: int = 3) -> float:
-    """Minimum wall time of ``fn`` over ``repeats`` runs, in seconds.
-
-    The minimum (not mean) estimates the noise-free cost — the same
-    convention ``repro-calibrate`` has always used.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    best = float("inf")
-    for _ in range(repeats):
-        with Timer() as t:
-            fn()
-        best = min(best, t.seconds)
-    return best

@@ -40,8 +40,11 @@ from repro.graph.adjacency import Graph
 #: exact closed-form pair instead of the multilevel approximation.
 #: Version 3: the service coarsens multilevel solves on the real edge
 #: weights, as the library always did, so its multilevel orders of
-#: non-uniformly weighted graphs change.
-FINGERPRINT_VERSION = 3
+#: non-uniformly weighted graphs change.  Version 4: ``auto``'s cutoffs
+#: no longer come from the environment, and a store written under a
+#: lowered multilevel cutoff may hold multilevel orders under ``auto``
+#: keys that no process produces any more.
+FINGERPRINT_VERSION = 4
 
 Domain = Union[Grid, Graph]
 

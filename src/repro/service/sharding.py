@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.caching import LRUCache
 from repro.core.ordering import LinearOrder
+from repro.core.spectral import SpectralConfig, SpectralLPM
 from repro.errors import InvalidParameterError
 from repro.obs import span
 from repro.parallel import ensure_workers, map_in_threads
@@ -253,12 +254,16 @@ class ShardedIndexFrontend:
             mapping = make_mapping(mapping, config=kwargs.get("config"))
         # Keyed as the index keys its views, so every spelling of one
         # order ("spectral", SpectralConfig(), connectivity=4) shares
-        # one index and its page layout.
+        # one index and its page layout.  config= is keyed by the
+        # canonical config it resolves to, as the service keys orders,
+        # so leaving it out, None and SpectralConfig() are one spelling.
         identity = mapping.cache_identity()
+        keyed = dict(kwargs, config=SpectralLPM.from_config(
+            kwargs.get("config") or SpectralConfig()).config)
         key = (fingerprint,
                ("instance", id(mapping)) if identity is None else identity,
                tuple(sorted((name, repr(value))
-                            for name, value in kwargs.items())))
+                            for name, value in keyed.items())))
         with self._lock:
             index = self._indexes.get(key)
             if index is None:

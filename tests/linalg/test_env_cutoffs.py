@@ -1,67 +1,37 @@
-"""Tests for the REPRO_*_CUTOFF environment overrides (backends.py)."""
+"""``auto``'s backend cutoffs are constants, whatever the environment says.
 
+An order is cached under its configuration and domain alone, so nothing
+outside that key may move ``auto``'s choice of backend: the dense
+cutoff follows the installed leg, and variables named like the old
+``REPRO_*_CUTOFF`` overrides are ignored.
+"""
+
+import json
+import os
 import subprocess
 import sys
 
-import pytest
-
-from repro.errors import ConfigurationError, InvalidParameterError
-from repro.linalg import cutoff_from_env
+from repro.core import SpectralConfig
+from repro.geometry import Grid
 from repro.linalg import backends as backend_registry
+from repro.service import OrderingService
+
+SRC_DIR = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), "..", "..", "src"))
 
 
-def test_default_when_absent(monkeypatch):
-    monkeypatch.delenv("REPRO_DENSE_CUTOFF", raising=False)
-    assert cutoff_from_env("REPRO_DENSE_CUTOFF", 1024) == 1024
-
-
-def test_empty_value_means_default(monkeypatch):
-    monkeypatch.setenv("REPRO_MULTILEVEL_CUTOFF", "   ")
-    assert cutoff_from_env("REPRO_MULTILEVEL_CUTOFF", 7) == 7
-
-
-def test_valid_override(monkeypatch):
-    monkeypatch.setenv("REPRO_DENSE_CUTOFF", " 2048 ")
-    assert cutoff_from_env("REPRO_DENSE_CUTOFF", 1024) == 2048
-
-
-@pytest.mark.parametrize("bad", ["abc", "1.5", "-3", "0", "1e6", "nan"])
-def test_invalid_values_rejected(monkeypatch, bad):
-    monkeypatch.setenv("REPRO_DENSE_CUTOFF", bad)
-    with pytest.raises(ConfigurationError) as excinfo:
-        cutoff_from_env("REPRO_DENSE_CUTOFF", 1024)
-    # The message names the offending variable and the requirement.
-    assert "REPRO_DENSE_CUTOFF" in str(excinfo.value)
-    assert "positive integer" in str(excinfo.value)
-
-
-def test_configuration_error_is_an_invalid_parameter_error(monkeypatch):
-    """Handlers written against the old exception type keep working."""
-    monkeypatch.setenv("REPRO_LOBPCG_CUTOFF", "-1")
-    with pytest.raises(InvalidParameterError):
-        cutoff_from_env("REPRO_LOBPCG_CUTOFF", 4096)
-
-
-def test_valid_lobpcg_override(monkeypatch):
-    monkeypatch.setenv("REPRO_LOBPCG_CUTOFF", "512")
-    assert cutoff_from_env("REPRO_LOBPCG_CUTOFF", 4096) == 512
-
-
-def _resolved_cutoffs(env_extra, prelude=""):
-    import os
-
+def _run_child(snippet, env_extra=None):
     env = {name: value for name, value in os.environ.items()
            if not name.startswith("REPRO_")}
-    env.update(env_extra)
-    src_dir = os.path.abspath(
-        os.path.join(os.path.dirname(__file__), "..", "..", "src"))
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    snippet = (prelude + "from repro.linalg import backends as b; "
-               "print(b.DENSE_CUTOFF); print(b.MULTILEVEL_CUTOFF); "
-               "print(b.LOBPCG_CUTOFF)")
-    out = subprocess.run([sys.executable, "-c", snippet],
-                         capture_output=True, text=True, env=env)
-    return out
+    env.update(env_extra or {})
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", snippet],
+                          capture_output=True, text=True, env=env)
+
+
+def _resolved_dense_cutoff(prelude=""):
+    return _run_child(prelude + "from repro.linalg import backends as b; "
+                      "print(b.DENSE_CUTOFF)")
 
 
 # Makes importlib report scipy as not installed, as on the numpy-only leg.
@@ -75,44 +45,53 @@ def test_dense_default_follows_the_installed_leg():
     import importlib.util
 
     installed = importlib.util.find_spec("scipy") is not None
-    out = _resolved_cutoffs({})
+    out = _resolved_dense_cutoff()
     assert out.returncode == 0, out.stderr
     assert int(out.stdout.split()[0]) == (
         backend_registry.SCIPY_DENSE_CUTOFF if installed
         else backend_registry.NUMPY_DENSE_CUTOFF)
-    out = _resolved_cutoffs({}, prelude=_SCIPY_NOT_INSTALLED)
+    out = _resolved_dense_cutoff(prelude=_SCIPY_NOT_INSTALLED)
     assert out.returncode == 0, out.stderr
     assert int(out.stdout.split()[0]) == backend_registry.NUMPY_DENSE_CUTOFF
 
 
-def test_dense_override_wins_on_both_legs():
-    for prelude in ("", _SCIPY_NOT_INSTALLED):
-        out = _resolved_cutoffs({"REPRO_DENSE_CUTOFF": "300"},
-                                prelude=prelude)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.split()[0] == "300"
-
-
 def test_import_repro_does_not_import_scipy():
-    out = _resolved_cutoffs({}, prelude=(
+    out = _resolved_dense_cutoff(prelude=(
         "import sys, repro, repro.core, repro.linalg; "
         "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']"
         "; "))
     assert out.returncode == 0, out.stderr
 
 
-def test_overrides_take_effect_at_import():
-    out = _resolved_cutoffs({"REPRO_DENSE_CUTOFF": "77",
-                             "REPRO_MULTILEVEL_CUTOFF": "99999",
-                             "REPRO_LOBPCG_CUTOFF": "2048"})
+_MOORE = SpectralConfig(connectivity="moore")
+
+_ORDER_MOORE_GRID = (
+    "import json; "
+    "from repro.core import SpectralConfig; "
+    "from repro.geometry import Grid; "
+    "from repro.service import OrderingService; "
+    "a = OrderingService().grid_artifact(Grid((40, 40)), "
+    "SpectralConfig(connectivity='moore')); "
+    "print(json.dumps([a.backend, a.order.permutation.tolist()]))")
+
+
+def test_environment_does_not_steer_auto():
+    """A child told to lower every old cutoff orders like this process.
+
+    The multilevel override used to hand this 1,600-vertex grid to the
+    approximation, whose permutation differs from the exact one, and
+    store it under the same key as the exact order.
+    """
+    out = _run_child(_ORDER_MOORE_GRID, {
+        "REPRO_MULTILEVEL_CUTOFF": "1000",
+        "REPRO_DENSE_CUTOFF": "4",
+        "REPRO_LOBPCG_CUTOFF": "8",
+    })
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["77", "99999", "2048"]
-
-
-def test_invalid_override_fails_loudly_at_import():
-    out = _resolved_cutoffs({"REPRO_MULTILEVEL_CUTOFF": "soon"})
-    assert out.returncode != 0
-    assert "REPRO_MULTILEVEL_CUTOFF" in out.stderr
+    backend, permutation = json.loads(out.stdout)
+    here = OrderingService().grid_artifact(Grid((40, 40)), _MOORE)
+    assert backend == here.backend != "multilevel"
+    assert permutation == here.order.permutation.tolist()
 
 
 def test_auto_policy_respects_dense_cutoff(monkeypatch):

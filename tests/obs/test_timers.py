@@ -1,4 +1,4 @@
-"""Timer and best_of: the shared wall-clock measurement helpers."""
+"""Timer: the shared wall-clock measurement helper."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.obs import Timer, best_of
+from repro.obs import Timer
 
 
 def test_timer_freezes_on_exit():
@@ -24,22 +24,6 @@ def test_timer_reads_live_inside_scope():
         first = timer.seconds
         time.sleep(0.005)
         assert timer.seconds > first
-
-
-def test_best_of_returns_minimum():
-    calls = []
-
-    def fn():
-        calls.append(None)
-        time.sleep(0.002 if len(calls) > 1 else 0.02)
-
-    assert best_of(fn, repeats=3) < 0.02
-    assert len(calls) == 3
-
-
-def test_best_of_rejects_zero_repeats():
-    with pytest.raises(ValueError):
-        best_of(lambda: None, repeats=0)
 
 
 def test_exit_without_enter_is_a_noop():

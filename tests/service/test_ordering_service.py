@@ -133,7 +133,7 @@ def _assert_not_served_under(version, tmp_path, monkeypatch):
     monkeypatch.setattr(fingerprint, "FINGERPRINT_VERSION", version)
     OrderingService(store=ArtifactStore(tmp_path)).order_grid(grid, config)
     monkeypatch.undo()
-    assert fingerprint.FINGERPRINT_VERSION == 3
+    assert fingerprint.FINGERPRINT_VERSION == 4
     store = ArtifactStore(tmp_path)
     fresh = OrderingService(store=store)
     fresh.order_grid(grid, config)
@@ -155,6 +155,13 @@ def test_orders_stored_under_fingerprint_version_2_are_not_served(
     """Version 2 keys name service multilevel orders coarsened on
     unit-weight copies of the graph."""
     _assert_not_served_under(2, tmp_path, monkeypatch)
+
+
+def test_orders_stored_under_fingerprint_version_3_are_not_served(
+        tmp_path, monkeypatch):
+    """Version 3 keys may name multilevel orders that a process whose
+    environment lowered auto's multilevel cutoff stored under auto."""
+    _assert_not_served_under(3, tmp_path, monkeypatch)
 
 
 def test_store_accepts_artifactstore_instance(grid, tmp_path):

@@ -132,6 +132,15 @@ def test_index_for_shares_one_index_across_config_spellings():
     assert front.index_for((12, 12), SpectralConfig()) is index
     assert front.index_for((12, 12),
                            SpectralConfig(connectivity=4)) is index
+    # The build keyword spells the same default order three more ways.
+    assert front.index_for((12, 12)) is index
+    assert front.index_for((12, 12), config=None) is index
+    assert front.index_for((12, 12), config=SpectralConfig()) is index
+    assert front.index_for((12, 12),
+                           config=SpectralConfig(connectivity=4)) is index
+    index.range(((0, 0), (3, 3)))
+    assert front.combined_stats().computed == 1
+    assert front.combined_stats().memory_hits == 0
 
 
 def test_stats_are_per_shard_and_combined():
