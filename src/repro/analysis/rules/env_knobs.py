@@ -39,10 +39,11 @@ RULE = RuleInfo(
 
 _KNOB_NAME_RE = re.compile(r"^REPRO_[A-Z0-9_]+$")
 
-#: Validating helper functions whose first argument is the knob name.
+#: Validating helper functions whose first argument is the knob name;
+#: each is a function of :mod:`repro.net.config`.  A bare environment
+#: read is allowed only inside a function of one of these names.
 VALIDATING_HELPERS = frozenset({
-    "cutoff_from_env", "positive_int_from_env",
-    "positive_float_from_env", "flag_from_env",
+    "positive_int_from_env", "positive_float_from_env",
 })
 
 

@@ -13,8 +13,9 @@ The pieces, in dependency order:
 * **Domain** (:mod:`~repro.api.domains`) — what gets ordered: a grid,
   a sparse :class:`~repro.geometry.PointSet`, or a graph.
 * **Mapping** (:mod:`~repro.api.mappings`) — how it gets ordered: one
-  protocol with declared capabilities, implemented by both the curve
-  and spectral families; :func:`make_mapping` is the one resolver.
+  interface, :class:`~repro.mapping.LocalityMapping`, with declared
+  capabilities, implemented by both the curve and spectral families;
+  :func:`make_mapping` is the one resolver.
 * **Service** (:class:`~repro.service.OrderingService`) — who pays for
   eigensolves: two cache tiers, request coalescing (concurrent misses
   on one fingerprint run exactly one solve), and topology-amortized
@@ -44,7 +45,7 @@ from repro.api.aio import AsyncSpectralIndex
 from repro.api.domains import Domain, DomainLike, as_domain
 from repro.api.index import SpectralIndex
 from repro.api.process_pool import ProcessPoolFrontend
-from repro.api.mappings import Mapping, MappingSpec, make_mapping
+from repro.api.mappings import MappingSpec, make_mapping
 from repro.api.queries import (
     JoinQuery,
     NNQuery,
@@ -54,7 +55,7 @@ from repro.api.queries import (
 )
 from repro.core.spectral import SpectralConfig
 from repro.geometry.pointset import PointSet
-from repro.mapping.interface import MappingCapabilities
+from repro.mapping.interface import LocalityMapping, MappingCapabilities
 from repro.net.client import RemoteFrontend
 from repro.service.ordering import OrderingService
 
@@ -63,7 +64,7 @@ __all__ = [
     "Domain",
     "DomainLike",
     "JoinQuery",
-    "Mapping",
+    "LocalityMapping",
     "MappingCapabilities",
     "MappingSpec",
     "NNQuery",

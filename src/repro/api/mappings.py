@@ -1,7 +1,8 @@
-"""The ``Mapping`` protocol and the one resolver that builds mappings.
+"""The one resolver that builds mappings.
 
-Every mapping family in the library satisfies one structural protocol:
-a ``name``, declared :class:`~repro.mapping.MappingCapabilities`, and
+Every mapping family in the library is a
+:class:`~repro.mapping.LocalityMapping`: a ``name``, declared
+:class:`~repro.mapping.MappingCapabilities`, and
 ``order_domain(domain, service=None)`` over the full ``Domain`` union.
 Consumers — the :class:`~repro.api.SpectralIndex` facade, the figure
 harnesses, user code — never need to know which family they hold.
@@ -12,7 +13,7 @@ harnesses, user code — never need to know which family they hold.
   ...);
 * a :class:`~repro.core.spectral.SpectralConfig` (implies the spectral
   family);
-* a ready mapping instance (returned unchanged).
+* a ready :class:`~repro.mapping.LocalityMapping` (returned unchanged).
 
 The ``config=`` keyword carries spectral configuration *alongside* a
 name: the spectral families consume it, pure curve names ignore it.
@@ -25,52 +26,19 @@ replaces).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Protocol, Union, runtime_checkable
+from typing import Optional, Union
 
-import numpy as np
-
-from repro.core.ordering import LinearOrder
 from repro.core.spectral import SpectralConfig
 from repro.errors import InvalidParameterError
 from repro.mapping.interface import (
     CurveMapping,
     LocalityMapping,
-    MappingCapabilities,
     SpectralBisectionMapping,
     SpectralMapping,
 )
 
 #: What callers may pass where a mapping is expected.
 MappingSpec = Union[str, SpectralConfig, LocalityMapping]
-
-
-@runtime_checkable
-class Mapping(Protocol):
-    """Structural protocol every mapping family satisfies.
-
-    The concrete classes live in :mod:`repro.mapping`; this protocol is
-    what the facade and any user extension code against.  A conforming
-    object provides a display ``name``, declared ``capabilities``, and
-    ``order_domain`` over grids, point sets, and graphs.
-    """
-
-    @property
-    def name(self) -> str:
-        """Registry / display name."""
-        ...
-
-    @property
-    def capabilities(self) -> MappingCapabilities:
-        """Declared capabilities (batch encode, cacheable, provenance)."""
-        ...
-
-    def order_domain(self, domain, service=None) -> LinearOrder:
-        """Order any member of the ``Domain`` union."""
-        ...
-
-    def ranks_for_grid(self, grid) -> np.ndarray:
-        """Rank array over a grid's flat cell indices."""
-        ...
 
 
 def _spectral_kwargs(config: Optional[SpectralConfig], kwargs: dict) -> dict:

@@ -1,7 +1,7 @@
 """The paper's contribution: the Spectral LPM algorithm and its pieces."""
 
 from repro.core.bisection import spectral_bisection_order
-from repro.core.components import COMPONENT_ARRANGEMENTS, order_components
+from repro.core.components import order_components
 from repro.core.extensions import (
     access_pattern_weights,
     add_access_pattern,
@@ -17,18 +17,14 @@ from repro.core.refinement import (
     refine_order,
 )
 from repro.core.spectral import (
-    DISCONNECTED_POLICIES,
     SpectralConfig,
     SpectralLPM,
     snap_ties,
     spectral_order,
     symmetric_grid_probe,
 )
-from repro.core.tie_breaking import TIE_BREAK_STRATEGIES, tie_break_keys
 
 __all__ = [
-    "COMPONENT_ARRANGEMENTS",
-    "DISCONNECTED_POLICIES",
     "FiedlerResult",
     "LinearOrder",
     "MultilevelEigenspace",
@@ -38,7 +34,6 @@ __all__ = [
     "refine_order",
     "SpectralConfig",
     "SpectralLPM",
-    "TIE_BREAK_STRATEGIES",
     "access_pattern_weights",
     "add_access_pattern",
     "correlated_pairs_from_trace",
@@ -50,6 +45,5 @@ __all__ = [
     "spectral_bisection_order",
     "spectral_order",
     "symmetric_grid_probe",
-    "tie_break_keys",
     "weighted_radius_model",
 ]

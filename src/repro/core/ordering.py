@@ -156,27 +156,17 @@ class LinearOrder:
         return f"LinearOrder([{head}, ...], n={self.n})"
 
 
-def order_by_values(values: Sequence[float],
-                    tie_break: Sequence[int] | None = None) -> LinearOrder:
+def order_by_values(values: Sequence[float]) -> LinearOrder:
     """Items sorted ascending by value — Step 5 of the paper's algorithm.
 
-    Equal values are resolved by the ``tie_break`` key array (ascending),
-    defaulting to item id, so the result is always deterministic.
+    Equal values are resolved by item id, so the result is always
+    deterministic.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise InvalidParameterError(
             f"values must be 1-D, got shape {values.shape}"
         )
-    n = len(values)
-    if tie_break is None:
-        tie_break = np.arange(n)
-    else:
-        tie_break = np.asarray(tie_break)
-        if tie_break.shape != (n,):
-            raise InvalidParameterError(
-                f"tie_break must have shape ({n},), got {tie_break.shape}"
-            )
     # lexsort: last key is primary.
-    perm = np.lexsort((tie_break, values))
+    perm = np.lexsort((np.arange(len(values)), values))
     return LinearOrder(perm)

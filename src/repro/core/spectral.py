@@ -10,12 +10,14 @@ Given a set of multi-dimensional points:
 4. assign ``x_2[i]`` to point ``p_i``;
 5. the linear order is the sorted order of those values.
 
-:class:`SpectralLPM` packages the pipeline with all the determinism
-machinery this library adds (canonical degenerate-eigenspace vectors,
-explicit tie-breaks, per-component handling), and exposes entry points for
-full grids, sparse point subsets, and arbitrary user graphs — the last
-being exactly the Section-4 claim that the mapping "is optimal for the
-chosen graph type".
+:class:`SpectralLPM` packages the pipeline with the determinism this
+library adds (canonical degenerate-eigenspace vectors, ties broken by
+vertex id, disconnected graphs ordered component by component), and
+exposes entry points for full grids, sparse point subsets, and arbitrary
+user graphs — the last being exactly the Section-4 claim that the
+mapping "is optimal for the chosen graph type".  Its configuration is
+the paper's four choices: the graph model (``connectivity``, ``radius``,
+``weight``) and the eigensolver (``backend``).
 """
 
 from __future__ import annotations
@@ -26,10 +28,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.components import (
-    COMPONENT_ARRANGEMENTS,
-    order_labelled_components,
-)
+from repro.core.components import order_labelled_components
 from repro.core.fiedler import (
     FiedlerResult,
     _fiedler_vector,
@@ -37,8 +36,7 @@ from repro.core.fiedler import (
     grid_fiedler_result,
 )
 from repro.core.ordering import LinearOrder, order_by_values
-from repro.core.tie_breaking import TIE_BREAK_STRATEGIES, tie_break_keys
-from repro.errors import GraphStructureError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.geometry.grid import Grid, _normalize_connectivity
 from repro.geometry.pointset import PointSet
 from repro.graph.adjacency import Graph
@@ -47,18 +45,19 @@ from repro.graph.traversal import connected_components
 from repro.graph.weights import weight_function
 from repro.linalg.backends import BACKENDS
 
-DISCONNECTED_POLICIES = ("per-component", "error")
+#: Fiedler entries closer than this are exact ties (see :func:`snap_ties`).
+SNAP_TOL = 1e-9
 
 
-def snap_ties(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def snap_ties(values: np.ndarray) -> np.ndarray:
     """Collapse floating-point noise into exact ties before sorting.
 
     Symmetric graphs produce Fiedler vectors with *exactly* tied entries
     in exact arithmetic; in floats the ties reappear as gaps of ~1e-15
     whose sign depends on the eigensolver backend.  Sorting raw values
-    would let that noise, not the configured tie-break rule, decide the
-    order.  This maps values to integer group ids, where consecutive
-    sorted values closer than ``tol`` share a group — far above solver
+    would let that noise, not the vertex-id tie-break, decide the order.
+    This maps values to integer group ids, where consecutive sorted
+    values closer than :data:`SNAP_TOL` share a group — far above solver
     noise (~1e-13 across backends) and far below genuine eigenvector
     gaps on any grid this library targets.
     """
@@ -67,7 +66,7 @@ def snap_ties(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     group_of_sorted = np.zeros(len(values), dtype=np.int64)
     if len(values) > 1:
         gaps = np.diff(values[order])
-        group_of_sorted[1:] = np.cumsum(gaps > tol)
+        group_of_sorted[1:] = np.cumsum(gaps > SNAP_TOL)
     groups = np.empty(len(values), dtype=np.int64)
     groups[order] = group_of_sorted
     return groups
@@ -101,18 +100,14 @@ class SpectralConfig:
     the paper's base algorithm).
 
     Hashable and fully value-typed, so it doubles as a cache identity:
-    two ``SpectralLPM`` instances with equal configs (and no custom probe
-    or callable weight) produce bit-identical orders for the same domain.
+    two ``SpectralLPM`` instances with equal configs (and no callable
+    weight) produce bit-identical orders for the same domain.
     """
 
     connectivity: str = "orthogonal"
     radius: int = 1
     weight: str = "unit"
     backend: str = "auto"
-    tie_break: str = "index"
-    on_disconnected: str = "per-component"
-    component_arrangement: str = "by_min_vertex"
-    snap_tol: float = 1e-9
 
 
 class SpectralLPM:
@@ -168,25 +163,14 @@ class SpectralLPM:
           quality tolerance instead of solver-precision guarantees
           (exact symmetry ties may resolve differently than under the
           exact backends).  The one way to ask for a multilevel order.
-    tie_break:
-        How equal Fiedler entries are ordered (``"index"`` or ``"bfs"``).
-    probe:
-        Optional canonicalization probe for degenerate eigenspaces; see
-        :func:`repro.core.fiedler.fiedler_vector`.
-    on_disconnected:
-        ``"per-component"`` orders each component separately (default);
-        ``"error"`` raises :class:`~repro.errors.GraphStructureError`.
-    component_arrangement:
-        Component concatenation policy (see
-        :mod:`repro.core.components`).
-    snap_tol:
-        Fiedler entries closer than this are treated as exact ties (see
-        :func:`snap_ties`); 0 disables snapping.
 
-    The backend, radius, connectivity, tie-break, policies and
-    ``snap_tol`` are validated here: a bad value raises
-    :class:`~repro.errors.InvalidParameterError` before any graph is
-    built or any cache is keyed.
+    Fiedler entries within :data:`SNAP_TOL` tie, and ties break by
+    vertex id.  A disconnected graph is ordered component by component
+    (:mod:`repro.core.components`).
+
+    The backend, radius and connectivity are validated here: a bad value
+    raises :class:`~repro.errors.InvalidParameterError` before any graph
+    is built or any cache is keyed.
 
     Examples
     --------
@@ -197,12 +181,7 @@ class SpectralLPM:
     """
 
     def __init__(self, connectivity="orthogonal", radius: int = 1,
-                 weight="unit", backend: str = "auto",
-                 tie_break: str = "index",
-                 probe: np.ndarray | None = None,
-                 on_disconnected: str = "per-component",
-                 component_arrangement: str = "by_min_vertex",
-                 snap_tol: float = 1e-9):
+                 weight="unit", backend: str = "auto"):
         if backend not in BACKENDS:
             raise InvalidParameterError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
@@ -211,34 +190,10 @@ class SpectralLPM:
             raise InvalidParameterError(
                 f"radius must be >= 1, got {radius}"
             )
-        if tie_break not in TIE_BREAK_STRATEGIES:
-            raise InvalidParameterError(
-                f"unknown tie_break {tie_break!r}; "
-                f"expected one of {TIE_BREAK_STRATEGIES}"
-            )
-        if on_disconnected not in DISCONNECTED_POLICIES:
-            raise InvalidParameterError(
-                f"unknown on_disconnected {on_disconnected!r}; "
-                f"expected one of {DISCONNECTED_POLICIES}"
-            )
-        if component_arrangement not in COMPONENT_ARRANGEMENTS:
-            raise InvalidParameterError(
-                f"unknown component_arrangement {component_arrangement!r}; "
-                f"expected one of {COMPONENT_ARRANGEMENTS}"
-            )
         self._connectivity = _normalize_connectivity(connectivity)
         self._radius = int(radius)
         self._weight = weight
         self._backend = backend
-        self._tie_break = tie_break
-        self._probe = probe
-        self._on_disconnected = on_disconnected
-        self._component_arrangement = component_arrangement
-        if snap_tol < 0:
-            raise InvalidParameterError(
-                f"snap_tol must be >= 0, got {snap_tol}"
-            )
-        self._snap_tol = float(snap_tol)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -255,10 +210,6 @@ class SpectralLPM:
             radius=config.radius,
             weight=config.weight,
             backend=config.backend,
-            tie_break=config.tie_break,
-            on_disconnected=config.on_disconnected,
-            component_arrangement=config.component_arrangement,
-            snap_tol=config.snap_tol,
         )
 
     @property
@@ -279,23 +230,19 @@ class SpectralLPM:
             radius=self._radius,
             weight=weight,
             backend=self._backend,
-            tie_break=self._tie_break,
-            on_disconnected=self._on_disconnected,
-            component_arrangement=self._component_arrangement,
-            snap_tol=self._snap_tol,
         )
 
     @property
     def cacheable(self) -> bool:
         """Whether :attr:`config` fully determines this instance's output.
 
-        False when the instance carries state a :class:`SpectralConfig`
-        cannot represent — a callable weight model (two different
-        callables may share a ``__name__``) or an explicit probe vector.
-        Cache layers must bypass storage for non-cacheable instances:
-        keying them by config would let distinct algorithms collide.
+        False when the weight model is a callable rather than a
+        registered name: a :class:`SpectralConfig` cannot represent it
+        (two different callables may share a ``__name__``).  Cache
+        layers must bypass storage for non-cacheable instances: keying
+        them by config would let distinct algorithms collide.
         """
-        return isinstance(self._weight, str) and self._probe is None
+        return isinstance(self._weight, str)
 
     # ------------------------------------------------------------------
     # Entry points
@@ -305,8 +252,9 @@ class SpectralLPM:
         """Steps 2-5 on an arbitrary prebuilt graph (Section 4).
 
         ``probe`` optionally overrides the degenerate-eigenspace
-        canonicalization direction for this call (an explicit probe given
-        at construction time still wins).
+        canonicalization direction for this call (see
+        :func:`~repro.core.fiedler.fiedler_vector`); a disconnected
+        graph's components ignore it.
         """
         return self._order_graph(graph, probe, None)
 
@@ -333,19 +281,12 @@ class SpectralLPM:
             return LinearOrder(np.empty(0, dtype=np.int64))
         if n == 1:
             return LinearOrder(np.zeros(1, dtype=np.int64))
-        effective = self._probe if self._probe is not None else probe
         # One traversal per order: its labels decide connectivity and
         # cut the components, and no Fiedler solve checks again.  (Two
         # vertices order by id whether or not they are joined.)
         if n > 2:
             labels, count = connected_components(graph)
             if count > 1:
-                if self._on_disconnected == "error":
-                    raise GraphStructureError(
-                        "graph is disconnected: lambda_2 = 0 and the "
-                        "Fiedler vector is a component indicator; use "
-                        "per-component ordering instead"
-                    )
                 # Per-component calls cannot reuse a whole-graph probe
                 # (the vertex count differs), so they fall back to the
                 # default.
@@ -353,17 +294,16 @@ class SpectralLPM:
                     graph, labels, count,
                     lambda component: self._order_connected(
                         component, None, recorder),
-                    self._component_arrangement,
                 )
-        return self._order_connected(graph, effective, recorder)
+        return self._order_connected(graph, probe, recorder)
 
     def order_grid(self, grid: Grid) -> LinearOrder:
         """The full pipeline on a complete grid domain.
 
-        The returned order is over row-major flat cell indices.  Unless
-        an explicit probe was configured, the axis-symmetric grid probe
-        (:func:`symmetric_grid_probe`) canonicalizes degenerate
-        eigenspaces so that all dimensions are treated alike.
+        The returned order is over row-major flat cell indices.  The
+        axis-symmetric grid probe (:func:`symmetric_grid_probe`)
+        canonicalizes degenerate eigenspaces so that all dimensions are
+        treated alike.
         """
         return self._order_grid(grid, self.build_grid_graph(grid), None)
 
@@ -387,13 +327,11 @@ class SpectralLPM:
         probe = symmetric_grid_probe(grid)
         weights = self._closed_form_weights(grid)
         if weights is not None:
-            result = grid_fiedler_result(
-                grid.shape, weights, graph,
-                probe=self._probe if self._probe is not None else probe)
+            result = grid_fiedler_result(grid.shape, weights, graph, probe)
             if result is not None:
                 if recorder is not None:
                     recorder.append(result)
-                return self._order_by_fiedler(graph, result)
+                return _order_by_fiedler(result)
         return self._order_graph(graph, probe, recorder)
 
     def _closed_form_weights(self, grid: Grid) -> tuple | None:
@@ -427,7 +365,7 @@ class SpectralLPM:
         Returns ``(order, cells)``: ``cells`` is the ascending array of
         distinct flat cell indices actually ordered, and ``order`` is over
         positions in that array.  Subsets frequently produce disconnected
-        graphs; the ``on_disconnected`` policy applies.  The cells must
+        graphs, which are ordered component by component.  The cells must
         form a valid :class:`~repro.geometry.PointSet` (at least one
         cell, every cell inside the grid), which raises otherwise.
         """
@@ -440,8 +378,7 @@ class SpectralLPM:
 
     def fiedler(self, graph: Graph) -> FiedlerResult:
         """Expose the Fiedler pair for a connected graph (diagnostics)."""
-        return fiedler_vector(graph, backend=self._backend,
-                              probe=self._probe)
+        return fiedler_vector(graph, backend=self._backend)
 
     def build_grid_graph(self, grid: Grid) -> Graph:
         """Step 1: the configured graph model of a grid domain."""
@@ -463,20 +400,15 @@ class SpectralLPM:
                                  known_connected=True)
         if recorder is not None:
             recorder.append(result)
-        return self._order_by_fiedler(graph, result)
-
-    def _order_by_fiedler(self, graph: Graph,
-                          result: FiedlerResult) -> LinearOrder:
-        """Steps 4-5: sort by the snapped Fiedler entries.  The tie-break
-        reads the snapped groups too, so the ``bfs`` start (the lowest
-        vertex of the smallest group) does not depend on solver noise."""
-        snapped = snap_ties(result.vector, tol=self._snap_tol)
-        keys = tie_break_keys(self._tie_break, graph.num_vertices,
-                              values=snapped, graph=graph)
-        return order_by_values(snapped, tie_break=keys)
+        return _order_by_fiedler(result)
 
     def __repr__(self) -> str:
         return f"SpectralLPM({self.config})"
+
+
+def _order_by_fiedler(result: FiedlerResult) -> LinearOrder:
+    """Steps 4-5: sort by the snapped Fiedler entries, ties by vertex id."""
+    return order_by_values(snap_ties(result.vector))
 
 
 def spectral_order(domain, **kwargs) -> LinearOrder:

@@ -1,10 +1,8 @@
 """Graph traversal: breadth-first search and connected components.
 
-The spectral pipeline needs connectivity information twice: the Fiedler
+The spectral pipeline needs connectivity information: the Fiedler
 vector is only defined for connected graphs (a disconnected graph has
-``lambda_2 = 0`` and a locality order must be computed per component), and
-BFS order is one of the deterministic tie-breaking keys for equal Fiedler
-entries.
+``lambda_2 = 0`` and a locality order must be computed per component).
 
 When scipy is importable, :func:`connected_components` and
 :func:`is_connected` run :func:`scipy.sparse.csgraph.connected_components`

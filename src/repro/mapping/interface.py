@@ -12,13 +12,15 @@ The two families —
 — are thereby interchangeable everywhere, which is what lets each figure
 harness be a single loop over mapping names.
 
-Every mapping implements the unified :mod:`repro.api` ``Mapping``
-protocol: it advertises :class:`MappingCapabilities` (batch encoding,
-cacheability, provenance) and orders any member of the ``Domain`` union
-— :class:`~repro.geometry.Grid`, :class:`~repro.geometry.PointSet`, or
+:class:`LocalityMapping` is the one mapping interface: every mapping
+advertises :class:`MappingCapabilities` (batch encoding, cacheability,
+provenance) and orders any member of the ``Domain`` union —
+:class:`~repro.geometry.Grid`, :class:`~repro.geometry.PointSet`, or
 :class:`~repro.graph.Graph` — through :meth:`LocalityMapping.order_domain`
 (families that cannot serve a domain kind raise
-:class:`~repro.errors.DomainError` instead of guessing).
+:class:`~repro.errors.DomainError` instead of guessing).  The
+:mod:`repro.api` resolvers (:func:`~repro.api.make_mapping`,
+:meth:`~repro.api.SpectralIndex.build`) accept instances of it.
 
 Grids whose sides are not powers of two are handled the standard way for
 bit-interleaved curves: cells are keyed on the enclosing power-of-two
@@ -67,7 +69,7 @@ class MappingCapabilities:
         identity (a curve name, a :class:`~repro.core.spectral
         .SpectralConfig`), so cache layers may store and share its
         orders.  False for mappings carrying opaque state — callable
-        weights, explicit probe vectors, precomputed orders.
+        weights, precomputed orders.
     provenance:
         Orders obtained through an
         :class:`~repro.service.OrderingService` carry solve provenance
@@ -126,7 +128,7 @@ class LocalityMapping(ABC):
         return self.order_for_grid(grid).ranks
 
     # ------------------------------------------------------------------
-    # The unified Domain entry point (the repro.api Mapping protocol)
+    # The unified Domain entry point
     # ------------------------------------------------------------------
     def order_domain(self, domain, service=None) -> LinearOrder:
         """Order any member of the ``Domain`` union.

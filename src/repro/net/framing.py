@@ -34,8 +34,10 @@ from repro.net.errors import ConnectionLostError, FrameError, HandshakeError
 NET_MAGIC = b"SLPM"
 
 #: Bumped on any incompatible change to the framing or the payload
-#: contract; both sides refuse to talk across versions.
-NET_PROTOCOL_VERSION = 1
+#: contract; both sides refuse to talk across versions.  v2: the
+#: pickled :class:`~repro.core.spectral.SpectralConfig` has four fields;
+#: a v1 client's extra fields would unpickle silently and be ignored.
+NET_PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame's body.  Real payloads (orders, artifacts,
 #: query batches) are kilobytes to low megabytes; anything larger is a

@@ -41,7 +41,12 @@ from repro.service.routing import coerce_domain
 #: v2: trace-context envelopes (:class:`TracedRequest` /
 #: :class:`TracedResponse`) and the :class:`HealthRequest` /
 #: :class:`MetricsRequest` introspection pair.
-PROTOCOL_VERSION = 2
+#: v3: :class:`~repro.core.spectral.SpectralConfig` lost its tie-break,
+#: disconnected-graph, component-arrangement and snap-tolerance fields.
+#: A v2 config carrying them unpickles silently as the four-field config,
+#: so a stale peer would get an order under rules it did not ask for;
+#: the version check refuses it instead.
+PROTOCOL_VERSION = 3
 
 
 # ---------------------------------------------------------------------------

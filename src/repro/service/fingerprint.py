@@ -33,8 +33,8 @@ from repro.geometry.grid import Grid
 from repro.graph.adjacency import Graph
 
 #: Version prefix folded into every digest.  Bump when the meaning of a
-#: stored order changes (new tie-break semantics, changed canonical
-#: probe, ...) so stale artifacts can never be served.  Version 2: the
+#: stored order changes (a changed canonical probe, tie rule or solver
+#: cutoff, ...) so stale artifacts can never be served.  Version 2: the
 #: ``bfs`` tie-break starts from the snapped tie groups, and ``auto``
 #: orders full radius-1 grids above the multilevel cutoff from their
 #: exact closed-form pair instead of the multilevel approximation.
@@ -43,7 +43,9 @@ from repro.graph.adjacency import Graph
 #: non-uniformly weighted graphs change.  Version 4: ``auto``'s cutoffs
 #: no longer come from the environment, and a store written under a
 #: lowered multilevel cutoff may hold multilevel orders under ``auto``
-#: keys that no process produces any more.
+#: keys that no process produces any more.  Cutting
+#: :class:`SpectralConfig` from eight fields to four kept version 4: no
+#: stored order changed meaning, and every key changed with the digest.
 FINGERPRINT_VERSION = 4
 
 Domain = Union[Grid, Graph]
@@ -62,8 +64,8 @@ def config_fingerprint(config: SpectralConfig) -> str:
     """Deterministic digest of a :class:`SpectralConfig`.
 
     Every dataclass field participates, serialized by name in field
-    order with floats rendered via ``repr`` (which round-trips exactly in
-    Python 3), so two configs share a fingerprint iff they are equal —
+    order with values rendered via ``repr``, so two configs share a
+    fingerprint iff they are equal —
     across processes, interpreter restarts, and ``PYTHONHASHSEED``
     values.
     """

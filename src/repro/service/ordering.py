@@ -34,9 +34,9 @@ the test suite.
 
 Caching is only sound for requests a
 :class:`~repro.core.spectral.SpectralConfig` fully describes; algorithms
-carrying callable weights or explicit probe vectors
-(``SpectralLPM.cacheable == False``) are computed directly and never
-stored, so distinct algorithms can never collide on a key.
+carrying a callable weight model (``SpectralLPM.cacheable == False``)
+are computed directly and never stored, so distinct algorithms can never
+collide on a key.
 """
 
 from __future__ import annotations

@@ -52,6 +52,30 @@ def test_helper_in_reader_module_clean(lint_tree):
     assert findings == []
 
 
+def test_bare_read_inside_a_nonexistent_helper_name_flagged(lint_tree):
+    # Only the helpers repro.net.config really defines may read the
+    # environment bare; a function merely named like a helper may not.
+    findings = lint_tree({"repro/net/config.py": '''
+        import os
+
+        def cutoff_from_env():
+            return os.environ.get("REPRO_NET_TIMEOUT")
+    '''}, select=["RPR004"])
+    assert [f.rule for f in findings] == ["RPR004"]
+    assert "validating helper" in findings[0].message
+    assert "cutoff_from_env" not in findings[0].message
+
+
+def test_every_validating_helper_is_a_net_config_function():
+    import inspect
+
+    from repro.analysis.rules.env_knobs import VALIDATING_HELPERS
+    from repro.net import config
+
+    for name in VALIDATING_HELPERS:
+        assert inspect.isfunction(getattr(config, name, None)), name
+
+
 def test_module_constant_key_resolved(lint_tree):
     findings = lint_tree({"repro/serve/worker.py": '''
         import os

@@ -1,9 +1,10 @@
-"""The Mapping protocol: capabilities, resolution, and domain dispatch."""
+"""The LocalityMapping interface: capabilities, resolution, and domain
+dispatch."""
 
 import numpy as np
 import pytest
 
-from repro.api import Mapping, PointSet, make_mapping
+from repro.api import LocalityMapping, PointSet, make_mapping
 from repro.api.mappings import MappingSpec  # noqa: F401 - exported type
 from repro.core.ordering import LinearOrder
 from repro.core.spectral import SpectralConfig
@@ -84,7 +85,7 @@ def test_every_family_satisfies_the_protocol():
         ExplicitMapping(grid, LinearOrder(np.arange(9))),
     ]
     for mapping in families:
-        assert isinstance(mapping, Mapping)
+        assert isinstance(mapping, LocalityMapping)
         caps = mapping.capabilities
         assert isinstance(caps.batch_encode, bool)
         assert isinstance(caps.cacheable, bool)

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.core.spectral as spectral_module
 from repro.core import snap_ties, symmetric_grid_probe
-from repro.core.spectral import SpectralLPM
-from repro.errors import InvalidParameterError
 from repro.geometry import Grid
 
 
@@ -14,7 +13,7 @@ from repro.geometry import Grid
 # ----------------------------------------------------------------------
 def test_snap_ties_groups_close_values():
     values = np.array([0.0, 1e-12, 0.5, 0.5 + 1e-12, 1.0])
-    groups = snap_ties(values, tol=1e-9)
+    groups = snap_ties(values)
     assert groups[0] == groups[1]
     assert groups[2] == groups[3]
     assert len(set(groups)) == 3
@@ -41,14 +40,11 @@ def test_snap_ties_empty_and_singleton():
     assert list(snap_ties(np.array([7.0]))) == [0]
 
 
-def test_snap_ties_zero_tol_keeps_float_distinctions():
+def test_snap_ties_zero_tol_keeps_float_distinctions(monkeypatch):
+    # Values tie only when their gap is at most SNAP_TOL, never above it.
+    monkeypatch.setattr(spectral_module, "SNAP_TOL", 0.0)
     values = np.array([0.0, 1e-15])
-    assert len(set(snap_ties(values, tol=0.0))) == 2
-
-
-def test_snap_tol_validation():
-    with pytest.raises(InvalidParameterError):
-        SpectralLPM(snap_tol=-1.0)
+    assert len(set(snap_ties(values))) == 2
 
 
 # ----------------------------------------------------------------------

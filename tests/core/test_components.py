@@ -1,10 +1,8 @@
 """Tests for repro.core.components."""
 
 import numpy as np
-import pytest
 
 from repro.core import LinearOrder, order_components
-from repro.errors import InvalidParameterError
 from repro.graph import Graph
 
 
@@ -23,13 +21,6 @@ def test_components_concatenated_by_min_vertex():
     assert list(order.permutation) == [0, 1, 2, 3, 4, 5]
 
 
-def test_components_by_size():
-    g = Graph.from_edges(5, [(2, 3), (3, 4)])
-    order = order_components(g, identity_order, arrangement="by_size")
-    # {2,3,4} first, then singletons 0, 1.
-    assert list(order.permutation) == [2, 3, 4, 0, 1]
-
-
 def test_inner_order_respected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     order = order_components(g, reversed_order)
@@ -45,12 +36,6 @@ def test_single_component_passthrough():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     order = order_components(g, reversed_order)
     assert list(order.permutation) == [2, 1, 0]
-
-
-def test_unknown_arrangement():
-    with pytest.raises(InvalidParameterError):
-        order_components(Graph.empty(2), identity_order,
-                         arrangement="by_color")
 
 
 def test_component_subgraphs_equal_graph_subgraph():

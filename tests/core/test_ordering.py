@@ -115,16 +115,9 @@ def test_order_by_values_ties_break_by_index():
     assert list(order.permutation) == [2, 0, 1]
 
 
-def test_order_by_values_custom_tie_break():
-    order = order_by_values([0.5, 0.5, 0.1], tie_break=[1, 0, 0])
-    assert list(order.permutation) == [2, 1, 0]
-
-
 def test_order_by_values_validation():
     with pytest.raises(InvalidParameterError):
         order_by_values(np.zeros((2, 2)))
-    with pytest.raises(InvalidParameterError):
-        order_by_values([1.0, 2.0], tie_break=[0])
 
 
 @given(values=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))

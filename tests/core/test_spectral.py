@@ -1,5 +1,8 @@
 """Tests for repro.core.spectral — the paper's algorithm end to end."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from repro.core import (
     spectral_order,
     symmetric_grid_probe,
 )
-from repro.errors import GraphStructureError, InvalidParameterError
+from repro.errors import InvalidParameterError
 from repro.geometry import Grid
 from repro.graph import Graph, cycle_graph, path_graph, quadratic_form
 from repro.linalg import scipy_available
@@ -140,12 +143,6 @@ def test_disconnected_per_component(dense_lpm):
     assert sorted(int(ranks[v]) for v in (4, 5, 6)) == [4, 5, 6]
 
 
-def test_disconnected_error_policy():
-    lpm = SpectralLPM(backend="dense", on_disconnected="error")
-    with pytest.raises(GraphStructureError):
-        lpm.order_graph(Graph.from_edges(4, [(0, 1), (2, 3)]))
-
-
 @pytest.mark.parametrize("backend", BACKENDS + ["multilevel"])
 def test_disconnected_point_set_walks_the_graph_once(backend, monkeypatch):
     # One component labelling per order; no Fiedler solve re-checks the
@@ -184,24 +181,10 @@ def test_disconnected_point_set_walks_the_graph_once(backend, monkeypatch):
     assert order == expected
 
 
-def test_disconnected_by_size_arrangement():
-    lpm = SpectralLPM(backend="dense", component_arrangement="by_size")
-    g = Graph.from_edges(5, [(3, 4)])  # singletons 0,1,2 + pair {3,4}
-    order = lpm.order_graph(g)
-    # Largest component first.
-    assert sorted(int(order.ranks[v]) for v in (3, 4)) == [0, 1]
-
-
 # ----------------------------------------------------------------------
 # Configuration
 # ----------------------------------------------------------------------
 def test_invalid_config_rejected():
-    with pytest.raises(InvalidParameterError):
-        SpectralLPM(tie_break="random")
-    with pytest.raises(InvalidParameterError):
-        SpectralLPM(on_disconnected="ignore")
-    with pytest.raises(InvalidParameterError):
-        SpectralLPM(component_arrangement="shuffled")
     with pytest.raises(InvalidParameterError):
         SpectralLPM(backend="magma")
     with pytest.raises(InvalidParameterError):
@@ -210,6 +193,15 @@ def test_invalid_config_rejected():
         SpectralLPM(connectivity="hexagonal")
     with pytest.raises(InvalidParameterError):
         SpectralLPM.from_config(SpectralConfig(backend="magma"))
+
+
+def test_config_is_the_papers_four_choices():
+    # The graph model (connectivity, radius, weight) and the solver.
+    four = ["connectivity", "radius", "weight", "backend"]
+    assert [f.name for f in dataclasses.fields(SpectralConfig)] == four
+    assert list(inspect.signature(SpectralLPM).parameters) == four
+    with pytest.raises(TypeError):
+        SpectralLPM(tie_break="index")
 
 
 @pytest.mark.parametrize("alias, name", [
@@ -247,14 +239,6 @@ def test_connectivity_variants_give_valid_orders(grid4):
                    {"radius": 2, "weight": "inverse_manhattan"}):
         order = SpectralLPM(backend="dense", **kwargs).order_grid(grid4)
         assert sorted(order.permutation) == list(range(16))
-
-
-def test_bfs_tie_break_differs_but_valid(grid3):
-    by_index = SpectralLPM(backend="dense",
-                           tie_break="index").order_grid(grid3)
-    by_bfs = SpectralLPM(backend="dense", tie_break="bfs").order_grid(grid3)
-    assert sorted(by_bfs.permutation) == list(range(9))
-    assert sorted(by_index.permutation) == list(range(9))
 
 
 # ----------------------------------------------------------------------

@@ -54,12 +54,10 @@ def test_pool_and_remote_order_a_grid_like_spectral_lpm(pool, remote,
 
 
 @settings(max_examples=30)
-@given(graph=graphs(), backend=st.sampled_from(BACKENDS),
-       tie_break=st.sampled_from(["index", "bfs"]))
+@given(graph=graphs(), backend=st.sampled_from(BACKENDS))
 def test_pool_and_remote_order_a_graph_like_spectral_lpm(pool, remote,
-                                                         graph, backend,
-                                                         tie_break):
-    config = SpectralConfig(backend=backend, tie_break=tie_break)
+                                                         graph, backend):
+    config = SpectralConfig(backend=backend)
     reference = SpectralLPM.from_config(config).order_graph(graph)
     assert pool.order_graph(graph, config) == reference
     assert remote.order_graph(graph, config) == reference

@@ -11,6 +11,7 @@ from repro.core import SpectralConfig
 from repro.errors import InvalidParameterError
 from repro.geometry import Grid
 from repro.graph import grid_graph, path_graph
+from repro.linalg.backends import BACKENDS
 from repro.service import (
     config_fingerprint,
     domain_fingerprint,
@@ -35,7 +36,7 @@ from repro.core import SpectralConfig
 from repro.geometry import Grid
 from repro.service import config_fingerprint, grid_fingerprint, order_key
 config = SpectralConfig(weight="inverse_manhattan", radius=2,
-                        backend="lanczos", snap_tol=1e-8)
+                        backend="lanczos")
 print(config_fingerprint(config))
 print(grid_fingerprint(Grid((17, 5, 3))))
 print(order_key(config, grid_fingerprint(Grid((17, 5, 3)))))
@@ -64,7 +65,7 @@ def test_fingerprints_stable_across_processes():
     assert first == second
     # ... and they match the current process too.
     config = SpectralConfig(weight="inverse_manhattan", radius=2,
-                            backend="lanczos", snap_tol=1e-8)
+                            backend="lanczos")
     grid_digest = grid_fingerprint(Grid((17, 5, 3)))
     assert first == [config_fingerprint(config), grid_digest,
                      order_key(config, grid_digest)]
@@ -75,12 +76,10 @@ def test_fingerprints_stable_across_processes():
 # ----------------------------------------------------------------------
 def test_distinct_configs_never_collide():
     variants = [
-        SpectralConfig(connectivity=c, radius=r, weight=w, backend=b,
-                       tie_break=t, snap_tol=s)
-        for c, r, w, b, t, s in itertools.product(
+        SpectralConfig(connectivity=c, radius=r, weight=w, backend=b)
+        for c, r, w, b in itertools.product(
             ("orthogonal", "moore"), (1, 2),
-            ("unit", "inverse_manhattan"), ("auto", "dense"),
-            ("index", "bfs"), (1e-9, 0.0),
+            ("unit", "inverse_manhattan"), BACKENDS,
         )
     ]
     digests = [config_fingerprint(v) for v in variants]

@@ -58,7 +58,6 @@ def configs(draw) -> SpectralConfig:
         radius=draw(st.sampled_from([1, 2])),
         weight=draw(st.sampled_from(weight_names())),
         backend=draw(st.sampled_from(BACKENDS)),
-        tie_break=draw(st.sampled_from(["index", "bfs"])),
     )
 
 
@@ -121,11 +120,9 @@ def test_every_front_orders_a_point_set_like_spectral_lpm(points, config):
 
 
 @settings(max_examples=60)
-@given(graph=graphs(), backend=st.sampled_from(BACKENDS),
-       tie_break=st.sampled_from(["index", "bfs"]))
-def test_every_front_orders_a_graph_like_spectral_lpm(graph, backend,
-                                                      tie_break):
-    config = SpectralConfig(backend=backend, tie_break=tie_break)
+@given(graph=graphs(), backend=st.sampled_from(BACKENDS))
+def test_every_front_orders_a_graph_like_spectral_lpm(graph, backend):
+    config = SpectralConfig(backend=backend)
     reference = SpectralLPM.from_config(config).order_graph(graph)
     assert spectral_order(graph, **dataclasses.asdict(config)) == reference
     assert OrderingService().order_graph(graph, config) == reference

@@ -60,10 +60,6 @@ configs = st.builds(
     weight=st.sampled_from(("unit", "gaussian", "inverse_manhattan",
                             "inverse_euclidean")),
     backend=st.sampled_from(("auto", "dense", "lanczos", "multilevel")),
-    tie_break=st.sampled_from(("index", "bfs")),
-    on_disconnected=st.sampled_from(("per-component", "error")),
-    component_arrangement=st.sampled_from(("by_min_vertex", "by_size")),
-    snap_tol=st.floats(1e-12, 1e-6, allow_nan=False),
 )
 
 grids = st.lists(st.integers(1, 9), min_size=1, max_size=3).map(Grid)

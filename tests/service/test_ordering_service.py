@@ -129,7 +129,7 @@ def _assert_not_served_under(version, tmp_path, monkeypatch):
     """An order stored under an older FINGERPRINT_VERSION is never
     served: a store holding it solves again."""
     grid = Grid((13, 5))
-    config = SpectralConfig(tie_break="bfs")
+    config = SpectralConfig()
     monkeypatch.setattr(fingerprint, "FINGERPRINT_VERSION", version)
     OrderingService(store=ArtifactStore(tmp_path)).order_grid(grid, config)
     monkeypatch.undo()
@@ -280,15 +280,6 @@ def test_multilevel_orders_are_history_independent():
     cold = OrderingService()
     b = cold.order_grid(grid, target)
     assert np.array_equal(a.permutation, b.permutation)
-
-
-def test_explicit_probe_bypasses_cache(grid):
-    probe = np.linspace(-1.0, 1.0, grid.size)
-    algorithm = SpectralLPM(probe=probe)
-    assert not algorithm.cacheable
-    service = OrderingService()
-    service.order_grid(grid, algorithm)
-    assert service.stats.uncacheable == 1
 
 
 def test_cacheable_algorithm_uses_cache(grid):
