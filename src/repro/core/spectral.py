@@ -32,7 +32,6 @@ from repro.core.components import order_labelled_components
 from repro.core.fiedler import (
     FiedlerResult,
     _fiedler_vector,
-    fiedler_vector,
     grid_fiedler_result,
 )
 from repro.core.ordering import LinearOrder, order_by_values
@@ -190,10 +189,14 @@ class SpectralLPM:
             raise InvalidParameterError(
                 f"radius must be >= 1, got {radius}"
             )
-        self._connectivity = _normalize_connectivity(connectivity)
-        self._radius = int(radius)
         self._weight = weight
-        self._backend = backend
+        self._config = SpectralConfig(
+            connectivity=_normalize_connectivity(connectivity),
+            radius=int(radius),
+            weight=(weight if isinstance(weight, str) else "callable:"
+                    + getattr(weight, "__name__", "custom")),
+            backend=backend,
+        )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -216,21 +219,14 @@ class SpectralLPM:
     def config(self) -> SpectralConfig:
         """The (hashable) configuration, for caching and reporting.
 
-        A callable weight model is rendered as ``"callable:<name>"`` —
-        deliberately *not* a registered weight name, so a config lifted
-        off a non-:attr:`cacheable` instance can never silently resolve
-        to a same-named registry model: feeding it back through
+        Built once, at construction.  A callable weight model is
+        rendered as ``"callable:<name>"`` — deliberately *not* a
+        registered weight name, so a config lifted off a
+        non-:attr:`cacheable` instance can never silently resolve to a
+        same-named registry model: feeding it back through
         :meth:`from_config` fails loudly at graph-build time instead.
         """
-        weight = (self._weight if isinstance(self._weight, str)
-                  else "callable:"
-                  + getattr(self._weight, "__name__", "custom"))
-        return SpectralConfig(
-            connectivity=self._connectivity,
-            radius=self._radius,
-            weight=weight,
-            backend=self._backend,
-        )
+        return self._config
 
     @property
     def cacheable(self) -> bool:
@@ -344,8 +340,9 @@ class SpectralLPM:
         As in the grid builder, the weight model is evaluated once per
         axis offset, and only along axes with edges (others weigh 0).
         """
-        if (self._backend != "auto" or self._radius != 1
-                or grid.size < 3 or self._connectivity != "orthogonal"):
+        config = self._config
+        if (config.backend != "auto" or config.radius != 1
+                or grid.size < 3 or config.connectivity != "orthogonal"):
             return None
         weight = weight_function(self._weight)
         weights = tuple(
@@ -371,19 +368,15 @@ class SpectralLPM:
         """
         graph, cells = induced_grid_graph(
             grid, PointSet(grid, cell_indices).cells,
-            connectivity=self._connectivity, radius=self._radius,
-            weight=self._weight,
+            connectivity=self._config.connectivity,
+            radius=self._config.radius, weight=self._weight,
         )
         return self.order_graph(graph), cells
 
-    def fiedler(self, graph: Graph) -> FiedlerResult:
-        """Expose the Fiedler pair for a connected graph (diagnostics)."""
-        return fiedler_vector(graph, backend=self._backend)
-
     def build_grid_graph(self, grid: Grid) -> Graph:
         """Step 1: the configured graph model of a grid domain."""
-        return grid_graph(grid, connectivity=self._connectivity,
-                          radius=self._radius, weight=self._weight)
+        return grid_graph(grid, connectivity=self._config.connectivity,
+                          radius=self._config.radius, weight=self._weight)
 
     # ------------------------------------------------------------------
     def _order_connected(self, graph: Graph,
@@ -396,8 +389,8 @@ class SpectralLPM:
             # lambda_2 = 2w with vector (+, -)/sqrt(2); with only two
             # items the stable order is by vertex id.
             return LinearOrder(np.array([0, 1]))
-        result = _fiedler_vector(graph, backend=self._backend, probe=probe,
-                                 known_connected=True)
+        result = _fiedler_vector(graph, backend=self._config.backend,
+                                 probe=probe, known_connected=True)
         if recorder is not None:
             recorder.append(result)
         return _order_by_fiedler(result)

@@ -121,7 +121,8 @@ class Box:
         return itertools.product(*ranges)
 
     def cell_indices(self, grid: Grid) -> np.ndarray:
-        """Flat (row-major) grid indices of every cell inside the box."""
+        """Flat (row-major) grid indices of every cell inside the box,
+        ascending, as an ``intp`` array."""
         if grid.ndim != self.ndim:
             raise DimensionError(
                 f"box is {self.ndim}-d but grid is {grid.ndim}-d"
@@ -131,10 +132,18 @@ class Box:
             raise DomainError(
                 f"box {self!r} not contained in grid of shape {grid.shape}"
             )
-        axes = [np.arange(a, b + 1) for a, b in zip(self._lo, self._hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.ravel_multi_index(tuple(m.ravel() for m in mesh),
-                                    grid.shape)
+        # Each axis contributes a strided run of offsets; their outer
+        # sum, last axis fastest, is the row-major index block.
+        cells = None
+        stride = 1
+        for a, b, side in zip(self._lo[::-1], self._hi[::-1],
+                              grid.shape[::-1]):
+            offsets = np.arange(a * stride, (b + 1) * stride, stride,
+                                dtype=np.intp)
+            cells = offsets if cells is None else np.add.outer(offsets,
+                                                               cells)
+            stride *= side
+        return cells.ravel()
 
     def clipped_to(self, grid: Grid) -> Optional["Box"]:
         """The part of the box inside ``grid``, or ``None`` if disjoint."""

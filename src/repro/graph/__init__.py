@@ -31,7 +31,6 @@ from repro.graph.laplacian import (
     rayleigh_quotient,
 )
 from repro.graph.traversal import (
-    bfs_order,
     component_vertex_lists,
     connected_components,
     is_connected,
@@ -50,7 +49,6 @@ __all__ = [
     "DUPLICATE_POLICIES",
     "Graph",
     "GridTopology",
-    "bfs_order",
     "coarsen",
     "coarsen_hierarchy",
     "contract",

@@ -1,4 +1,4 @@
-"""Graph traversal: breadth-first search and connected components.
+"""Graph traversal: connected components.
 
 The spectral pipeline needs connectivity information: the Fiedler
 vector is only defined for connected graphs (a disconnected graph has
@@ -17,33 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.errors import InvalidParameterError
 from repro.graph.adjacency import Graph
-
-
-def bfs_order(graph: Graph, start: int = 0) -> np.ndarray:
-    """Vertices of ``start``'s component in breadth-first visit order.
-
-    Neighbours are visited in ascending id order, so the result is fully
-    deterministic.
-    """
-    n = graph.num_vertices
-    if not 0 <= start < n:
-        raise InvalidParameterError(f"start vertex {start} out of range")
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    visited: List[int] = []
-    while frontier:
-        next_frontier: List[int] = []
-        for v in frontier:
-            visited.append(v)
-            for u in graph.neighbors(v):
-                if not seen[u]:
-                    seen[u] = True
-                    next_frontier.append(int(u))
-        frontier = next_frontier
-    return np.array(visited, dtype=np.int64)
 
 
 def _compiled_components(graph: Graph) -> Tuple[np.ndarray, int] | None:
@@ -119,7 +93,7 @@ def is_connected(graph: Graph) -> bool:
     compiled = _compiled_components(graph)
     if compiled is not None:
         return compiled[1] == 1
-    return len(bfs_order(graph, 0)) == n
+    return _python_components(graph)[1] == 1
 
 
 def component_vertex_lists(labels: np.ndarray,

@@ -42,10 +42,12 @@ __all__ = [
     "dump_metrics",
 ]
 
-# Latency buckets (seconds) spanning sub-100µs cache hits up to
-# multi-second cold eigensolves.  Fixed at family creation: histograms
-# never resize, so observation cost is constant.
+# Latency buckets (seconds) spanning sub-100µs cache hits and warm
+# queries (10-100 µs) up to multi-second cold eigensolves.  Fixed at
+# family creation: histograms never resize, so observation cost is
+# constant.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
+    0.00001, 0.000025, 0.00005,
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )

@@ -153,10 +153,10 @@ class LinearStore:
         return execution
 
     def _range_query_impl(self, box: Box, plan: str) -> QueryExecution:
-        wanted = box.cell_indices(self._grid)
-        results = np.sort(wanted)
+        # Ascending already, so the cells are the result set as is.
+        results = box.cell_indices(self._grid)
         if plan == "span-scan":
-            ranks = self._ranks[wanted]
+            ranks = self._ranks[results]
             lo, hi = int(ranks.min()), int(ranks.max())
             # Packed leaves hold ``tree_order`` consecutive ranks: descend
             # one node per level to lo's leaf, then walk the chain until
@@ -170,8 +170,10 @@ class LinearStore:
             runs = 1
         else:  # page-fetch
             node_accesses = 0
-            page_ids = self._layout.pages_for_items(wanted)
-            runs = len(self._layout.page_run_lengths(page_ids))
+            page_ids = self._layout.pages_for_items(results)
+            # A box holds at least one cell, so one run, and each gap
+            # between consecutive page ids starts another.
+            runs = 1 + int(np.count_nonzero(np.diff(page_ids) > 1))
             pages = page_ids.tolist()
         fetched = len(pages)
         hits = 0

@@ -26,14 +26,10 @@ from repro.errors import DimensionError, InvalidParameterError
 from repro.geometry.grid import Grid
 
 
-def true_join_pairs(grid: Grid, cells_a: Sequence[int],
-                    cells_b: Sequence[int],
-                    epsilon: int) -> np.ndarray:
-    """All ``(i, j)`` position pairs with Manhattan distance <= epsilon.
-
-    Positions index into ``cells_a`` / ``cells_b``; the result is an
-    ``(m, 2)`` array sorted lexicographically.
-    """
+def _within_epsilon(grid: Grid, cells_a: Sequence[int],
+                    cells_b: Sequence[int], epsilon: int) -> np.ndarray:
+    """The ``(|A|, |B|)`` boolean matrix of Manhattan distance <=
+    epsilon, by position in ``cells_a`` / ``cells_b``."""
     if epsilon < 0:
         raise InvalidParameterError(
             f"epsilon must be >= 0, got {epsilon}"
@@ -44,8 +40,19 @@ def true_join_pairs(grid: Grid, cells_a: Sequence[int],
                               grid.shape)
     distances = sum(np.abs(xa[:, None] - xb[None, :])
                     for xa, xb in zip(axes_a, axes_b))
-    within = np.flatnonzero(distances <= epsilon)
-    return np.stack(np.unravel_index(within, distances.shape), axis=1)
+    return distances <= epsilon
+
+
+def true_join_pairs(grid: Grid, cells_a: Sequence[int],
+                    cells_b: Sequence[int],
+                    epsilon: int) -> np.ndarray:
+    """All ``(i, j)`` position pairs with Manhattan distance <= epsilon.
+
+    Positions index into ``cells_a`` / ``cells_b``; the result is an
+    ``(m, 2)`` array sorted lexicographically.
+    """
+    within = _within_epsilon(grid, cells_a, cells_b, epsilon)
+    return np.stack(np.nonzero(within), axis=1)
 
 
 def window_join_candidates(ranks: np.ndarray, cells_a: Sequence[int],
@@ -105,24 +112,24 @@ class JoinReport:
 def window_join_report(grid: Grid, ranks: np.ndarray,
                        cells_a: Sequence[int], cells_b: Sequence[int],
                        epsilon: int, window: int) -> JoinReport:
-    """Run the window join and score it against the exact join."""
+    """Run the window join and score it against the exact join.
+
+    The exact join is counted on its distance matrix, never listed: the
+    true pairs are its set entries, and the matched pairs are the set
+    entries the candidate pairs (distinct position pairs) pick out.
+    """
     ranks = np.asarray(ranks)
     if ranks.shape != (grid.size,):
         raise DimensionError(
             f"ranks must have shape ({grid.size},), got {ranks.shape}"
         )
-    truth = true_join_pairs(grid, cells_a, cells_b, epsilon)
+    within = _within_epsilon(grid, cells_a, cells_b, epsilon)
     candidates = window_join_candidates(ranks, cells_a, cells_b, window)
-    # Neither list repeats a position pair, so one integer key per
-    # pair intersects them exactly.
-    width = max(len(cells_b), 1)
-    matched = np.intersect1d(truth[:, 0] * width + truth[:, 1],
-                             candidates[:, 0] * width + candidates[:, 1],
-                             assume_unique=True)
     return JoinReport(
         epsilon=epsilon,
         window=window,
-        true_pairs=len(truth),
+        true_pairs=int(np.count_nonzero(within)),
         candidate_pairs=len(candidates),
-        matched_pairs=len(matched),
+        matched_pairs=int(np.count_nonzero(
+            within[candidates[:, 0], candidates[:, 1]])),
     )

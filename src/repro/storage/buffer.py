@@ -3,7 +3,9 @@
 Completes the storage stack: query streams hit the buffer first, and a
 mapping that clusters co-accessed items onto few pages gets a higher hit
 rate for the same buffer size.  The implementation is a textbook
-ordered-dict LRU with hit/miss/eviction accounting.
+ordered-dict LRU with hit/miss/eviction accounting.  A batch of pages
+is one loop of LRU steps that writes the counters once, and a single
+:meth:`LRUBufferPool.access` is a batch of one.
 
 One pool may be shared by every query running against one
 :class:`~repro.query.LinearStore` — including queries from plain
@@ -74,35 +76,39 @@ class LRUBufferPool:
 
     def access(self, page: int) -> bool:
         """Touch one page; returns True on a hit.  Atomic."""
-        page = int(page)
-        with self._lock:
-            return self._touch_locked(page)
+        return self.access_many((page,)) == 1
 
     def access_many(self, pages: Iterable[int]) -> int:
         """Touch pages in order; returns the number of hits.
 
-        Equivalent to calling :meth:`access` on each page in turn (same
-        LRU order, same counters), but the lock is taken once for the
-        whole batch, so the batch is atomic.  ``pages`` may be any
+        Each page is one LRU step: a resident page moves to the most
+        recent end, any other page is admitted there, evicting the least
+        recent page when the pool is full.  The lock is taken once for
+        the whole batch, so the batch is atomic.  ``pages`` may be any
         iterable; it is read into a list before the lock is taken.
         """
         batch = list(map(int, pages))
         with self._lock:
-            return sum(self._touch_locked(page) for page in batch)
-
-    def _touch_locked(self, page: int) -> bool:
-        """One LRU step (caller holds ``_lock``): refresh a resident
-        page, or admit it and evict the least recent if full."""
-        if page in self._pages:
-            self._pages.move_to_end(page)
-            self._hits += 1
-            return True
-        self._misses += 1
-        if len(self._pages) >= self._capacity:
-            self._pages.popitem(last=False)
-            self._evictions += 1
-        self._pages[page] = None
-        return False
+            resident = self._pages
+            refresh = resident.move_to_end
+            evict = resident.popitem
+            free = self._capacity - len(resident)
+            hits = evictions = 0
+            for page in batch:
+                if page in resident:
+                    refresh(page)
+                    hits += 1
+                    continue
+                if free:
+                    free -= 1
+                else:
+                    evict(last=False)
+                    evictions += 1
+                resident[page] = None
+            self._hits += hits
+            self._misses += len(batch) - hits
+            self._evictions += evictions
+        return hits
 
     def contains(self, page: int) -> bool:
         """Whether a page is resident (does not touch recency)."""

@@ -73,11 +73,14 @@ class PageLayout:
         return self._order.permutation[lo:hi]
 
     def pages_for_items(self, items: Sequence[int]) -> np.ndarray:
-        """Sorted distinct pages touched by an item set (e.g. a query)."""
-        items = np.asarray(items, dtype=np.int64)
-        if items.size == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(self._page_of[items])
+        """Sorted distinct pages touched by an item set (e.g. a query).
+
+        Marks a bitmap of every page and returns its set positions: one
+        pass over the items and one over the pages, with no sort.
+        """
+        touched = np.zeros(self.num_pages, dtype=bool)
+        touched[self._page_of[np.asarray(items, dtype=np.int64)]] = True
+        return np.flatnonzero(touched)
 
     def page_run_lengths(self, pages: np.ndarray) -> List[int]:
         """Lengths of maximal runs of consecutive page ids.

@@ -10,6 +10,7 @@ from repro.core import (
     LinearOrder,
     SpectralConfig,
     SpectralLPM,
+    fiedler_vector,
     spectral_order,
     symmetric_grid_probe,
 )
@@ -93,7 +94,7 @@ def test_spectral_beats_random_orders_on_two_sum(dense_lpm, grid8):
 def test_continuous_objective_at_most_discrete(dense_lpm, grid4):
     """The Fiedler value lower-bounds any normalized discrete order."""
     graph = dense_lpm.build_grid_graph(grid4)
-    fiedler = dense_lpm.fiedler(graph)
+    fiedler = fiedler_vector(graph, backend="dense")
     order = dense_lpm.order_grid(grid4)
     ranks = order.ranks.astype(float)
     ranks -= ranks.mean()

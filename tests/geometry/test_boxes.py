@@ -231,3 +231,23 @@ def test_cell_indices_are_exactly_contained_cells(side, ndim, data):
     for index in range(grid.size):
         assert (index in inside) == box.contains_point(
             grid.point_of(index))
+
+
+@given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       data=st.data())
+def test_cell_indices_match_meshgrid_formula(shape, data):
+    """Strided offsets give ``ravel_multi_index(meshgrid(...))``'s
+    values and dtype, boxes on the grid's edges included."""
+    grid = Grid(tuple(shape))
+    lo = tuple(data.draw(st.one_of(st.just(0), st.integers(0, side - 1)))
+               for side in shape)
+    hi = tuple(data.draw(st.one_of(st.just(side - 1),
+                                   st.integers(a, side - 1)))
+               for a, side in zip(lo, shape))
+    box = Box(lo, hi)
+    mesh = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo, hi)),
+                       indexing="ij")
+    want = np.ravel_multi_index(tuple(m.ravel() for m in mesh), grid.shape)
+    got = box.cell_indices(grid)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import InvalidParameterError
 from repro.graph import (
     Graph,
-    bfs_order,
     component_vertex_lists,
     connected_components,
     cycle_graph,
@@ -18,29 +16,6 @@ from repro.graph import (
 from repro.geometry import Grid
 from repro.graph.traversal import _compiled_components
 from repro.linalg import scipy_available
-
-
-def test_bfs_order_path():
-    g = path_graph(5)
-    assert list(bfs_order(g, 0)) == [0, 1, 2, 3, 4]
-    assert list(bfs_order(g, 2)) == [2, 1, 3, 0, 4]
-
-
-def test_bfs_visits_ascending_neighbors():
-    g = star_graph(5)
-    assert list(bfs_order(g, 0)) == [0, 1, 2, 3, 4]
-
-
-def test_bfs_restricted_to_component():
-    g = Graph.from_edges(5, [(0, 1), (2, 3)])
-    assert set(bfs_order(g, 0)) == {0, 1}
-    assert set(bfs_order(g, 3)) == {2, 3}
-    assert list(bfs_order(g, 4)) == [4]
-
-
-def test_bfs_start_validation():
-    with pytest.raises(InvalidParameterError):
-        bfs_order(path_graph(3), 3)
 
 
 def test_connected_components_labels():
@@ -59,13 +34,21 @@ def test_component_vertex_lists():
     assert [list(grp) for grp in groups] == [[0, 4], [1, 2], [3]]
 
 
-def test_is_connected():
-    assert is_connected(grid_graph(Grid((4, 4))))
-    assert is_connected(cycle_graph(5))
-    assert not is_connected(Graph.from_edges(3, [(0, 1)]))
-    assert is_connected(Graph.empty(1))
-    assert is_connected(Graph.from_edges(0, []))
-    assert not is_connected(Graph.empty(2))
+def test_is_connected(request):
+    cases = [(grid_graph(Grid((4, 4))), True), (cycle_graph(5), True),
+             (star_graph(5), True), (path_graph(4), True),
+             (Graph.from_edges(3, [(0, 1)]), False),
+             (Graph.from_edges(5, [(0, 1), (2, 3)]), False),
+             (Graph.empty(1), True), (Graph.from_edges(0, []), True),
+             (Graph.empty(2), False)]
+    graphs = [g for g, _ in cases]
+    expected = [connected for _, connected in cases]
+    assert [is_connected(g) for g in graphs] == expected
+    # Again on the numpy-only leg, which counts the Python walk's
+    # components.
+    request.getfixturevalue("no_scipy")
+    assert _compiled_components(graphs[0]) is None
+    assert [is_connected(g) for g in graphs] == expected
 
 
 def _random_graphs():

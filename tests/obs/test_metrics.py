@@ -156,3 +156,18 @@ def test_default_buckets_ascend():
         DEFAULT_LATENCY_BUCKETS)
     assert len(set(DEFAULT_LATENCY_BUCKETS)) == len(
         DEFAULT_LATENCY_BUCKETS)
+
+
+def test_default_buckets_resolve_the_first_100_microseconds():
+    # Warm queries and cache hits finish in tens of microseconds; a
+    # default histogram must tell them apart.
+    reg = MetricsRegistry()
+    hist = reg.histogram("warm_seconds")
+    hist.observe(20e-6)
+    hist.observe(90e-6)
+    series = reg.snapshot()["warm_seconds"]["series"][""]
+    per_bucket = [b - a for a, b in zip([0] + series["cumulative"],
+                                        series["cumulative"])]
+    filled = [bound for bound, n in zip(series["buckets"], per_bucket)
+              if n]
+    assert filled == [0.000025, 0.0001]

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.core import LinearOrder
 from repro.errors import InvalidParameterError
 from repro.geometry import Box, Grid
 from repro.index import BPlusTree
@@ -113,7 +116,6 @@ def test_spectral_store_end_to_end():
 def test_mapping_locality_reduces_span_scan_cost():
     """Hilbert's compact spans must beat a scrambled order's through
     the full engine stack."""
-    from repro.core import LinearOrder
     from repro.mapping import ExplicitMapping
     grid = Grid((8, 8))
     scrambled_order = LinearOrder(
@@ -126,3 +128,25 @@ def test_mapping_locality_reduces_span_scan_cost():
     cost_hilbert = hilbert.execute_workload(boxes).cost
     cost_scrambled = scrambled.execute_workload(boxes).cost
     assert cost_hilbert < cost_scrambled
+
+
+@given(shape=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+       page_size=st.integers(1, 6), data=st.data())
+def test_page_fetch_seeks_count_page_runs(shape, page_size, data):
+    """A page-fetch query's seeks are ``len(page_run_lengths(pages))``
+    of its sorted distinct pages, under any order."""
+    from repro.mapping import ExplicitMapping
+    grid = Grid(tuple(shape))
+    order = LinearOrder(data.draw(st.permutations(range(grid.size))))
+    engine = LinearStore(grid, ExplicitMapping(grid, order),
+                         page_size=page_size)
+    lo = tuple(data.draw(st.integers(0, side - 1)) for side in shape)
+    hi = tuple(data.draw(st.integers(a, side - 1))
+               for a, side in zip(lo, shape))
+    box = Box(lo, hi)
+    cells = box.cell_indices(grid)
+    pages = np.unique(engine.layout.page_of[cells])
+    execution = engine.range_query(box, plan="page-fetch")
+    assert execution.seeks == len(engine.layout.page_run_lengths(pages))
+    assert execution.pages_fetched == len(pages)
+    assert np.array_equal(execution.results, np.sort(cells))

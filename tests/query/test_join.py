@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import DimensionError, InvalidParameterError
 from repro.geometry import Grid
 from repro.query import (
+    JoinReport,
     true_join_pairs,
     window_join_candidates,
     window_join_report,
@@ -133,3 +136,44 @@ def test_join_pairs_of_empty_lists():
         for pairs in (true_join_pairs(grid, a, b, 2),
                       window_join_candidates(ranks, a, b, 4)):
             assert pairs.shape == (0, 2) and pairs.dtype == np.int64
+
+
+def _report_from_pair_lists(grid, ranks, cells_a, cells_b, epsilon, window):
+    """The join report built from the listed pairs: the truth from
+    :func:`true_join_pairs`, matched by ``intersect1d`` of pair keys."""
+    truth = true_join_pairs(grid, cells_a, cells_b, epsilon)
+    candidates = window_join_candidates(ranks, cells_a, cells_b, window)
+    width = max(len(cells_b), 1)
+    matched = np.intersect1d(truth[:, 0] * width + truth[:, 1],
+                             candidates[:, 0] * width + candidates[:, 1],
+                             assume_unique=True)
+    return JoinReport(epsilon=epsilon, window=window,
+                      true_pairs=len(truth),
+                      candidate_pairs=len(candidates),
+                      matched_pairs=len(matched))
+
+
+@given(shape=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+       point_set=st.booleans(), epsilon=st.integers(0, 4),
+       window=st.integers(0, 12), data=st.data())
+def test_window_join_report_counts_the_listed_pairs(
+        shape, point_set, epsilon, window, data):
+    """Counting on the distance matrix gives the report the listed
+    pairs give, on grids and on point sets (whose unoccupied cells hold
+    the sentinel rank -1, as the index's point-set join passes them)."""
+    grid = Grid(tuple(shape))
+    if point_set:
+        occupied = sorted(data.draw(st.sets(
+            st.integers(0, grid.size - 1), min_size=1)))
+        ranks = np.full(grid.size, -1, dtype=np.int64)
+        ranks[occupied] = data.draw(st.permutations(range(len(occupied))))
+    else:
+        occupied = range(grid.size)
+        ranks = np.array(data.draw(st.permutations(range(grid.size))))
+    cells = st.lists(st.sampled_from(occupied), max_size=15)
+    cells_a, cells_b = data.draw(cells), data.draw(cells)
+    report = window_join_report(grid, ranks, cells_a, cells_b, epsilon,
+                                window)
+    assert report == _report_from_pair_lists(grid, ranks, cells_a, cells_b,
+                                             epsilon, window)
+    assert {type(report.true_pairs), type(report.matched_pairs)} == {int}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
 from repro.storage import LRUBufferPool, replay_query_stream
@@ -110,3 +112,35 @@ def test_access_many_accepts_any_iterable(make):
     assert pool.access_many(make([3, 4, 5])) == 0
     assert pool.access_many(make([3, 4, 5])) == 3
     assert pool.stats().accesses == 6
+
+
+@given(capacity=st.integers(1, 8),
+       batches=st.lists(st.lists(st.integers(0, 11), max_size=20),
+                        max_size=12))
+def test_access_many_is_one_lru_step_per_page(capacity, batches):
+    """Against access() page by page on a twin pool, and against the
+    textbook LRU step on a list (least recent first): the same hits,
+    stats and residency after every batch, with repeated pages and
+    batches longer than the capacity."""
+    batched = LRUBufferPool(capacity)
+    single = LRUBufferPool(capacity)
+    model = []
+    evictions = 0
+    for batch in batches:
+        model_hits = 0
+        for page in batch:
+            if page in model:
+                model.remove(page)
+                model_hits += 1
+            elif len(model) == capacity:
+                model.pop(0)
+                evictions += 1
+            model.append(page)
+        hits = batched.access_many(batch)
+        assert hits == sum(single.access(page) for page in batch)
+        assert hits == model_hits
+        assert batched.stats() == single.stats()
+        assert batched.stats().evictions == evictions
+        resident = [batched.contains(page) for page in range(12)]
+        assert resident == [single.contains(page) for page in range(12)]
+        assert resident == [page in model for page in range(12)]

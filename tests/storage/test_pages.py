@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import LinearOrder
 from repro.errors import InvalidParameterError
@@ -71,3 +73,18 @@ def test_empty_layout():
 def test_repr():
     layout = PageLayout(LinearOrder.identity(10), page_size=4)
     assert "pages=3" in repr(layout)
+
+
+@given(page_size=st.integers(1, 8), data=st.data())
+def test_pages_for_items_match_unique_page_ids(page_size, data):
+    """The page bitmap returns exactly ``np.unique(page_of[items])``:
+    values and dtype, with repeated items and the empty list."""
+    n = data.draw(st.integers(0, 60))
+    layout = PageLayout(LinearOrder(data.draw(st.permutations(range(n)))),
+                        page_size)
+    items = (data.draw(st.lists(st.integers(0, n - 1), max_size=40))
+             if n else [])
+    got = layout.pages_for_items(items)
+    want = np.unique(layout.page_of[np.asarray(items, dtype=np.int64)])
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
