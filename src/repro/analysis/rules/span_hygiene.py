@@ -9,7 +9,7 @@ allocate*.  Two ways to break that, both flagged here:
 * building containers (dicts, lists, comprehensions, ``**kwargs``
   unpacking) or calling arbitrary functions inside the ``span(...)``
   argument list — those run even when tracing is disabled;
-* instantiating :class:`repro.obs.tracing.Span` directly outside
+* instantiating :class:`repro.obs.tracing.SpanRecord` directly outside
   :mod:`repro.obs`, which bypasses the enabled check entirely.
 
 Cheap scalar expressions (constants, names, attribute chains, slices
@@ -50,11 +50,11 @@ def check(project: ProjectIndex) -> List[Finding]:
                 continue
             name = dotted(node.func)
             simple = name.rsplit(".", 1)[-1] if name else ""
-            if simple == "Span" and not in_obs:
+            if simple == "SpanRecord" and not in_obs:
                 findings.append(_finding(
                     source, node,
-                    "Span(...) instantiated directly; use span(...) so "
-                    "the disabled path stays a boolean check"))
+                    "SpanRecord(...) instantiated directly; use span(...) "
+                    "so the disabled path stays a boolean check"))
             elif simple == "span":
                 _check_span_call(source, node, findings)
     return findings

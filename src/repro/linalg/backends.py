@@ -165,22 +165,11 @@ DEFAULT_SOLVER_TOL = 1e-9
 
 BACKENDS = ("auto", "dense", "lanczos", "lobpcg", "scipy", "multilevel")
 
-# Process-wide count of eigensolver invocations.  The ordering service's
-# contract — "a warm cache pays zero eigensolves" — is asserted against
-# the delta of this counter, which counted_solve() increments for every
-# backend path below and for the closed-form grid pair.
-_SOLVER_INVOCATIONS = 0
-
-# Guards the global counter's read-modify-write: concurrent solves are
-# a supported mode (the ordering service's single-flight runs distinct
-# keys in parallel) and tests assert exact deltas.
-_COUNTER_LOCK = threading.Lock()
-
-# Per-thread tally, incremented in lock-step with the global counter.
-# Delta measurements taken *around a synchronous solve* must use this
-# one: under the ordering service's single-flight concurrency, solves on
-# distinct keys run in parallel, so a global-counter delta would charge
-# each computation with every other thread's invocations too.
+# Per-thread tally of counted solves.  Delta measurements taken *around
+# a synchronous solve* must use this one: under the ordering service's
+# single-flight concurrency, solves on distinct keys run in parallel, so
+# a process-wide delta would charge each computation with every other
+# thread's invocations too.
 _THREAD_TALLY = threading.local()
 
 
@@ -190,12 +179,13 @@ def solver_invocations() -> int:
     Every :func:`smallest_eigenpairs` call counts one, and so does every
     closed-form Fiedler pair of a full radius-1 grid
     (:func:`repro.core.fiedler.grid_fiedler_result`, backend
-    ``"closed-form"``), which stands in for a solve.  A monotone counter
-    (never reset) intended for delta assertions: record it, run the
-    operation under test, and compare.  Cache layers use it to *prove*
-    a warm path never reached an eigensolver.
+    ``"closed-form"``), which stands in for a solve.  It is the count of
+    ``repro_linalg_solve_seconds`` summed over its backend labels, so it
+    never resets and is meant for deltas: record it, run the operation
+    under test, and compare.  Cache layers use it to *prove* a warm path
+    never reached an eigensolver.
     """
-    return _SOLVER_INVOCATIONS
+    return _SOLVE_SECONDS.total_count()
 
 
 def thread_solver_invocations() -> int:
@@ -541,17 +531,15 @@ def counted_solve(backend: str, n: int, k: int
                   ) -> Iterator[dict | None]:
     """Account for the wrapped block as one eigensolve by ``backend``.
 
-    Bumps :func:`solver_invocations` and this thread's tally, opens one
-    ``linalg.solve`` span and observes ``repro_linalg_solve_seconds``.
+    Bumps this thread's tally, opens one ``linalg.solve`` span and
+    observes ``repro_linalg_solve_seconds``, whose count is
+    :func:`solver_invocations`; a block that raises still counts.
     Yields a dict the block may fill with span attributes, allocated
     only while a trace is recording (``None`` otherwise), so the
     disabled-tracing path pays a single boolean check.  Both
     :func:`smallest_eigenpairs` and the closed-form grid pair
     (:func:`repro.core.fiedler.grid_fiedler_result`) solve through it.
     """
-    global _SOLVER_INVOCATIONS
-    with _COUNTER_LOCK:
-        _SOLVER_INVOCATIONS += 1
     _THREAD_TALLY.count = getattr(_THREAD_TALLY, "count", 0) + 1
     sp = span("linalg.solve", backend=backend, n=n, k=k)
     stats: dict | None = {} if sp.is_recording else None
@@ -562,7 +550,7 @@ def counted_solve(backend: str, n: int, k: int
             if stats:
                 for name, value in stats.items():
                     sp.set_attribute(name, value)
-    _SOLVE_SECONDS.observe(timer.seconds, backend=backend)
+            _SOLVE_SECONDS.observe(timer.seconds, backend=backend)
 
 
 def _run_backend(matrix: CSRMatrix, k: int, backend: str,

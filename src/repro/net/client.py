@@ -239,8 +239,7 @@ class RemoteFrontend(MessageFrontend):
                 # No context means nothing to resume server-side; the
                 # bare message keeps the untraced wire format (and the
                 # server indexes trace_context, so never ship None).
-                wire = (TracedRequest(request=message,
-                                      trace_context=ctx.as_wire())
+                wire = (TracedRequest(request=message, trace_context=ctx)
                         if ctx is not None else message)
                 start = time.monotonic()
                 response = self._roundtrip(wire)

@@ -13,8 +13,10 @@ Three pieces, all standard library only:
   the serving stack, the serve CLI, and benchmarks.
 
 Tracing is off by default and free when off (one boolean check per span
-site); metric updates are always on and cost one lock + add, the same
-class of overhead as the ``ServiceStats`` counters they superseded.
+site); metric updates are always on and cost one lock + add.  The
+registry is the process-wide scrape.  It sits beside, not in place of,
+the per-instance ``ServiceStats`` and ``FleetStats`` counters, which
+give exact deltas for one service, shard or fleet.
 """
 
 from repro.obs.metrics import (
@@ -27,9 +29,7 @@ from repro.obs.metrics import (
     dump_metrics,
 )
 from repro.obs.tracing import (
-    Span,
     SpanRecord,
-    TraceContext,
     TraceCollector,
     span,
     tracing,
@@ -57,9 +57,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "registry",
     "dump_metrics",
-    "Span",
     "SpanRecord",
-    "TraceContext",
     "TraceCollector",
     "span",
     "tracing",

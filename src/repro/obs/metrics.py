@@ -17,7 +17,6 @@ each family lock, so they never observe a torn update.
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_right
 from typing import (
@@ -165,9 +164,6 @@ class Gauge(_ValueMetric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def dec(self, amount: float = 1.0, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
 
 class _HistogramEntry:
     """One label-keyed series: per-bucket counts (plus ``+Inf``), the
@@ -217,6 +213,11 @@ class Histogram(_Metric):
         with self._lock:
             entry = self._series.get(key)
             return entry.count if entry else 0
+
+    def total_count(self) -> int:
+        """Observations summed over every label set."""
+        with self._lock:
+            return sum(entry.count for entry in self._series.values())
 
     def sum(self, **labels: object) -> float:
         key = _label_key(labels)
@@ -319,9 +320,6 @@ class MetricsRegistry:
         for metric in self.families():
             lines.extend(metric.render())
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def render_json(self) -> str:
-        return json.dumps(self.snapshot(), sort_keys=True)
 
 
 _REGISTRY = MetricsRegistry()

@@ -47,7 +47,3 @@ class Timer:
         if self._start is not None:
             return time.perf_counter() - self._start
         return self._elapsed
-
-    @property
-    def millis(self) -> float:
-        return self.seconds * 1e3

@@ -8,9 +8,10 @@ spans sharing a ``trace_id`` form one *trace*.  The context propagates
 - across ``map_in_threads`` fan-out (``repro.parallel`` captures
   :func:`current_context` at submit time and re-attaches it in worker
   threads), and
-- across the pickle IPC boundary (``repro.serve`` ships a
-  :class:`TraceContext` wire tuple inside ``TracedRequest`` and returns
-  finished :class:`SpanRecord` tuples inside ``TracedResponse``),
+- across the pickle IPC boundary (``repro.serve`` ships the
+  ``(trace_id, span_id)`` context tuple inside ``TracedRequest`` and
+  returns finished :class:`SpanRecord` objects inside
+  ``TracedResponse``),
 
 so a single ``ProcessPoolFrontend.query_many`` call yields one stitched
 trace from dispatcher to solver.
@@ -41,9 +42,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union, cast
 _PathLike = Union[str, "os.PathLike[str]"]
 
 __all__ = [
-    "Span",
     "SpanRecord",
-    "TraceContext",
     "TraceCollector",
     "span",
     "tracing_enabled",
@@ -77,31 +76,23 @@ def _new_id() -> str:
     return "%016x" % ((_LOCAL.id_base + count) & 0xFFFFFFFFFFFFFFFF)
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """Identity of an in-progress span, used to parent remote work.
-
-    Picklable and tuple-convertible so it can ride inside the frozen
-    request dataclasses of ``repro.serve.protocol``.
-    """
-
-    trace_id: str
-    span_id: str
-
-    def as_wire(self) -> Tuple[str, str]:
-        return (self.trace_id, self.span_id)
-
-    @classmethod
-    def from_wire(cls, wire: Optional[Tuple[str, str]]) -> "Optional[TraceContext]":
-        if wire is None:
-            return None
-        return cls(trace_id=wire[0], span_id=wire[1])
-
-
 @dataclass
 class SpanRecord:
-    """A finished span.  Plain picklable data — this is both the
-    in-memory record and the IPC/JSONL wire format."""
+    """A span and, once it has exited, its record.  Use via :func:`span`::
+
+        with span("service.solve", key=key) as sp:
+            ...
+            sp.set_attribute("backend", result.backend)
+
+    Entering stamps ``start_time`` and pushes the thread-local span
+    stack.  Exiting sets ``duration``, ``status``, ``error`` and ``pid``,
+    pops the stack and publishes the object itself to the process
+    collector and any active capture sinks.  An exception escaping the
+    body marks ``status="error"`` and is not swallowed.
+
+    The ten fields are plain picklable data, and they are the whole
+    instance state: the object is also the IPC and JSONL wire format.
+    """
 
     trace_id: str
     span_id: str
@@ -113,6 +104,43 @@ class SpanRecord:
     status: str = "ok"
     error: Optional[str] = None
     pid: int = 0
+
+    is_recording = True
+
+    def set_attribute(self, key: str, value: object) -> None:
+        self.attributes[key] = value
+
+    @property
+    def context(self) -> Tuple[str, str]:
+        """``(trace_id, span_id)``: the context a child or a traced
+        request carries."""
+        return (self.trace_id, self.span_id)
+
+    def __enter__(self) -> "SpanRecord":
+        self.start_time = time.time()
+        _stack().append(self)
+        # The running clock lives in ``duration`` itself, so no field
+        # beyond the ten is ever set (or pickled).
+        self.duration = -time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type: Optional[type],
+                 exc: Optional[BaseException],
+                 tb: Optional[TracebackType]) -> bool:
+        self.duration += time.perf_counter()
+        stack = _stack()
+        if stack and stack[-1] is self:
+            stack.pop()
+        if exc_type is not None:
+            self.status = "error"
+            self.error = repr(exc)
+        self.pid = _PID
+        _STATE.collector.add(self)
+        if _STATE.sinks:
+            with _STATE.sink_lock:
+                for sink in _STATE.sinks:
+                    sink.append(self)
+        return False
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -190,13 +218,6 @@ class TraceCollector:
             records = [r for r in records if r.trace_id == trace_id]
         return records
 
-    def trace_ids(self) -> List[str]:
-        seen: List[str] = []
-        for record in self.spans():
-            if record.trace_id not in seen:
-                seen.append(record.trace_id)
-        return seen
-
     def drain(self) -> List[SpanRecord]:
         with self._lock:
             records = list(self._records)
@@ -230,7 +251,7 @@ if hasattr(os, "register_at_fork"):  # pragma: no branch
         after_in_child=lambda: globals().__setitem__("_PID", os.getpid()))
 
 
-def _stack() -> List["Span"]:
+def _stack() -> List[SpanRecord]:
     stack = getattr(_LOCAL, "stack", None)
     if stack is None:
         stack = []
@@ -268,13 +289,13 @@ def collector() -> TraceCollector:
     return _STATE.collector
 
 
-def current_context() -> Optional[TraceContext]:
-    """Context of the innermost open span on this thread, falling back
-    to an attached remote parent (see :func:`use_context`)."""
+def current_context() -> Optional[Tuple[str, str]]:
+    """``(trace_id, span_id)`` of the innermost open span on this
+    thread, falling back to an attached remote parent (see
+    :func:`use_context`)."""
     stack = getattr(_LOCAL, "stack", None)
     if stack:
-        top = stack[-1]
-        return TraceContext(trace_id=top.trace_id, span_id=top.span_id)
+        return stack[-1].context
     return getattr(_LOCAL, "remote_parent", None)
 
 
@@ -285,7 +306,7 @@ class use_context:
     trace) and by workers resuming a trace shipped over IPC.
     """
 
-    def __init__(self, ctx: Optional[TraceContext]) -> None:
+    def __init__(self, ctx: Optional[Tuple[str, str]]) -> None:
         self._ctx = ctx
 
     def __enter__(self) -> "use_context":
@@ -299,80 +320,6 @@ class use_context:
         return False
 
 
-class Span:
-    """A recording span.  Use via :func:`span`::
-
-        with span("service.solve", key=key) as sp:
-            ...
-            sp.set_attribute("backend", result.backend)
-
-    The span times its body with ``perf_counter``, records the nesting
-    parent from the thread-local stack, and on exit publishes a
-    :class:`SpanRecord` to the process collector and any active capture
-    sinks.  An exception escaping the body marks ``status="error"`` and
-    does not swallow the exception.
-    """
-
-    __slots__ = ("name", "trace_id", "span_id", "parent_id", "attributes",
-                 "_start_wall", "_start_perf")
-
-    is_recording = True
-
-    def __init__(self, name: str, attributes: Dict[str, object]) -> None:
-        self.name = name
-        self.attributes = dict(attributes)
-        parent = current_context()
-        if parent is not None:
-            self.trace_id = parent.trace_id
-            self.parent_id = parent.span_id
-        else:
-            self.trace_id = _new_id()
-            self.parent_id = None
-        self.span_id = _new_id()
-
-    def set_attribute(self, key: str, value: object) -> None:
-        self.attributes[key] = value
-
-    def set_attributes(self, **attributes: object) -> None:
-        self.attributes.update(attributes)
-
-    @property
-    def context(self) -> TraceContext:
-        return TraceContext(trace_id=self.trace_id, span_id=self.span_id)
-
-    def __enter__(self) -> "Span":
-        self._start_wall = time.time()
-        self._start_perf = time.perf_counter()
-        _stack().append(self)
-        return self
-
-    def __exit__(self, exc_type: Optional[type],
-                 exc: Optional[BaseException],
-                 tb: Optional[TracebackType]) -> bool:
-        duration = time.perf_counter() - self._start_perf
-        stack = _stack()
-        if stack and stack[-1] is self:
-            stack.pop()
-        record = SpanRecord(
-            trace_id=self.trace_id,
-            span_id=self.span_id,
-            parent_id=self.parent_id,
-            name=self.name,
-            start_time=self._start_wall,
-            duration=duration,
-            attributes=self.attributes,
-            status="error" if exc_type is not None else "ok",
-            error=repr(exc) if exc is not None else None,
-            pid=_PID,
-        )
-        _STATE.collector.add(record)
-        if _STATE.sinks:
-            with _STATE.sink_lock:
-                for sink in _STATE.sinks:
-                    sink.append(record)
-        return False
-
-
 class _NoopSpan:
     """Shared do-nothing span returned when tracing is disabled."""
 
@@ -381,9 +328,6 @@ class _NoopSpan:
     is_recording = False
 
     def set_attribute(self, key: str, value: object) -> None:
-        pass
-
-    def set_attributes(self, **attributes: object) -> None:
         pass
 
     def __enter__(self) -> "_NoopSpan":
@@ -396,16 +340,20 @@ class _NoopSpan:
 _NOOP = _NoopSpan()
 
 
-def span(name: str, **attributes: object) -> Union[Span, _NoopSpan]:
+def span(name: str, **attributes: object) -> Union[SpanRecord, _NoopSpan]:
     """Open a span named ``name`` with initial ``attributes``.
 
     When tracing is disabled this is a no-op: one boolean check, then a
     shared singleton whose enter/exit do nothing (see the module
-    docstring's overhead contract).
+    docstring's overhead contract).  Enabled, it is one
+    :class:`SpanRecord` that keeps the keyword dict as its attributes,
+    parented on :func:`current_context` or, without one, a new trace.
     """
     if not _STATE.enabled:
         return _NOOP
-    return Span(name, attributes)
+    trace_id, parent_id = current_context() or (_new_id(), None)
+    return SpanRecord(trace_id, _new_id(), parent_id, name, 0.0, 0.0,
+                      attributes)
 
 
 class capture_spans:
@@ -438,15 +386,15 @@ class remote_capture:
     """Worker-side scope for one trace-carrying IPC request.
 
     Temporarily enables tracing (regardless of the worker's own
-    setting), attaches the shipped :class:`TraceContext` as the parent
-    for root spans, and captures every span finished while handling the
-    request so the worker can ship them back in the response.
+    setting), attaches the shipped ``(trace_id, span_id)`` context as
+    the parent for root spans, and captures every span finished while
+    handling the request so the worker can ship them back in the
+    response.
     """
 
     def __init__(self, wire_ctx: Optional[Tuple[str, str]]) -> None:
-        self._ctx = TraceContext.from_wire(wire_ctx)
         self._capture = capture_spans()
-        self._use = use_context(self._ctx)
+        self._use = use_context(wire_ctx)
 
     def __enter__(self) -> List[SpanRecord]:
         self._prev_enabled = _STATE.enabled

@@ -13,22 +13,17 @@ without cycles.
 from __future__ import annotations
 
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import InvalidParameterError
-from repro.obs.tracing import (
-    TraceContext,
-    current_context,
-    tracing_enabled,
-    use_context,
-)
+from repro.obs.tracing import current_context, tracing_enabled, use_context
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 def _with_context(fn: Callable[[T], R],
-                  ctx: TraceContext) -> Callable[[T], R]:
+                  ctx: Tuple[str, str]) -> Callable[[T], R]:
     """``fn`` with ``ctx`` attached for the duration of each call."""
     def wrapper(item: T) -> R:
         with use_context(ctx):

@@ -132,12 +132,13 @@ INDEX_OPS = ("range", "nn", "join", "query_many")
 class TracedRequest:
     """Envelope carrying a request plus the dispatcher's trace context.
 
-    ``trace_context`` is the ``(trace_id, span_id)`` wire tuple of
-    :class:`repro.obs.TraceContext`.  The dispatcher wraps outgoing
-    requests in this envelope **only when tracing is enabled**, so the
-    untraced wire format is byte-identical to the bare request; the
-    worker unwraps it, resumes the trace for the duration of the
-    request, and ships the spans back in a :class:`TracedResponse`.
+    ``trace_context`` is the ``(trace_id, span_id)`` tuple of the
+    dispatcher's open span (:func:`repro.obs.current_context`).  The
+    dispatcher wraps outgoing requests in this envelope **only when
+    tracing is enabled**, so the untraced wire format is byte-identical
+    to the bare request; the worker unwraps it, resumes the trace for
+    the duration of the request, and ships the spans back in a
+    :class:`TracedResponse`.
     """
 
     request: object

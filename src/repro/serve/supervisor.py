@@ -355,9 +355,8 @@ class ProcessFleet:
             with span("serve.dispatch", shard=shard,
                       worker=handle.worker_id,
                       request=type(message).__name__) as sp:
-                wire = TracedRequest(
-                    request=message,
-                    trace_context=sp.context.as_wire())
+                wire = TracedRequest(request=message,
+                                     trace_context=sp.context)
                 return self._dispatch_message(handle, wire)
         return self._dispatch_message(handle, message)
 

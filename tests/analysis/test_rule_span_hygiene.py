@@ -43,23 +43,24 @@ def test_scalar_attributes_clean(lint_tree):
 
 def test_direct_span_instantiation_flagged(lint_tree):
     findings = lint_tree({"repro/service/ordering.py": '''
-        from repro.obs.tracing import Span
+        from repro.obs.tracing import SpanRecord
 
         def serve(key):
-            with Span("service.order", {"key": key}):
+            with SpanRecord("t", "s", None, "service.order", 0.0, 0.0,
+                            {"key": key}):
                 pass
     '''}, select=["RPR005"])
     assert [f.rule for f in findings] == ["RPR005"]
-    assert "Span(" in findings[0].message
+    assert "SpanRecord(" in findings[0].message
 
 
 def test_span_instantiation_allowed_inside_obs(lint_tree):
     findings = lint_tree({"repro/obs/tracing.py": '''
-        class Span:
+        class SpanRecord:
             def __init__(self, name, attributes):
                 self.name = name
 
         def span(name, **attributes):
-            return Span(name, attributes)
+            return SpanRecord(name, attributes)
     '''}, select=["RPR005"])
     assert findings == []

@@ -12,11 +12,15 @@ import time
 
 import pytest
 
+from repro.core.spectral import SpectralLPM
 from repro.geometry.grid import Grid
 from repro.geometry.pointset import PointSet
 from repro.api.process_pool import ProcessPoolFrontend
 from repro.api.queries import NNQuery, RangeQuery
 from repro.net import RemoteFrontend, SpectralServer
+from repro.obs import registry
+
+from tests.net.gating import GatedFrontend
 
 pytestmark = [pytest.mark.net, pytest.mark.multiproc]
 
@@ -84,6 +88,57 @@ def test_worker_kill_and_restart_through_the_socket(fleet_remote, pool):
     health = fleet_remote.health()
     assert health.status == "ok"
     assert len(health.workers) == pool.num_workers
+
+
+def test_worker_killed_under_a_coalesced_flight(pool):
+    """K clients wait on one cold flight whose worker is SIGKILLed
+    before the leader dispatches: the fleet restarts the worker and
+    retries once, and every waiter gets the one right answer."""
+    k = 4
+    grid = Grid((13, 10))  # cold: the pool is fresh and memory-only
+    gated = GatedFrontend(pool)
+    coalesced = registry().counter("repro_net_coalesced_total")
+    coalesced_before = coalesced.value()
+    with SpectralServer(gated, dispatchers=k) as server:
+        host, port = server.address
+        results = [None] * k
+        errors = []
+
+        def hit(i):
+            try:
+                with RemoteFrontend(host, port, read_timeout=120) as client:
+                    results[i] = client.order_grid(grid)
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hit, args=(i,))
+                   for i in range(k)]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 30
+        while (server.flight_waiters < k - 1
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert server.flight_waiters == k - 1, "waiters never piled up"
+        # The leader holds the flight inside the gate; kill the worker
+        # it is about to dispatch to, then let it go.
+        victim = pool.fleet._handles[pool.worker_of(grid)].process
+        victim.kill()
+        victim.join(timeout=30)
+        assert not victim.is_alive()
+        gated.gate.set()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+
+    assert not errors, errors
+    want = SpectralLPM().order_grid(grid)
+    assert all(r == want for r in results)
+    assert gated.calls == 1
+    assert pool.combined_stats().computed == 1
+    assert pool.fleet.stats.worker_restarts == 1
+    assert pool.fleet.stats.retried_requests == 1
+    assert coalesced.value() - coalesced_before == k - 1
 
 
 def test_worker_metrics_through_the_socket(fleet_remote, pool):

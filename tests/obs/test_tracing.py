@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import threading
 
@@ -9,7 +10,6 @@ import pytest
 
 from repro.obs import (
     SpanRecord,
-    TraceContext,
     TraceCollector,
     capture_spans,
     collector,
@@ -43,8 +43,7 @@ def test_disabled_span_is_shared_noop_singleton():
     assert sp is span("something.else")
     assert not sp.is_recording
     with sp:
-        sp.set_attribute("k", "v")   # all no-ops
-        sp.set_attributes(a=1)
+        sp.set_attribute("k", "v")   # a no-op
     assert collector().spans() == []
 
 
@@ -103,7 +102,8 @@ def test_set_attribute_after_entry():
     with tracing():
         with span("solve", n=100) as sp:
             sp.set_attribute("backend", "lanczos")
-            sp.set_attributes(iterations=7, converged=True)
+            sp.set_attribute("iterations", 7)
+            sp.set_attribute("converged", True)
     (record,) = collector().drain()
     assert record.attributes == {"n": 100, "backend": "lanczos",
                                  "iterations": 7, "converged": True}
@@ -129,7 +129,7 @@ def test_map_in_threads_propagates_trace_context():
 
 
 def test_use_context_parents_root_spans():
-    ctx = TraceContext(trace_id="t" * 16, span_id="s" * 16)
+    ctx = ("t" * 16, "s" * 16)
     with tracing():
         with use_context(ctx):
             assert current_context() == ctx
@@ -137,8 +137,7 @@ def test_use_context_parents_root_spans():
                 pass
         assert current_context() is None
     (record,) = collector().drain()
-    assert record.trace_id == ctx.trace_id
-    assert record.parent_id == ctx.span_id
+    assert (record.trace_id, record.parent_id) == ctx
 
 
 def test_capture_spans_sees_other_threads():
@@ -180,12 +179,6 @@ def test_remote_capture_without_context_still_captures():
     assert record.parent_id is None
 
 
-def test_trace_context_wire_round_trip():
-    ctx = TraceContext(trace_id="0" * 16, span_id="1" * 16)
-    assert TraceContext.from_wire(ctx.as_wire()) == ctx
-    assert TraceContext.from_wire(None) is None
-
-
 def test_span_record_and_context_pickle_round_trip():
     """The IPC payloads must survive pickling unchanged."""
     record = SpanRecord(trace_id="t", span_id="s", parent_id="p",
@@ -193,8 +186,24 @@ def test_span_record_and_context_pickle_round_trip():
                         attributes={"k": [1, 2]}, status="error",
                         error="ValueError('x')", pid=42)
     assert pickle.loads(pickle.dumps(record)) == record
-    ctx = TraceContext(trace_id="t", span_id="s")
-    assert pickle.loads(pickle.dumps(ctx)) == ctx
+    ctx = record.context
+    assert pickle.loads(pickle.dumps(ctx)) == ctx == ("t", "s")
+
+
+def test_span_is_its_own_record():
+    """An enabled span is one object: the record the collector keeps,
+    whose ``(trace_id, span_id)`` is the context a traced request
+    ships.  Its pickled state is the ten fields and nothing else."""
+    with tracing():
+        with span("outer", n=3) as sp:
+            assert current_context() == (sp.trace_id, sp.span_id)
+            assert current_context() == sp.context
+    (record,) = collector().spans()
+    assert record is sp
+    assert record.duration >= 0.0 and record.pid > 0
+    assert sorted(vars(record)) == sorted(
+        f.name for f in dataclasses.fields(SpanRecord))
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_jsonl_round_trip(tmp_path):
@@ -226,7 +235,6 @@ def test_collector_trace_filter_and_ids():
         coll.add(SpanRecord(trace_id=tid, span_id=tid + "1",
                             parent_id=None, name="s", start_time=0.0,
                             duration=0.0))
-    assert coll.trace_ids() == ["a", "b"]
     assert len(coll.spans(trace_id="a")) == 2
 
 

@@ -19,7 +19,7 @@ import pytest
 from repro.core.spectral import SpectralConfig
 from repro.geometry import Grid
 from repro.api import NNQuery, RangeQuery
-from repro.obs import TraceContext, collector, tracing, tracing_enabled
+from repro.obs import collector, tracing, tracing_enabled
 from repro.serve.protocol import (
     ErrorResponse,
     HealthRequest,
@@ -44,11 +44,12 @@ def worker() -> ShardWorker:
     return ShardWorker(0, (0, 1), 2, {})
 
 
-CTX = TraceContext(trace_id="f" * 16, span_id="d" * 16)
+CTX = ("f" * 16, "d" * 16)
+TRACE_ID, SPAN_ID = CTX
 
 
 def traced(request) -> TracedRequest:
-    return TracedRequest(request=request, trace_context=CTX.as_wire())
+    return TracedRequest(request=request, trace_context=CTX)
 
 
 def test_traced_request_ships_spans_back():
@@ -63,9 +64,9 @@ def test_traced_request_ships_spans_back():
     assert spans, "traced request produced no spans"
     # Every worker-side span continues the dispatcher's trace, and the
     # envelope span parents directly on the shipped context.
-    assert {r.trace_id for r in spans} == {CTX.trace_id}
+    assert {r.trace_id for r in spans} == {TRACE_ID}
     envelope = next(r for r in spans if r.name == "serve.worker")
-    assert envelope.parent_id == CTX.span_id
+    assert envelope.parent_id == SPAN_ID
     assert envelope.attributes["request"] == "OrderRequestMessage"
     names = {r.name for r in spans}
     assert "service.order" in names
