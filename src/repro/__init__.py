@@ -60,7 +60,6 @@ from repro.mapping import (
     PAPER_MAPPING_NAMES,
     CurveMapping,
     LocalityMapping,
-    MappingCapabilities,
     SpectralMapping,
     paper_mappings,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "LinearOrder",
     "LocalityMapping",
     "MAPPING_NAMES",
-    "MappingCapabilities",
     "NNQuery",
     "NNResult",
     "OrderArtifact",

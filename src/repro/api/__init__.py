@@ -13,17 +13,21 @@ The pieces, in dependency order:
 * **Domain** (:mod:`~repro.api.domains`) — what gets ordered: a grid,
   a sparse :class:`~repro.geometry.PointSet`, or a graph.
 * **Mapping** (:mod:`~repro.api.mappings`) — how it gets ordered: one
-  interface, :class:`~repro.mapping.LocalityMapping`, with declared
-  capabilities, implemented by both the curve and spectral families;
-  :func:`make_mapping` is the one resolver.
+  interface, :class:`~repro.mapping.LocalityMapping`, an ordering
+  function with a per-grid memo, implemented by both the curve and
+  spectral families; :func:`make_mapping` is the one resolver.
 * **Service** (:class:`~repro.service.OrderingService`) — who pays for
   eigensolves: two cache tiers, request coalescing (concurrent misses
   on one fingerprint run exactly one solve), and topology-amortized
-  batching.
+  batching.  A request is a value: a domain plus a
+  :class:`SpectralConfig` or ``None``.
 * **Index** (:class:`SpectralIndex`) — the facade composing all of the
   above with the page layout and query engine: ``range``, ``nn``,
   ``join``, and the vectorized ``query_many`` (one batched order
   acquisition, then the queries in input order on the caller's thread).
+  It is the one layer that sends a mapping's order to the service, as
+  a cacheable spectral mapping's config; every other mapping orders
+  itself.
 * **Serving fronts** — :class:`AsyncSpectralIndex`
   (:mod:`repro.api.aio`) runs the same surface as coroutines on one
   executor thread for event-loop services,
@@ -55,7 +59,7 @@ from repro.api.queries import (
 )
 from repro.core.spectral import SpectralConfig
 from repro.geometry.pointset import PointSet
-from repro.mapping.interface import LocalityMapping, MappingCapabilities
+from repro.mapping.interface import LocalityMapping
 from repro.net.client import RemoteFrontend
 from repro.service.ordering import OrderingService
 
@@ -65,7 +69,6 @@ __all__ = [
     "DomainLike",
     "JoinQuery",
     "LocalityMapping",
-    "MappingCapabilities",
     "MappingSpec",
     "NNQuery",
     "NNResult",

@@ -12,9 +12,12 @@ for fractal orders; this facade makes the drop-in literal.  One call —
 object with ``range(...)``, ``nn(...)``, ``join(...)``, and the
 vectorized ``query_many([...])``.
 
-Batch-first by construction: every order the index needs flows through
-the service (concurrent misses on one fingerprint coalesce into a
-single eigensolve), and ``query_many`` routes order acquisition through
+Batch-first by construction: every cacheable spectral order the index
+needs flows through the service as a domain plus a
+:class:`~repro.core.spectral.SpectralConfig` (concurrent misses on one
+fingerprint coalesce into a single eigensolve; no other layer sends
+a mapping's order to the service), curves and callable-weight mappings
+order themselves, and ``query_many`` routes order acquisition through
 :meth:`~repro.service.OrderingService.order_many`, so a batch spanning
 K same-topology spectral configurations pays one graph build instead of
 K.  Non-default mappings are materialized lazily and cached per index,
@@ -217,8 +220,8 @@ class SpectralIndex:
     def provenance(self) -> Optional[OrderArtifact]:
         """Solve provenance of the default order, when available.
 
-        Populated for cacheable spectral mappings served through the
-        service (``capabilities.provenance``); ``None`` otherwise.
+        Populated for cacheable spectral mappings, whose orders the
+        service computes; ``None`` otherwise.
         """
         view = self._materialize(self._default)
         if view.artifact is None:
@@ -263,7 +266,7 @@ class SpectralIndex:
         resolved = (self._default if mapping is None
                     else self._resolve(mapping))
         with self._lock:
-            view = self._views.get(self._view_key(resolved))
+            view = self._views.get(resolved.cache_identity())
         if view is None or view.store is None:
             return None
         return view.store.buffer_stats()
@@ -373,29 +376,24 @@ class SpectralIndex:
             return make_mapping(spec)
         return make_mapping(spec, config=self._config)
 
-    def _view_key(self, mapping: LocalityMapping) -> Tuple:
-        identity = mapping.cache_identity()
-        if identity is not None:
-            return identity
-        return ("instance", id(mapping))
-
     def _artifact_for(self, mapping: LocalityMapping
                       ) -> Optional[OrderArtifact]:
-        """Provenance for a cacheable spectral mapping, else ``None``."""
+        """The service's artifact for a cacheable spectral mapping, else
+        ``None``: the one place an order request leaves the index."""
         if not (isinstance(mapping, SpectralMapping)
                 and mapping.algorithm.cacheable):
             return None
-        service = mapping.service or self._service
+        config = mapping.algorithm.config
         if isinstance(self._domain, Grid):
-            return service.grid_artifact(self._domain, mapping.algorithm)
+            return self._service.grid_artifact(self._domain, config)
         if isinstance(self._domain, PointSet):
-            return service.points_artifact(self._domain, mapping.algorithm)
-        return service.graph_artifact(self._domain, mapping.algorithm)
+            return self._service.points_artifact(self._domain, config)
+        return self._service.graph_artifact(self._domain, config)
 
     def _build_view(self, mapping: LocalityMapping) -> _MappingView:
         """Compute and publish one view, as a flight's leader (so with
         the index lock released)."""
-        key = self._view_key(mapping)
+        key = mapping.cache_identity()
         # A flight (or an order_many batch) may have published the view
         # between the caller's check and its do() call.
         with self._lock:
@@ -407,8 +405,7 @@ class SpectralIndex:
             if artifact is not None:
                 order = artifact.order
             else:
-                order = mapping.order_domain(self._domain,
-                                             service=self._service)
+                order = mapping.order_domain(self._domain)
             return self._publish_view(key, _MappingView(
                 mapping=mapping, order=order, artifact=artifact))
 
@@ -423,7 +420,7 @@ class SpectralIndex:
         duplicate :class:`~repro.query.LinearStore` materializations
         for everything else.
         """
-        key = self._view_key(mapping)
+        key = mapping.cache_identity()
         with self._lock:
             view = self._views.get(key)
         if view is None:
@@ -436,8 +433,8 @@ class SpectralIndex:
         :meth:`~repro.service.OrderingService.order_many` call (one
         graph build per topology).
 
-        Only mappings the index's own service orders over a grid or a
-        graph qualify, and only when two or more are missing; the
+        Only cacheable spectral mappings over a grid or a graph
+        qualify, and only when two or more are missing; the
         service already coalesces their misses with any concurrent
         request, so they hold no flight here.  Every other view is left
         to :meth:`_materialize`.
@@ -447,11 +444,10 @@ class SpectralIndex:
         batch: Dict[Tuple, SpectralMapping] = {}
         with self._lock:
             for mapping in mappings:
-                key = self._view_key(mapping)
+                key = mapping.cache_identity()
                 if (key not in self._views
                         and isinstance(mapping, SpectralMapping)
-                        and mapping.algorithm.cacheable
-                        and mapping.service is None):
+                        and mapping.algorithm.cacheable):
                     batch.setdefault(key, mapping)
         if len(batch) < 2:
             return

@@ -1,11 +1,12 @@
 """The one resolver that builds mappings.
 
 Every mapping family in the library is a
-:class:`~repro.mapping.LocalityMapping`: a ``name``, declared
-:class:`~repro.mapping.MappingCapabilities`, and
-``order_domain(domain, service=None)`` over the full ``Domain`` union.
-Consumers — the :class:`~repro.api.SpectralIndex` facade, the figure
-harnesses, user code — never need to know which family they hold.
+:class:`~repro.mapping.LocalityMapping`: a ``name``, a
+``cache_identity()``, and ``order_domain(domain)`` over the full
+``Domain`` union.  Consumers — the :class:`~repro.api.SpectralIndex`
+facade, the figure harnesses, user code — never need to know which
+family they hold.  Mappings carry no ordering service: the index alone
+sends a cacheable spectral mapping's config to one.
 
 :func:`make_mapping` is the single construction point.  It accepts:
 
@@ -48,7 +49,7 @@ def _spectral_kwargs(config: Optional[SpectralConfig], kwargs: dict) -> dict:
     return merged
 
 
-def make_mapping(spec: MappingSpec, *, service=None,
+def make_mapping(spec: MappingSpec, *,
                  config: Optional[SpectralConfig] = None,
                  **kwargs) -> LocalityMapping:
     """Build (or pass through) a mapping from a :data:`MappingSpec`.
@@ -61,9 +62,6 @@ def make_mapping(spec: MappingSpec, *, service=None,
         ``"spectral"``), or a ready mapping instance (returned as-is;
         ``config``/``kwargs`` are then rejected rather than silently
         dropped).
-    service:
-        Optional :class:`~repro.service.OrderingService` attached to
-        spectral mappings (curves are pure arithmetic and ignore it).
     config:
         Spectral configuration applied when ``spec`` names the spectral
         family; ``"spectral-rb"`` adopts its shared fields
@@ -96,8 +94,7 @@ def make_mapping(spec: MappingSpec, *, service=None,
         )
     lowered = spec.lower()
     if lowered == "spectral":
-        return SpectralMapping(service=service,
-                               **_spectral_kwargs(config, kwargs))
+        return SpectralMapping(**_spectral_kwargs(config, kwargs))
     if lowered == "spectral-rb":
         base = ({"backend": config.backend,
                  "connectivity": config.connectivity}

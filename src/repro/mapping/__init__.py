@@ -6,7 +6,6 @@ from repro.mapping.interface import (
     CurveMapping,
     ExplicitMapping,
     LocalityMapping,
-    MappingCapabilities,
     SpectralBisectionMapping,
     SpectralMapping,
     paper_mappings,
@@ -18,7 +17,6 @@ __all__ = [
     "CurveMapping",
     "ExplicitMapping",
     "LocalityMapping",
-    "MappingCapabilities",
     "SpectralBisectionMapping",
     "SpectralMapping",
     "paper_mappings",

@@ -12,14 +12,18 @@ The two families —
 — are thereby interchangeable everywhere, which is what lets each figure
 harness be a single loop over mapping names.
 
-:class:`LocalityMapping` is the one mapping interface: every mapping
-advertises :class:`MappingCapabilities` (batch encoding, cacheability,
-provenance) and orders any member of the ``Domain`` union —
-:class:`~repro.geometry.Grid`, :class:`~repro.geometry.PointSet`, or
-:class:`~repro.graph.Graph` — through :meth:`LocalityMapping.order_domain`
-(families that cannot serve a domain kind raise
-:class:`~repro.errors.DomainError` instead of guessing).  The
-:mod:`repro.api` resolvers (:func:`~repro.api.make_mapping`,
+:class:`LocalityMapping` is the one mapping interface: an ordering
+function with a per-grid memo.  It orders any member of the ``Domain``
+union — :class:`~repro.geometry.Grid`,
+:class:`~repro.geometry.PointSet`, or :class:`~repro.graph.Graph` —
+through :meth:`LocalityMapping.order_domain` (families that cannot
+serve a domain kind raise :class:`~repro.errors.DomainError` instead of
+guessing), and names the orders it produces through
+:meth:`LocalityMapping.cache_identity`.  A mapping holds no ordering
+service: :class:`~repro.api.SpectralIndex` is the one layer that sends
+an order to the service, as a domain plus a
+:class:`~repro.core.spectral.SpectralConfig`.  The :mod:`repro.api`
+resolvers (:func:`~repro.api.make_mapping`,
 :meth:`~repro.api.SpectralIndex.build`) accept instances of it.
 
 Grids whose sides are not powers of two are handled the standard way for
@@ -31,8 +35,7 @@ R-trees are built in practice).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -54,34 +57,6 @@ MAPPING_NAMES = CURVE_NAMES + ("spectral", "spectral-rb")
 PAPER_MAPPING_NAMES = ("sweep", "peano", "gray", "hilbert", "spectral")
 
 
-@dataclass(frozen=True)
-class MappingCapabilities:
-    """What a mapping can do, declared rather than duck-probed.
-
-    Attributes
-    ----------
-    batch_encode:
-        The mapping can compute every cell's key in one vectorized pass
-        (true for the bit-interleaved curves with a registered batch
-        encoder; false for eigensolver-based orders).
-    cacheable:
-        The mapping's output is a pure function of a value-typed
-        identity (a curve name, a :class:`~repro.core.spectral
-        .SpectralConfig`), so cache layers may store and share its
-        orders.  False for mappings carrying opaque state — callable
-        weights, precomputed orders.
-    provenance:
-        Orders obtained through an
-        :class:`~repro.service.OrderingService` carry solve provenance
-        (backend, ``lambda_2``, residual) as an
-        :class:`~repro.service.OrderArtifact`.
-    """
-
-    batch_encode: bool = False
-    cacheable: bool = True
-    provenance: bool = False
-
-
 class LocalityMapping(ABC):
     """A named way of linearizing a domain's cells.
 
@@ -97,21 +72,18 @@ class LocalityMapping(ABC):
     def name(self) -> str:
         """Registry / display name."""
 
-    @property
-    def capabilities(self) -> MappingCapabilities:
-        """Declared capabilities (see :class:`MappingCapabilities`)."""
-        return MappingCapabilities()
-
-    def cache_identity(self):
-        """A value-typed identity for order-sharing caches, or ``None``.
+    def cache_identity(self) -> Tuple:
+        """The identity order-sharing caches key this mapping's orders by.
 
         Two mappings with equal identities produce bit-identical orders
         for every domain, so facades may share one materialized view
-        between them.  ``None`` (the default) means the mapping carries
-        state a value cannot represent — each instance must get its own
-        view.
+        between them.  The default, ``("instance", id(self))``, is for
+        mappings carrying state a value cannot represent: each instance
+        gets its own view.  Families whose orders are a pure function
+        of a value (a curve name, a
+        :class:`~repro.core.spectral.SpectralConfig`) return that value.
         """
-        return None
+        return ("instance", id(self))
 
     @abstractmethod
     def _compute_order(self, grid: Grid) -> LinearOrder:
@@ -130,39 +102,33 @@ class LocalityMapping(ABC):
     # ------------------------------------------------------------------
     # The unified Domain entry point
     # ------------------------------------------------------------------
-    def order_domain(self, domain, service=None) -> LinearOrder:
+    def order_domain(self, domain) -> LinearOrder:
         """Order any member of the ``Domain`` union.
 
         ``domain`` is a :class:`~repro.geometry.Grid` (orders every
-        cell), a :class:`~repro.geometry.PointSet` (orders positions in
-        its canonical cell array), or a :class:`~repro.graph.Graph`
-        (orders vertices).  ``service`` optionally routes cacheable
-        spectral computation through an
-        :class:`~repro.service.OrderingService`; families that have no
-        use for it (curves are pure arithmetic) ignore it.  Domain kinds
-        a family cannot serve raise
+        cell, through the per-grid memo), a
+        :class:`~repro.geometry.PointSet` (orders positions in its
+        canonical cell array), or a :class:`~repro.graph.Graph` (orders
+        vertices).  Domain kinds a family cannot serve raise
         :class:`~repro.errors.DomainError`.
         """
         if isinstance(domain, Grid):
-            return self._order_grid_domain(domain, service)
+            return self.order_for_grid(domain)
         if isinstance(domain, PointSet):
-            return self._order_point_set(domain, service)
+            return self._order_point_set(domain)
         if isinstance(domain, Graph):
-            return self._order_graph_domain(domain, service)
+            return self._order_graph_domain(domain)
         raise InvalidParameterError(
             f"domain must be a Grid, PointSet or Graph, "
             f"got {type(domain).__name__}"
         )
 
-    def _order_grid_domain(self, grid: Grid, service) -> LinearOrder:
-        return self.order_for_grid(grid)
-
-    def _order_point_set(self, points: PointSet, service) -> LinearOrder:
+    def _order_point_set(self, points: PointSet) -> LinearOrder:
         raise DomainError(
             f"mapping {self.name!r} cannot order point-set domains"
         )
 
-    def _order_graph_domain(self, graph: Graph, service) -> LinearOrder:
+    def _order_graph_domain(self, graph: Graph) -> LinearOrder:
         raise DomainError(
             f"mapping {self.name!r} cannot order graph domains "
             "(it needs grid coordinates)"
@@ -187,15 +153,7 @@ class CurveMapping(LocalityMapping):
     def name(self) -> str:
         return self._curve_name
 
-    @property
-    def capabilities(self) -> MappingCapabilities:
-        return MappingCapabilities(
-            batch_encode=batch_encoder(self._curve_name) is not None,
-            cacheable=True,
-            provenance=False,
-        )
-
-    def cache_identity(self):
+    def cache_identity(self) -> Tuple:
         return ("curve", self._curve_name)
 
     def _curve_keys(self, grid: Grid, coords: np.ndarray) -> np.ndarray:
@@ -216,7 +174,7 @@ class CurveMapping(LocalityMapping):
         perm = np.argsort(keys, kind="stable")
         return LinearOrder(perm)
 
-    def _order_point_set(self, points: PointSet, service) -> LinearOrder:
+    def _order_point_set(self, points: PointSet) -> LinearOrder:
         # A curve orders any subset the way it orders the full grid:
         # by key.  The induced order over subset positions is therefore
         # consistent with the full-grid ranks restricted to the subset.
@@ -227,18 +185,16 @@ class CurveMapping(LocalityMapping):
 class SpectralMapping(LocalityMapping):
     """Spectral LPM as a mapping; forwards kwargs to :class:`SpectralLPM`.
 
-    ``service`` optionally routes order computation through an
-    :class:`~repro.service.ordering.OrderingService`, so identical
-    (config, grid) requests across mappings, stores and harnesses share
-    one eigensolve (and survive restarts when the service has a disk
-    store).  Without a service each instance keeps only its private
-    per-grid memo from :class:`LocalityMapping`.
+    Orders are computed by the mapping's own algorithm and memoized per
+    grid.  To share solves across mappings, indexes and restarts, order
+    through a :class:`~repro.api.SpectralIndex` built on a shared
+    :class:`~repro.service.OrderingService`: the index sends the
+    service this mapping's :class:`~repro.core.spectral.SpectralConfig`.
     """
 
-    def __init__(self, service=None, **spectral_kwargs):
+    def __init__(self, **spectral_kwargs):
         super().__init__()
         self._algorithm = SpectralLPM(**spectral_kwargs)
-        self._service = service
 
     @property
     def name(self) -> str:
@@ -248,56 +204,19 @@ class SpectralMapping(LocalityMapping):
     def algorithm(self) -> SpectralLPM:
         return self._algorithm
 
-    @property
-    def service(self):
-        """The attached ordering service, if any."""
-        return self._service
-
-    @property
-    def capabilities(self) -> MappingCapabilities:
-        return MappingCapabilities(
-            batch_encode=False,
-            cacheable=self._algorithm.cacheable,
-            provenance=True,
-        )
-
-    def cache_identity(self):
+    def cache_identity(self) -> Tuple:
         if not self._algorithm.cacheable:
-            return None
+            return super().cache_identity()
         return ("spectral", self._algorithm.config)
 
-    def _effective_service(self, service):
-        """The service to route through: the instance's own wins."""
-        if self._service is not None:
-            return self._service
-        if service is not None and self._algorithm.cacheable:
-            return service
-        return None
-
     def _compute_order(self, grid: Grid) -> LinearOrder:
-        if self._service is not None:
-            return self._service.order_grid(grid, self._algorithm)
         return self._algorithm.order_grid(grid)
 
-    def _order_grid_domain(self, grid: Grid, service) -> LinearOrder:
-        svc = self._effective_service(service)
-        if svc is not None and svc is not self._service:
-            return svc.order_grid(grid, self._algorithm)
-        return self.order_for_grid(grid)
-
-    def _order_point_set(self, points: PointSet, service) -> LinearOrder:
-        svc = self._effective_service(service)
-        if svc is not None:
-            order, _ = svc.order_points(points.grid, points.cells,
-                                        self._algorithm)
-            return order
+    def _order_point_set(self, points: PointSet) -> LinearOrder:
         order, _ = self._algorithm.order_points(points.grid, points.cells)
         return order
 
-    def _order_graph_domain(self, graph: Graph, service) -> LinearOrder:
-        svc = self._effective_service(service)
-        if svc is not None:
-            return svc.order_graph(graph, self._algorithm)
+    def _order_graph_domain(self, graph: Graph) -> LinearOrder:
         return self._algorithm.order_graph(graph)
 
 
@@ -319,24 +238,24 @@ class SpectralBisectionMapping(LocalityMapping):
     def name(self) -> str:
         return "spectral-rb"
 
-    def cache_identity(self):
+    def cache_identity(self) -> Tuple:
         return ("spectral-rb", self._backend, self._leaf_size,
                 str(self._connectivity))
 
     def _compute_order(self, grid: Grid) -> LinearOrder:
         from repro.graph.builders import grid_graph
         graph = grid_graph(grid, connectivity=self._connectivity)
-        return self._order_graph_domain(graph, None)
+        return self._order_graph_domain(graph)
 
-    def _order_graph_domain(self, graph: Graph, service) -> LinearOrder:
+    def _order_graph_domain(self, graph: Graph) -> LinearOrder:
         return spectral_bisection_order(graph, backend=self._backend,
                                         leaf_size=self._leaf_size)
 
-    def _order_point_set(self, points: PointSet, service) -> LinearOrder:
+    def _order_point_set(self, points: PointSet) -> LinearOrder:
         from repro.graph.builders import induced_grid_graph
         graph, _ = induced_grid_graph(points.grid, points.cells,
                                       connectivity=self._connectivity)
-        return self._order_graph_domain(graph, service)
+        return self._order_graph_domain(graph)
 
 
 class ExplicitMapping(LocalityMapping):
@@ -361,11 +280,6 @@ class ExplicitMapping(LocalityMapping):
     def name(self) -> str:
         return self._name
 
-    @property
-    def capabilities(self) -> MappingCapabilities:
-        return MappingCapabilities(batch_encode=False, cacheable=False,
-                                   provenance=False)
-
     def _compute_order(self, grid: Grid) -> LinearOrder:
         if grid != self._grid:
             raise InvalidParameterError(
@@ -374,14 +288,13 @@ class ExplicitMapping(LocalityMapping):
         return self._order
 
 
-def paper_mappings(service=None, **spectral_kwargs) -> List[LocalityMapping]:
+def paper_mappings(**spectral_kwargs) -> List[LocalityMapping]:
     """The five Section-5 mappings: Sweep, Peano, Gray, Hilbert, Spectral.
 
-    ``service`` optionally attaches an ordering service to the spectral
-    member (see :func:`repro.api.make_mapping`).
+    ``spectral_kwargs`` configure the spectral member.
     """
     mappings: List[LocalityMapping] = [
         CurveMapping(name) for name in ("sweep", "peano", "gray", "hilbert")
     ]
-    mappings.append(SpectralMapping(service=service, **spectral_kwargs))
+    mappings.append(SpectralMapping(**spectral_kwargs))
     return mappings

@@ -567,9 +567,10 @@ class SpectralServer:
                deadline: float) -> Any:
         domain = coerce_domain(message.domain)
         config = message.config
-        # Only plain-config grid/graph orders coalesce: a shipped
-        # SpectralLPM instance may be non-cacheable, and only grids and
-        # graphs have the order_key fingerprint the caches share.
+        # Only plain-config grid/graph orders coalesce.  Anything else
+        # goes straight to the front, which refuses it: the service
+        # takes only a SpectralConfig or None, and an order request
+        # carries only a grid or a graph.
         if not (isinstance(domain, (Grid, Graph))
                 and (config is None
                      or isinstance(config, SpectralConfig))):

@@ -234,10 +234,18 @@ class TraceCollector:
 
 class _TracerState:
     def __init__(self) -> None:
+        # ``enabled`` is what span() reads: the process's own setting
+        # (``wanted``) or any open remote_capture scope forcing it on.
         self.enabled = False
+        self.wanted = False  # guarded-by: sink_lock
+        self.remote_scopes = 0  # guarded-by: sink_lock
         self.collector = TraceCollector()
         self.sink_lock = threading.Lock()
         self.sinks: List[List[SpanRecord]] = []
+
+    def refresh_locked(self) -> None:
+        """Recompute ``enabled``; the caller holds ``sink_lock``."""
+        self.enabled = self.wanted or self.remote_scopes > 0
 
 
 _STATE = _TracerState()
@@ -263,24 +271,31 @@ def tracing_enabled() -> bool:
     return _STATE.enabled
 
 
+def _set_wanted(wanted: bool) -> bool:
+    """Set the process's own tracing setting; returns the old one."""
+    with _STATE.sink_lock:
+        prev, _STATE.wanted = _STATE.wanted, wanted
+        _STATE.refresh_locked()
+    return prev
+
+
 def enable_tracing() -> None:
-    _STATE.enabled = True
+    _set_wanted(True)
 
 
 def disable_tracing() -> None:
-    _STATE.enabled = False
+    _set_wanted(False)
 
 
 class tracing:
     """Context manager enabling tracing for a scope (tests, benchmarks)."""
 
     def __enter__(self) -> TraceCollector:
-        self._prev = _STATE.enabled
-        _STATE.enabled = True
+        self._prev = _set_wanted(True)
         return _STATE.collector
 
     def __exit__(self, *exc: object) -> bool:
-        _STATE.enabled = self._prev
+        _set_wanted(self._prev)
         return False
 
 
@@ -374,22 +389,28 @@ class capture_spans:
         return self.records
 
     def __exit__(self, *exc: object) -> bool:
+        # By identity: list.remove matches by equality, and two scopes'
+        # lists are equal while both are empty.
         with _STATE.sink_lock:
-            try:
-                _STATE.sinks.remove(self.records)
-            except ValueError:
-                pass
+            sinks = _STATE.sinks
+            for i, sink in enumerate(sinks):
+                if sink is self.records:
+                    del sinks[i]
+                    break
         return False
 
 
 class remote_capture:
     """Worker-side scope for one trace-carrying IPC request.
 
-    Temporarily enables tracing (regardless of the worker's own
-    setting), attaches the shipped ``(trace_id, span_id)`` context as
-    the parent for root spans, and captures every span finished while
-    handling the request so the worker can ship them back in the
-    response.
+    Enables tracing while any such scope is open (regardless of the
+    process's own setting), attaches the shipped ``(trace_id, span_id)``
+    context as the parent for root spans, and captures every span
+    finished while handling the request so the worker can ship them
+    back in the response.  The forced-on state is a count of open
+    scopes, not a saved flag, so concurrent scopes (the socket server's
+    dispatcher threads) may close in any order and tracing falls back
+    to the process's setting when the last one closes.
     """
 
     def __init__(self, wire_ctx: Optional[Tuple[str, str]]) -> None:
@@ -397,15 +418,18 @@ class remote_capture:
         self._use = use_context(wire_ctx)
 
     def __enter__(self) -> List[SpanRecord]:
-        self._prev_enabled = _STATE.enabled
-        _STATE.enabled = True
+        with _STATE.sink_lock:
+            _STATE.remote_scopes += 1
+            _STATE.refresh_locked()
         self._use.__enter__()
         return self._capture.__enter__()
 
     def __exit__(self, *exc: object) -> bool:
         self._capture.__exit__(*exc)
         self._use.__exit__(*exc)
-        _STATE.enabled = self._prev_enabled
+        with _STATE.sink_lock:
+            _STATE.remote_scopes -= 1
+            _STATE.refresh_locked()
         return False
 
 

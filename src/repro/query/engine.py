@@ -98,24 +98,17 @@ class LinearStore:
         Pages held in the LRU pool; ``None`` disables buffering.
     cost_model:
         Seek/transfer costs for the accounting.
-    service:
-        Optional :class:`~repro.service.ordering.OrderingService`,
-        forwarded to :meth:`~repro.mapping.LocalityMapping.order_domain`:
-        cacheable spectral mappings without a service of their own route
-        the order through it (so many stores over one domain share an
-        eigensolve), every other mapping ignores it.
     """
 
     def __init__(self, grid: Grid, mapping: LocalityMapping,
                  order: Optional[LinearOrder] = None,
                  page_size: int = 16, tree_order: int = 32,
                  buffer_capacity: Optional[int] = None,
-                 cost_model: Optional[DiskCostModel] = None,
-                 service=None):
+                 cost_model: Optional[DiskCostModel] = None):
         self._grid = grid
         self._mapping = mapping
         if order is None:
-            order = mapping.order_domain(grid, service=service)
+            order = mapping.order_domain(grid)
         self._ranks = order.ranks
         self._layout = PageLayout(order, page_size)
         self._tree_order = int(tree_order)

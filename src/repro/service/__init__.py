@@ -28,7 +28,6 @@ from repro.service.ordering import (
 from repro.service.routing import (
     ShardableDomain,
     coerce_domain,
-    routing_fingerprint,
     shard_index,
     shard_of_domain,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "normalize_requests",
     "order_key",
     "points_fingerprint",
-    "routing_fingerprint",
     "shard_index",
     "shard_of_domain",
 ]

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.spectral import SpectralConfig
 from repro.errors import InvalidParameterError
 from repro.geometry.grid import Grid
+from repro.geometry.pointset import PointSet
 from repro.graph.adjacency import Graph
 
 #: Version prefix folded into every digest.  Bump when the meaning of a
@@ -48,7 +49,7 @@ from repro.graph.adjacency import Graph
 #: stored order changed meaning, and every key changed with the digest.
 FINGERPRINT_VERSION = 4
 
-Domain = Union[Grid, Graph]
+Domain = Union[Grid, PointSet, Graph]
 
 
 def _digest(kind: str, *parts: bytes) -> str:
@@ -110,13 +111,20 @@ def points_fingerprint(grid: Grid, cells: Sequence[int]) -> str:
 
 
 def domain_fingerprint(domain: Domain) -> str:
-    """Dispatch to the fingerprint of a grid or graph domain."""
+    """Dispatch to the fingerprint of a grid, point-set or graph domain.
+
+    The one domain → digest switch: order keys and shard routing both
+    read it, so every configuration over one domain shares its digest.
+    """
     if isinstance(domain, Grid):
         return grid_fingerprint(domain)
+    if isinstance(domain, PointSet):
+        return points_fingerprint(domain.grid, domain.cells)
     if isinstance(domain, Graph):
         return graph_fingerprint(domain)
     raise InvalidParameterError(
-        f"domain must be a Grid or Graph, got {type(domain).__name__}"
+        f"domain must be a Grid, PointSet or Graph, "
+        f"got {type(domain).__name__}"
     )
 
 

@@ -32,11 +32,16 @@ invocation — the serving-layer contract the
 :func:`~repro.linalg.backends.solver_invocations` counter asserts in
 the test suite.
 
-Caching is only sound for requests a
-:class:`~repro.core.spectral.SpectralConfig` fully describes; algorithms
-carrying a callable weight model (``SpectralLPM.cacheable == False``)
-are computed directly and never stored, so distinct algorithms can never
-collide on a key.
+A request is a value: a domain plus a
+:class:`~repro.core.spectral.SpectralConfig` (or ``None`` for the
+paper's defaults), which is all a key may depend on.  Anything else —
+an algorithm object, or a config whose weight names no registered model
+(``"callable:<name>"``, lifted off a callable-weight
+:class:`~repro.core.spectral.SpectralLPM`) — raises
+:class:`~repro.errors.InvalidParameterError` before a key exists, so the
+service never runs code a request carries and distinct algorithms can
+never collide on a key.  A callable-weight order is the algorithm's (or
+its mapping's) own business, outside every cache tier.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from repro.service.routing import coerce_domain_as
 from repro.service.store import ArtifactStore
 
 Domain = Union[Grid, Graph]
-ConfigLike = Union[SpectralConfig, SpectralLPM, None]
+ConfigLike = Optional[SpectralConfig]
 
 # Registry mirrors of the per-service ServiceStats counters: the
 # process-wide rollup every service contributes to, labelled by cache
@@ -141,11 +146,9 @@ class ServiceStats:
     """Counters of where the service's answers came from.
 
     ``memory_hits`` / ``disk_hits`` / ``computed`` / ``coalesced``
-    partition the cacheable requests (``coalesced`` are requests that
-    waited on a concurrent identical miss instead of solving);
-    ``uncacheable`` counts direct computations on behalf of algorithms a
-    config cannot represent.  ``topology_builds`` counts grid-graph
-    topology constructions (the quantity
+    partition the requests (``coalesced`` are requests that waited on a
+    concurrent identical miss instead of solving).  ``topology_builds``
+    counts grid-graph topology constructions (the quantity
     :meth:`~OrderingService.order_many` amortizes) and ``solver_calls``
     accumulates the eigensolver invocations spent inside this service.
     """
@@ -154,7 +157,6 @@ class ServiceStats:
     disk_hits: int = 0
     computed: int = 0
     coalesced: int = 0
-    uncacheable: int = 0
     topology_builds: int = 0
     solver_calls: int = 0
 
@@ -171,15 +173,6 @@ class ServiceStats:
             for name, value in stats.as_dict().items():
                 setattr(combined, name, getattr(combined, name) + value)
         return combined
-
-
-@dataclass
-class _Resolved:
-    """A request normalized to (config, optional algorithm, cacheable)."""
-
-    config: SpectralConfig
-    algorithm: Optional[SpectralLPM]
-    cacheable: bool
 
 
 class OrderingService:
@@ -254,9 +247,9 @@ class OrderingService:
                    config: ConfigLike = None) -> LinearOrder:
         """The spectral order of a full grid, served from cache when warm.
 
-        ``config`` may be a :class:`SpectralConfig`, a ready
-        :class:`SpectralLPM` (non-cacheable instances are computed
-        directly, never stored), or ``None`` for the paper's defaults.
+        ``config`` is a :class:`SpectralConfig`, or ``None`` for the
+        paper's defaults; anything else raises
+        :class:`~repro.errors.InvalidParameterError`.
         """
         return self.grid_artifact(grid, config).order
 
@@ -264,21 +257,10 @@ class OrderingService:
                       config: ConfigLike = None) -> OrderArtifact:
         """:meth:`order_grid` with full provenance attached."""
         grid = coerce_domain_as(grid, Grid)
-        resolved = self._resolve(config)
-        if not resolved.cacheable:
-            with self._lock:
-                self._stats.uncacheable += 1
-            _OUTCOMES.inc(outcome="uncacheable")
-            order = resolved.algorithm.order_grid(grid)
-            return OrderArtifact(key="", config=resolved.config,
-                                 domain=_describe_grid(grid), order=order,
-                                 source="computed")
-        key = order_key(resolved.config, domain_fingerprint(grid))
+        config = self._resolve(config)
+        key = order_key(config, domain_fingerprint(grid))
         return self._cached_or_compute(
-            key,
-            lambda: self._compute_grid(key, grid, resolved.config,
-                                       graph=None),
-        )
+            key, lambda: self._compute_grid(key, grid, config, graph=None))
 
     def order_graph(self, graph: Graph,
                     config: ConfigLike = None) -> LinearOrder:
@@ -296,63 +278,36 @@ class OrderingService:
         they still participate in the key, conservatively.
         """
         graph = coerce_domain_as(graph, Graph)
-        resolved = self._resolve(config)
-        if not resolved.cacheable:
-            with self._lock:
-                self._stats.uncacheable += 1
-            _OUTCOMES.inc(outcome="uncacheable")
-            order = resolved.algorithm.order_graph(graph)
-            return OrderArtifact(key="", config=resolved.config,
-                                 domain=_describe_graph(graph),
-                                 order=order, source="computed")
+        config = self._resolve(config)
         # Content is hashed once (O(edges)) and reused for both the key
         # and the human-readable descriptor.
         content = graph.content_fingerprint()
-        key = order_key(resolved.config,
-                        graph_fingerprint(graph, content=content))
+        key = order_key(config, graph_fingerprint(graph, content=content))
         return self._cached_or_compute(
             key,
-            lambda: self._compute_graph(key, graph, resolved.config,
+            lambda: self._compute_graph(key, graph, config,
                                         _describe_graph(graph, content)),
         )
 
-    def order_points(self, grid: Grid, cell_indices: Sequence[int],
-                     config: ConfigLike = None
-                     ) -> Tuple[LinearOrder, np.ndarray]:
-        """The pipeline on a sparse subset of grid cells, cached.
-
-        Mirrors :meth:`SpectralLPM.order_points`: returns ``(order,
-        cells)`` with ``cells`` the ascending distinct flat indices and
-        ``order`` over positions in that array.  The cells must form a
-        valid :class:`~repro.geometry.PointSet`, which raises before
-        any key is computed.
-        """
-        points = PointSet(grid, cell_indices)
-        return self.points_artifact(points, config).order, points.cells
-
     def points_artifact(self, points: PointSet,
                         config: ConfigLike = None) -> OrderArtifact:
-        """:meth:`order_points` with full provenance attached."""
+        """The spectral order of a sparse point set, with provenance.
+
+        Mirrors :meth:`SpectralLPM.order_points`: the artifact's order
+        is over positions in ``points.cells`` (the ascending distinct
+        flat indices).
+        """
         points = coerce_domain_as(points, PointSet)
         grid, cells = points.grid, points.cells
-        resolved = self._resolve(config)
-        if not resolved.cacheable:
-            with self._lock:
-                self._stats.uncacheable += 1
-            _OUTCOMES.inc(outcome="uncacheable")
-            order, _ = resolved.algorithm.order_points(grid, cells)
-            return OrderArtifact(key="", config=resolved.config,
-                                 domain=_describe_points(grid, cells),
-                                 order=order, source="computed")
-        key = order_key(resolved.config, points_fingerprint(grid, cells))
+        config = self._resolve(config)
+        key = order_key(config, points_fingerprint(grid, cells))
 
         def compute() -> OrderArtifact:
             graph, _ = induced_grid_graph(
-                grid, cells, connectivity=resolved.config.connectivity,
-                radius=resolved.config.radius,
-                weight=resolved.config.weight,
+                grid, cells, connectivity=config.connectivity,
+                radius=config.radius, weight=config.weight,
             )
-            return self._compute_graph(key, graph, resolved.config,
+            return self._compute_graph(key, graph, config,
                                        _describe_points(grid, cells))
 
         return self._cached_or_compute(key, compute)
@@ -375,7 +330,7 @@ class OrderingService:
         groups: Dict[Tuple, List[Tuple[int, SpectralConfig]]] = {}
         for i, request in enumerate(normalized):
             if isinstance(request.domain, Grid):
-                config = self._resolve(request.config).config
+                config = self._resolve(request.config)
                 group = (request.domain.shape, config.connectivity,
                          config.radius)
                 groups.setdefault(group, []).append((i, config))
@@ -417,34 +372,28 @@ class OrderingService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _resolve(self, config: ConfigLike) -> _Resolved:
+    def _resolve(self, config: ConfigLike) -> SpectralConfig:
+        """The canonical config a request is keyed and computed by."""
         if config is None:
-            return _Resolved(SpectralConfig(), None, True)
-        if isinstance(config, SpectralConfig):
-            # A bare config is a pure value, so it is cacheable by
-            # construction — provided its weight names a registered
-            # model.  A config lifted off a callable-weight SpectralLPM
-            # carries "callable:<name>" instead; refuse it here (the
-            # algorithm instance itself must be passed) rather than
-            # computing a same-named registry model it never meant.
-            if config.weight not in weight_names():
-                raise InvalidParameterError(
-                    f"config.weight {config.weight!r} is not a "
-                    f"registered weight model {weight_names()}; pass "
-                    "the SpectralLPM instance itself for callable "
-                    "weights (computed uncached)"
-                )
-            # Keyed by the algorithm's own config: SpectralLPM rejects
-            # a bad field before any key exists, and spells each
-            # connectivity one way, so its aliases share one key.
-            return _Resolved(SpectralLPM.from_config(config).config,
-                             None, True)
-        if isinstance(config, SpectralLPM):
-            return _Resolved(config.config, config, config.cacheable)
-        raise InvalidParameterError(
-            "config must be a SpectralConfig, a SpectralLPM or None, "
-            f"got {type(config).__name__}"
-        )
+            return SpectralConfig()
+        if not isinstance(config, SpectralConfig):
+            raise InvalidParameterError(
+                "config must be a SpectralConfig or None, "
+                f"got {type(config).__name__}"
+            )
+        # A config lifted off a callable-weight SpectralLPM carries
+        # "callable:<name>"; refuse it rather than compute a same-named
+        # registry model it never meant.
+        if config.weight not in weight_names():
+            raise InvalidParameterError(
+                f"config.weight {config.weight!r} is not a registered "
+                f"weight model {weight_names()}; callable weights are "
+                "never cached: order with the SpectralLPM itself"
+            )
+        # Keyed by the algorithm's own config: SpectralLPM rejects a bad
+        # field before any key exists, and spells each connectivity one
+        # way, so its aliases share one key.
+        return SpectralLPM.from_config(config).config
 
     def _cached_or_compute(self, key: str,
                            compute: Callable[[], OrderArtifact]

@@ -12,11 +12,10 @@ content-hash fingerprint:
   non-domains;
 * :func:`coerce_domain_as` — the same, then require one kind (the
   check behind every ``order_grid`` / ``order_graph`` entry point);
-* :func:`routing_fingerprint` — the SHA-256 fingerprint a domain is
-  routed by (grids by shape, point sets by cell content, graphs by CSR
-  content hash);
-* :func:`shard_index` — leading 64 bits of that fingerprint modulo the
-  shard count;
+* :func:`shard_index` — leading 64 bits of a domain's SHA-256
+  fingerprint (:func:`~repro.service.fingerprint.domain_fingerprint`:
+  grids by shape, point sets by cell content, graphs by CSR content
+  hash) modulo the shard count;
 * :func:`shard_of_domain` — the composition, which both frontends call.
 
 The functions are deterministic across processes, interpreter restarts,
@@ -34,11 +33,7 @@ from repro.errors import InvalidParameterError
 from repro.geometry.grid import Grid
 from repro.geometry.pointset import PointSet
 from repro.graph.adjacency import Graph
-from repro.service.fingerprint import (
-    graph_fingerprint,
-    grid_fingerprint,
-    points_fingerprint,
-)
+from repro.service.fingerprint import domain_fingerprint
 
 #: Routable domains (plain shape tuples are promoted to grids).
 ShardableDomain = Union[Grid, PointSet, Graph]
@@ -77,25 +72,6 @@ def coerce_domain_as(domain, kind: type):
     return domain
 
 
-def routing_fingerprint(domain: ShardableDomain) -> str:
-    """The SHA-256 fingerprint a domain is routed by.
-
-    All configurations over one domain share this fingerprint, so they
-    land on one shard and keep amortizing shared work (topology builds)
-    exactly as in a single service.
-    """
-    if isinstance(domain, Grid):
-        return grid_fingerprint(domain)
-    if isinstance(domain, PointSet):
-        return points_fingerprint(domain.grid, domain.cells)
-    if isinstance(domain, Graph):
-        return graph_fingerprint(domain)
-    raise InvalidParameterError(
-        f"domain must be a Grid, PointSet, or Graph, "
-        f"got {type(domain).__name__}"
-    )
-
-
 def shard_index(fingerprint: str, num_shards: int) -> int:
     """Leading 64 bits of a hex fingerprint modulo the shard count."""
     if num_shards < 1:
@@ -109,7 +85,10 @@ def shard_of_domain(domain, num_shards: int) -> int:
     """The shard owning ``domain`` — a pure, stable function.
 
     Uniform over the keyspace (SHA-256 output), identical in every
-    process, and independent of request order.
+    process, and independent of request order.  All configurations over
+    one domain share its fingerprint, so they land on one shard and
+    keep amortizing shared work (topology builds) exactly as in a
+    single service.
     """
-    return shard_index(routing_fingerprint(coerce_domain(domain)),
+    return shard_index(domain_fingerprint(coerce_domain(domain)),
                        num_shards)

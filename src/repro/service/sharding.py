@@ -43,6 +43,7 @@ from repro.parallel import ensure_workers, map_in_threads
 from repro.geometry.grid import Grid
 from repro.graph.adjacency import Graph
 from repro.service.artifacts import OrderArtifact
+from repro.service.fingerprint import domain_fingerprint
 from repro.service.ordering import (
     ConfigLike,
     OrderingService,
@@ -51,7 +52,6 @@ from repro.service.ordering import (
 )
 from repro.service.routing import (
     coerce_domain,
-    routing_fingerprint,
     shard_index,
     shard_of_domain,
 )
@@ -247,7 +247,7 @@ class ShardedIndexFrontend:
         domain = coerce_domain(domain)
         # Fingerprinted once (graphs hash O(edges)): the fingerprint is
         # both the table key and the routing input.
-        fingerprint = routing_fingerprint(domain)
+        fingerprint = domain_fingerprint(domain)
         kwargs = dict(self._index_defaults)
         kwargs.update(build_kwargs)
         if not isinstance(mapping, LocalityMapping):
@@ -257,11 +257,9 @@ class ShardedIndexFrontend:
         # one index and its page layout.  config= is keyed by the
         # canonical config it resolves to, as the service keys orders,
         # so leaving it out, None and SpectralConfig() are one spelling.
-        identity = mapping.cache_identity()
         keyed = dict(kwargs, config=SpectralLPM.from_config(
             kwargs.get("config") or SpectralConfig()).config)
-        key = (fingerprint,
-               ("instance", id(mapping)) if identity is None else identity,
+        key = (fingerprint, mapping.cache_identity(),
                tuple(sorted((name, repr(value))
                             for name, value in keyed.items())))
         with self._lock:

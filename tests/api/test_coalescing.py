@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import NNQuery, SpectralIndex
 from repro.core.spectral import SpectralConfig
-from repro.geometry import Grid
+from repro.geometry import Grid, PointSet
 from repro.graph.coarsening import matching_invocations
 from repro.linalg.backends import solver_invocations
 from repro.service import OrderingService
@@ -132,10 +132,10 @@ def test_concurrent_solves_attribute_solver_calls_per_artifact():
 def test_concurrent_graph_and_point_requests_coalesce():
     service = OrderingService()
     grid = Grid((11, 11))
-    cells = np.arange(0, 60)  # a connected block of rows
+    points = PointSet(grid, np.arange(0, 60))  # a connected block of rows
 
     before = solver_invocations()
-    _run_threads(6, lambda i: service.order_points(grid, cells))
+    _run_threads(6, lambda i: service.points_artifact(points))
     assert solver_invocations() - before == 1
 
 

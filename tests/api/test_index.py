@@ -285,7 +285,7 @@ def test_point_set_domain_reports_provenance():
     art = index.provenance
     assert art is not None and art.source == "computed"
     assert art.order == index.order
-    stored = service.points_artifact(points, index.mapping.algorithm)
+    stored = service.points_artifact(points, index.mapping.algorithm.config)
     assert stored.source == "memory"
     assert (art.key, art.backend, art.lambda2, art.eigenvalues) == \
         (stored.key, stored.backend, stored.lambda2, stored.eigenvalues)
@@ -301,4 +301,4 @@ def test_uncacheable_mapping_still_works(grid8):
         grid8, mapping=make_mapping("spectral", weight=lambda d: 1.0))
     assert sorted(index.order.permutation) == list(range(grid8.size))
     assert index.provenance is None
-    assert index.stats.uncacheable >= 0  # served outside the cache tiers
+    assert index.stats.computed == 0  # ordered outside the cache tiers

@@ -1,10 +1,10 @@
-"""The LocalityMapping interface: capabilities, resolution, and domain
-dispatch."""
+"""The LocalityMapping interface: cache identity, resolution, and
+domain dispatch."""
 
 import numpy as np
 import pytest
 
-from repro.api import LocalityMapping, PointSet, make_mapping
+from repro.api import LocalityMapping, PointSet, SpectralIndex, make_mapping
 from repro.api.mappings import MappingSpec  # noqa: F401 - exported type
 from repro.core.ordering import LinearOrder
 from repro.core.spectral import SpectralConfig
@@ -73,7 +73,7 @@ def test_make_mapping_rejects_junk_specs():
 
 
 # ----------------------------------------------------------------------
-# Protocol and capabilities
+# Protocol and cache identity
 # ----------------------------------------------------------------------
 def test_every_family_satisfies_the_protocol():
     grid = Grid((3, 3))
@@ -86,24 +86,32 @@ def test_every_family_satisfies_the_protocol():
     ]
     for mapping in families:
         assert isinstance(mapping, LocalityMapping)
-        caps = mapping.capabilities
-        assert isinstance(caps.batch_encode, bool)
-        assert isinstance(caps.cacheable, bool)
-        assert isinstance(caps.provenance, bool)
+        assert isinstance(mapping.name, str)
+        hash(mapping.cache_identity())
+        assert mapping.order_domain(grid).n == grid.size
 
 
 def test_capabilities_reflect_reality():
-    assert make_mapping("hilbert").capabilities.batch_encode
-    assert not make_mapping("hilbert").capabilities.provenance
-    spectral = make_mapping("spectral")
-    assert spectral.capabilities.cacheable
-    assert spectral.capabilities.provenance
-    assert not spectral.capabilities.batch_encode
-    # callable weights / explicit state defeat cacheability
+    """cache_identity is a value exactly when the order is a pure
+    function of one: equal spectral configs and curve names share it,
+    while a callable-weight mapping and an explicit order get their
+    instance's identity."""
+    assert make_mapping("hilbert").cache_identity() == \
+        make_mapping("hilbert").cache_identity() == ("curve", "hilbert")
+    assert make_mapping("hilbert").cache_identity() != \
+        make_mapping("gray").cache_identity()
+    # Aliases resolve to one canonical config, hence one identity.
+    assert make_mapping("spectral").cache_identity() == \
+        make_mapping(SpectralConfig(connectivity=4)).cache_identity() == \
+        ("spectral", SpectralConfig())
+    assert make_mapping("spectral").cache_identity() != \
+        make_mapping("spectral", weight="gaussian").cache_identity()
     custom = make_mapping("spectral", weight=lambda d: 1.0 / d)
-    assert not custom.capabilities.cacheable
+    assert custom.cache_identity() == ("instance", id(custom))
     explicit = ExplicitMapping(Grid((2, 2)), LinearOrder(np.arange(4)))
-    assert not explicit.capabilities.cacheable
+    assert explicit.cache_identity() == ("instance", id(explicit))
+    assert ExplicitMapping(Grid((2, 2)), LinearOrder(np.arange(4))) \
+        .cache_identity() != explicit.cache_identity()
 
 
 # ----------------------------------------------------------------------
@@ -148,15 +156,18 @@ def test_spectral_point_set_order_matches_order_points():
 
 
 def test_spectral_point_set_routes_through_service():
+    """Two indexes over one point set share one solve through a shared
+    service."""
     grid = Grid((6, 6))
     ps = PointSet(grid, np.arange(10))
     service = OrderingService()
-    mapping = make_mapping("spectral")
-    mapping.order_domain(ps, service=service)
+    first = SpectralIndex.build(ps, service=service).order
     assert service.stats.computed == 1
-    mapping2 = make_mapping("spectral")
-    mapping2.order_domain(ps, service=service)
+    second = SpectralIndex.build(ps, service=service).order
+    assert service.stats.computed == 1
     assert service.stats.memory_hits == 1
+    assert first == second == \
+        make_mapping("spectral").order_domain(ps)
 
 
 def test_graph_domain_dispatch():

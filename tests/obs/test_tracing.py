@@ -25,7 +25,7 @@ from repro.obs import (
     tracing_enabled,
     use_context,
 )
-from repro.obs.tracing import _NOOP
+from repro.obs.tracing import _NOOP, _STATE
 from repro.parallel import map_in_threads
 
 
@@ -169,6 +169,69 @@ def test_remote_capture_enables_adopts_and_restores():
     assert record.trace_id == "a" * 16
     assert record.parent_id == "b" * 16
     assert current_context() is None
+
+
+@pytest.mark.parametrize("first", ["outer", "inner"])
+def test_capture_scopes_drop_their_own_list_in_any_exit_order(first):
+    """Two open scopes' lists are equal while both are empty, so an
+    exit must drop its own list by identity: a span lands only in the
+    scope still open, and no list outlives its scope."""
+    outer, inner = capture_spans(), capture_spans()
+    with tracing():
+        records = {"outer": outer.__enter__(), "inner": inner.__enter__()}
+        closing, staying = ((outer, inner) if first == "outer"
+                            else (inner, outer))
+        closing.__exit__(None, None, None)
+        with span("between"):
+            pass
+        staying.__exit__(None, None, None)
+        with span("after"):
+            pass
+    last = "inner" if first == "outer" else "outer"
+    assert records[first] == []
+    assert [r.name for r in records[last]] == ["between"]
+    assert _STATE.sinks == []
+
+
+class _ScopeOnThread:
+    """A remote_capture held open on its own thread, as the socket
+    server's dispatcher threads hold one per traced request."""
+
+    def __init__(self, wire: tuple) -> None:
+        self._entered = threading.Event()
+        self._close = threading.Event()
+        self._thread = threading.Thread(target=self._run, args=(wire,))
+        self._thread.start()
+        assert self._entered.wait(5)
+
+    def _run(self, wire: tuple) -> None:
+        with remote_capture(wire):
+            self._entered.set()
+            self._close.wait(5)
+
+    def exit(self) -> None:
+        self._close.set()
+        self._thread.join(5)
+        assert not self._thread.is_alive()
+
+
+def test_remote_captures_closing_out_of_order_turn_tracing_off():
+    """Enter A then B, exit A then B: tracing stays on while B is open
+    and is off once both are closed, so later untraced requests record
+    nothing."""
+    assert not tracing_enabled()
+    a = _ScopeOnThread(("a" * 16, "1" * 16))
+    b = _ScopeOnThread(("b" * 16, "2" * 16))
+    try:
+        assert tracing_enabled()
+        a.exit()
+        assert tracing_enabled()
+    finally:
+        a.exit()
+        b.exit()
+    assert not tracing_enabled()
+    assert span("untraced") is _NOOP
+    assert _STATE.sinks == []
 
 
 def test_remote_capture_without_context_still_captures():

@@ -8,8 +8,10 @@ an ``order_graph``-family call given a grid, raises
 orders exactly like the grid it names.  Behind the transports, a raw
 order request whose domain is neither a grid nor a graph comes back
 from a worker or the server as the same error, never an
-``AttributeError``.  And every front serves the library's multilevel
-order of a random-weight graph, bit for bit.
+``AttributeError``.  Every front refuses an algorithm object in place
+of a config with the same error, without counting it.  And every front
+serves the library's multilevel order of a random-weight graph, bit for
+bit.
 
 The pool spawns real workers, hence the ``multiproc`` mark; the remote
 cases also open sockets (``net``).
@@ -80,6 +82,20 @@ def test_multilevel_permutation_is_the_library_one(
     graph = random_weight_grid_graph(20, seed=20)
     assert front.order_graph(graph, SpectralConfig(backend="multilevel")) \
         == SpectralLPM(backend="multilevel").order_graph(graph)
+
+
+@pytest.mark.parametrize("algorithm", [
+    pytest.param(SpectralLPM(), id="cacheable"),
+    pytest.param(SpectralLPM(weight=len), id="callable-weight"),
+])
+def test_algorithm_config_is_invalid_on_every_front(front, algorithm):
+    # A request is a domain plus a SpectralConfig or None: an algorithm
+    # object is refused before any cache tier counts it, and its
+    # callable weight never runs on the serving side.
+    before = front.combined_stats()
+    with pytest.raises(InvalidParameterError):
+        front.order_grid(GRID, algorithm)
+    assert front.combined_stats() == before
 
 
 def test_worker_rejects_pointset_order_request():

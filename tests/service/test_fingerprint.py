@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import SpectralConfig
 from repro.errors import InvalidParameterError
-from repro.geometry import Grid
+from repro.geometry import Grid, PointSet
 from repro.graph import grid_graph, path_graph
 from repro.linalg.backends import BACKENDS
 from repro.service import (
@@ -19,6 +19,7 @@ from repro.service import (
     grid_fingerprint,
     order_key,
     points_fingerprint,
+    shard_of_domain,
 )
 
 
@@ -127,12 +128,25 @@ def test_points_fingerprint_canonicalizes_cells():
 def test_domain_dispatch_and_validation():
     grid = Grid((3, 3))
     assert domain_fingerprint(grid) == grid_fingerprint(grid)
+    points = PointSet(grid, [5, 1, 3])
+    assert domain_fingerprint(points) == points_fingerprint(grid, [1, 3, 5])
     graph = path_graph(4)
     assert domain_fingerprint(graph) == graph_fingerprint(graph)
     with pytest.raises(InvalidParameterError):
         domain_fingerprint("not a domain")
     with pytest.raises(InvalidParameterError):
         config_fingerprint({"weight": "unit"})
+
+
+@pytest.mark.parametrize("domain, shards", [
+    (Grid((12, 12)), [1, 0, 4, 3, 15]),
+    (PointSet(Grid((8, 8)), [9, 1, 3, 2]), [0, 1, 2, 4, 10]),
+    (path_graph(6), [0, 2, 0, 4, 2]),
+], ids=["grid", "points", "graph"])
+def test_shard_routing_is_pinned(domain, shards):
+    """Routing reads the domain fingerprint, so a fleet keeps the shard
+    assignment (and the per-shard stores it warmed) across releases."""
+    assert [shard_of_domain(domain, n) for n in (2, 3, 5, 7, 16)] == shards
 
 
 def test_domain_and_config_keys_compose():

@@ -112,7 +112,7 @@ def test_every_front_orders_a_grid_like_spectral_lpm(grid, config):
 def test_every_front_orders_a_point_set_like_spectral_lpm(points, config):
     grid, cells = points.grid, points.cells
     reference, _ = SpectralLPM.from_config(config).order_points(grid, cells)
-    assert OrderingService().order_points(grid, cells, config)[0] == \
+    assert OrderingService().points_artifact(points, config).order == \
         reference
     assert SpectralIndex.build(points, config=config).order == reference
     assert ShardedIndexFrontend(shards=2).index_for(

@@ -9,7 +9,6 @@ from repro.errors import DomainError, InvalidParameterError
 from repro.geometry import Grid, PointSet
 from repro.graph import path_graph
 from repro.linalg import solver_invocations
-from repro.api import make_mapping
 from repro.mapping import SpectralMapping
 from repro.query import LinearStore
 from repro.service import ArtifactStore, OrderingService, ServiceStats
@@ -199,12 +198,14 @@ def test_entry_point_fixes_the_domain_kind(grid):
 def test_points_domain_cached_and_canonicalized():
     service = OrderingService()
     grid = Grid((8, 8))
-    order1, cells1 = service.order_points(grid, [9, 10, 11, 3, 2, 1])
+    first = PointSet(grid, [9, 10, 11, 3, 2, 1])
+    order1 = service.points_artifact(first).order
     before = solver_invocations()
-    order2, cells2 = service.order_points(grid, [1, 2, 3, 9, 10, 11])
+    second = PointSet(grid, [1, 2, 3, 9, 10, 11])
+    order2 = service.points_artifact(second).order
     assert solver_invocations() == before
     assert order1 == order2
-    assert np.array_equal(cells1, cells2)
+    assert np.array_equal(first.cells, second.cells)
     direct, _ = SpectralLPM().order_points(grid, [1, 2, 3, 9, 10, 11])
     assert order1 == direct
 
@@ -214,15 +215,16 @@ def test_points_domain_cached_and_canonicalized():
     ([99], DomainError),
 ])
 def test_point_entry_points_share_the_point_set_rule(cells, error):
-    # PointSet, SpectralLPM.order_points and the service's order_points
-    # agree on what a valid point set is, and the service rejects an
-    # invalid one before it computes, caches or counts anything.
+    # PointSet, SpectralLPM.order_points and the service's
+    # points_artifact agree on what a valid point set is, and the
+    # service rejects an invalid one before it computes, caches or
+    # counts anything.
     grid = Grid((4, 4))
     service = OrderingService()
     before = service.stats
     for entry in (lambda: PointSet(grid, cells),
                   lambda: SpectralLPM().order_points(grid, cells),
-                  lambda: service.order_points(grid, cells)):
+                  lambda: service.points_artifact(PointSet(grid, cells))):
         with pytest.raises(error) as raised:
             entry()
         assert raised.type is error
@@ -233,18 +235,29 @@ def test_point_entry_points_share_the_point_set_rule(cells, error):
 # Cacheability guard
 # ----------------------------------------------------------------------
 def test_callable_weight_bypasses_cache(grid):
+    """A request is a domain plus a SpectralConfig: the service refuses
+    an algorithm object, cacheable or not, before any key exists, so it
+    never runs a callable a request carries.  A callable-weight order
+    comes from the algorithm itself, outside every cache tier."""
+    calls = []
+
     def cliff(offset):
+        calls.append(offset)
         return 0.5
 
     service = OrderingService()
-    algorithm = SpectralLPM(weight=cliff)
-    assert not algorithm.cacheable
-    a = service.order_grid(grid, algorithm)
-    b = service.order_grid(grid, algorithm)
-    assert service.stats.uncacheable == 2
-    assert service.stats.computed == 0
-    assert a == b
-    assert a == algorithm.order_grid(grid)
+    for algorithm in (SpectralLPM(weight=cliff), SpectralLPM()):
+        for call in (lambda: service.order_grid(grid, algorithm),
+                     lambda: service.graph_artifact(path_graph(4),
+                                                    algorithm),
+                     lambda: service.points_artifact(
+                         PointSet(grid, [0, 1, 2]), algorithm),
+                     lambda: service.order_many([(grid, algorithm)])):
+            with pytest.raises(InvalidParameterError):
+                call()
+    assert calls == []
+    assert service.stats == ServiceStats()
+    assert SpectralLPM(weight=cliff).order_grid(grid).n == grid.size
 
 
 def test_config_from_callable_weight_rejected_loudly(grid):
@@ -258,9 +271,7 @@ def test_config_from_callable_weight_rejected_loudly(grid):
     service = OrderingService()
     with pytest.raises(InvalidParameterError):
         service.order_grid(grid, algorithm.config)
-    # The instance itself still works (uncached).
-    assert service.order_grid(grid, algorithm) == \
-        algorithm.order_grid(grid)
+    assert service.stats == ServiceStats()
 
 
 def test_multilevel_orders_are_history_independent():
@@ -286,12 +297,12 @@ def test_cacheable_algorithm_uses_cache(grid):
     service = OrderingService()
     algorithm = SpectralLPM(weight="inverse_manhattan")
     assert algorithm.cacheable
-    a = service.order_grid(grid, algorithm)
-    # Same config as a value object hits the same entry.
+    a = service.order_grid(grid, algorithm.config)
+    # An equal config built separately hits the same entry.
     before = solver_invocations()
-    b = service.order_grid(grid, algorithm.config)
+    b = service.order_grid(grid, SpectralConfig(weight="inverse_manhattan"))
     assert solver_invocations() == before
-    assert a == b
+    assert a == b == algorithm.order_grid(grid)
 
 
 def test_invalid_config_rejected(grid):
@@ -313,7 +324,7 @@ def test_bad_config_field_raises_before_any_key_or_compute(config):
     calls = [
         lambda: service.grid_artifact(grid, config),
         lambda: service.order_graph(path_graph(2), config),
-        lambda: service.order_points(grid, [0, 1], config),
+        lambda: service.points_artifact(PointSet(grid, [0, 1]), config),
         lambda: service.order_many([(grid, config)]),
     ]
     for call in calls:
@@ -329,7 +340,7 @@ def test_connectivity_aliases_share_one_key_and_one_solve():
     artifacts = [
         service.grid_artifact(grid, SpectralConfig(connectivity="orthogonal")),
         service.grid_artifact(grid, SpectralConfig(connectivity=4)),
-        service.grid_artifact(grid, SpectralLPM(connectivity=4)),
+        service.grid_artifact(grid, SpectralLPM(connectivity=4).config),
     ]
     assert len({artifact.key for artifact in artifacts}) == 1
     assert [artifact.source for artifact in artifacts] == \
@@ -341,59 +352,15 @@ def test_connectivity_aliases_share_one_key_and_one_solve():
 
 
 # ----------------------------------------------------------------------
-# Wiring: mapping and LinearStore
+# LinearStore
 # ----------------------------------------------------------------------
-def test_spectral_mapping_routes_through_service(grid):
-    service = OrderingService()
-    m1 = SpectralMapping(service=service)
-    m2 = make_mapping("spectral", service=service)
-    a = m1.order_for_grid(grid)
-    before = solver_invocations()
-    b = m2.order_for_grid(grid)
-    assert solver_invocations() == before, \
-        "two mappings sharing a service must share one eigensolve"
-    assert a == b
-    assert m2.service is service
-
-
-def test_make_mapping_ignores_service_for_curves(grid):
-    service = OrderingService()
-    mapping = make_mapping("hilbert", service=service)
-    mapping.order_for_grid(grid)
-    assert service.stats.computed == 0
-
-
-def test_linear_store_shares_service_orders(grid):
-    service = OrderingService()
-    mapping = SpectralMapping()  # no service of its own
-    store1 = LinearStore(grid, mapping, page_size=8, service=service)
-    before = solver_invocations()
-    store2 = LinearStore(grid, SpectralMapping(), page_size=4,
-                         service=service)
-    assert solver_invocations() == before, \
-        "stores sharing a service must share one eigensolve"
-    assert np.array_equal(store1._ranks, store2._ranks)
-    assert service.stats.computed == 1
-
-
 def test_linear_store_keeps_memo_for_uncacheable_mapping(grid):
-    """A non-cacheable mapping's per-grid memo must not be bypassed by
-    the store-level service (regression test: routing it through the
-    cache-bypassing service re-solved per store)."""
+    """Two stores over one callable-weight mapping pay one solve: the
+    mapping's per-grid memo serves the second."""
     mapping = SpectralMapping(weight=lambda offset: 1.0)
-    service = OrderingService()
-    LinearStore(grid, mapping, page_size=8, service=service)
+    first = LinearStore(grid, mapping, page_size=8)
     before = solver_invocations()
-    LinearStore(grid, mapping, page_size=4, service=service)
+    second = LinearStore(grid, mapping, page_size=4)
     assert solver_invocations() == before, \
         "the second store must reuse the mapping's memoized order"
-    assert service.stats.uncacheable == 0  # service never consulted
-
-
-def test_linear_store_respects_mapping_own_service(grid):
-    mapping_service = OrderingService()
-    store_service = OrderingService()
-    mapping = SpectralMapping(service=mapping_service)
-    LinearStore(grid, mapping, page_size=8, service=store_service)
-    assert mapping_service.stats.computed == 1
-    assert store_service.stats.computed == 0
+    assert np.array_equal(first._ranks, second._ranks)

@@ -87,8 +87,7 @@ def test_public_api_covers_the_paper_pipeline():
                  "fiedler_vector", "add_access_pattern",
                  # the unified repro.api facade
                  "SpectralIndex", "PointSet", "make_mapping",
-                 "as_domain", "RangeQuery", "NNQuery", "JoinQuery",
-                 "MappingCapabilities"):
+                 "as_domain", "RangeQuery", "NNQuery", "JoinQuery"):
         assert name in repro.__all__
 
 
