@@ -28,16 +28,8 @@ def order_components(graph: Graph, order_fn: OrderFn) -> LinearOrder:
     relabelled ``0..k-1``) and must return a :class:`LinearOrder` on it.
     """
     labels, count = connected_components(graph)
-    return order_labelled_components(graph, labels, count, order_fn)
-
-
-def order_labelled_components(graph: Graph, labels: np.ndarray, count: int,
-                              order_fn: OrderFn) -> LinearOrder:
-    """:func:`order_components` for a graph already labelled by
-    :func:`~repro.graph.traversal.connected_components`, so a caller that
-    has the labels pays no second traversal."""
+    # Labels number the components in order of their smallest vertex.
     parts = graph.split(labels, count)
-    parts.sort(key=lambda part: int(part[1][0]))
     pieces: List[np.ndarray] = [
         original_ids[order_fn(sub).permutation]
         for sub, original_ids in parts]

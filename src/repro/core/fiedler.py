@@ -22,6 +22,15 @@ Eigenspace closing reuses converged pairs: iterative backends append one
 deflated solve per missing direction instead of re-solving from scratch
 with a doubled window (which repaid the full Krylov cost every round).
 
+Dense solves in stacks
+----------------------
+Every Fiedler pair that solves dense (``backend="dense"``, or ``"auto"``
+up to :data:`~repro.linalg.backends.DENSE_CUTOFF` vertices) comes from
+:func:`dense_fiedler_results`: the same-size components of one graph
+share one stacked :func:`numpy.linalg.eigh`, and a connected graph is a
+stack of one.  Each pair is bit for bit the one its component gets
+alone.
+
 Backend dispatch
 ----------------
 ``backend`` accepts every name in :data:`repro.linalg.backends.BACKENDS`.
@@ -44,14 +53,18 @@ every such grid ordered under ``"auto"`` from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.multilevel import GROUP_RTOL, _connected_eigenspace
 from repro.errors import GraphStructureError, InvalidParameterError
 from repro.graph.adjacency import Graph
-from repro.graph.laplacian import laplacian, laplacian_matvec
+from repro.graph.laplacian import (
+    dense_laplacian_stack,
+    laplacian,
+    laplacian_matvec,
+)
 from repro.graph.traversal import is_connected
 from repro.linalg import backends as backend_registry
 from repro.linalg.backends import (
@@ -66,6 +79,12 @@ from repro.linalg.power import deterministic_start
 #: eigenspace, in :func:`fiedler_vector`'s exact backends and in
 #: :func:`grid_fiedler_result`, which reproduces them.
 FIEDLER_GROUP_RTOL = 1e-6
+
+#: Most float64 entries (matrices times size squared, about 8 MB) one
+#: stacked dense eigensolve holds (:func:`dense_fiedler_results`): a
+#: size with more components takes several stacks, so a large point set
+#: never stacks gigabytes.
+DENSE_STACK_ENTRIES = 1 << 20
 
 #: Bound on a closed-form grid pair's certificate residual
 #: (:func:`grid_fiedler_result`), relative to ``4 * sum(weights)``,
@@ -213,11 +232,23 @@ def _fiedler_vector(graph: Graph, backend: str = "auto",
     if approximate:
         # auto's approximate pair missed its quality check.
         backend_registry.count_fallback("multilevel", exact_backend)
+    if exact_backend == "dense":
+        return dense_fiedler_results(graph, np.arange(n)[None, :],
+                                     probe)[1][0]
     # The window solve and every closure certificate below solve the
     # same Laplacian: on the scipy backend they share one LU factor,
     # released when this call returns.
     with backend_registry.shared_factorization():
         return _exact_fiedler_result(graph, exact_backend, probe)
+
+
+def solves_dense(n: int, backend: str) -> bool:
+    """Whether :func:`fiedler_vector` solves a connected ``n``-vertex
+    graph under ``backend`` with :func:`dense_fiedler_results` and
+    tries nothing first."""
+    return backend == "dense" or (
+        backend == "auto" and n <= backend_registry.MULTILEVEL_CUTOFF
+        and backend_registry.resolve_auto(n, min(4, n - 1)) == "dense")
 
 
 def _checked_probe(probe: np.ndarray | None, n: int) -> np.ndarray:
@@ -232,15 +263,18 @@ def _checked_probe(probe: np.ndarray | None, n: int) -> np.ndarray:
     return probe
 
 
-def _group_tol(lambda2: float) -> float:
+def _group_tol(lambda2: float | np.ndarray) -> float | np.ndarray:
     """Width of the ``lambda_2`` group: eigenvalues up to
-    ``lambda_2 + _group_tol`` share its eigenspace."""
-    return max(FIEDLER_GROUP_RTOL * max(abs(lambda2), 1.0), 1e-10)
+    ``lambda_2 + _group_tol`` share its eigenspace (elementwise over an
+    array of ``lambda_2`` values)."""
+    return np.maximum(FIEDLER_GROUP_RTOL * np.maximum(np.abs(lambda2), 1.0),
+                      1e-10)
 
 
 def _exact_fiedler_result(graph: Graph, exact_backend: str,
                           probe: np.ndarray) -> FiedlerResult:
-    """The canonical Fiedler pair from a concrete matrix backend."""
+    """The canonical Fiedler pair from an iterative backend (``lanczos``,
+    ``lobpcg`` or ``scipy``)."""
     n = graph.num_vertices
     lap = laplacian(graph)
     ones = np.ones(n) / np.sqrt(n)
@@ -254,12 +288,11 @@ def _exact_fiedler_result(graph: Graph, exact_backend: str,
     tol = _group_tol(lambda2)
     # Window entirely inside the group means multiplicity >= k (stars,
     # complete graphs).  Double the window until a value above the group
-    # appears: for dense each call is a full eigh anyway, and for the
-    # iterative backends closing a high-multiplicity group one deflated
-    # solve at a time would cost O(multiplicity) Krylov runs — doubling
-    # reaches the (effectively dense) full-window solve in O(log n)
-    # steps instead.  In the common case the first window already
-    # contains an above-group value and this loop never runs.
+    # appears: closing a high-multiplicity group one deflated solve at a
+    # time would cost O(multiplicity) Krylov runs — doubling reaches the
+    # (effectively dense) full-window solve in O(log n) steps instead.
+    # In the common case the first window already contains an
+    # above-group value and this loop never runs.
     while (values <= lambda2 + tol).all() and k < n - 1:
         k = min(n - 1, 2 * k)
         values, vectors = smallest_eigenpairs(
@@ -272,34 +305,33 @@ def _exact_fiedler_result(graph: Graph, exact_backend: str,
     # constant direction once more, then orthonormalize.
     basis = basis - ones[:, None] * (ones @ basis)
     basis, _ = np.linalg.qr(basis)
+    # Close the eigenspace by explicit deflation, reusing every
+    # already-converged pair: keep asking for the smallest remaining
+    # eigenpair with everything found so far projected out, until the
+    # answer rises above lambda_2.  This covers both an unclosed window
+    # (all computed values still inside the group) and degenerate copies
+    # a single Krylov sequence cannot see.  The window solve's
+    # above-group Ritz vectors warm-start each certificate: they already
+    # converged to the pairs the deflated solve is about to look for, so
+    # a supporting backend (lobpcg) certifies in a handful of iterations
+    # instead of a cold run.
     extra_seen: list[float] = []
-    if exact_backend != "dense":
-        # Close the eigenspace by explicit deflation, reusing every
-        # already-converged pair: keep asking for the smallest remaining
-        # eigenpair with everything found so far projected out, until the
-        # answer rises above lambda_2.  This covers both an unclosed
-        # window (all computed values still inside the group) and
-        # degenerate copies a single Krylov sequence cannot see.  The
-        # window solve's above-group Ritz vectors warm-start each
-        # certificate: they already converged to the pairs the deflated
-        # solve is about to look for, so a supporting backend (lobpcg)
-        # certifies in a handful of iterations instead of a cold run.
-        above = np.flatnonzero(values > lambda2 + tol)
-        guess = vectors[:, above] if above.size else None
-        while basis.shape[1] < n - 1:
-            deflate = [ones] + [basis[:, j] for j in range(basis.shape[1])]
-            extra_values, extra_vectors = smallest_eigenpairs(
-                lap, 1, backend=exact_backend, deflate=deflate, x0=guess)
-            extra_seen.append(float(extra_values[0]))
-            if extra_values[0] > lambda2 + tol:
-                break
-            fresh = extra_vectors[:, 0]
-            for d in deflate:
-                fresh = fresh - (d @ fresh) * d
-            norm = np.linalg.norm(fresh)
-            if norm < 1e-8:
-                break
-            basis = np.column_stack([basis, fresh / norm])
+    above = np.flatnonzero(values > lambda2 + tol)
+    guess = vectors[:, above] if above.size else None
+    while basis.shape[1] < n - 1:
+        deflate = [ones] + [basis[:, j] for j in range(basis.shape[1])]
+        extra_values, extra_vectors = smallest_eigenpairs(
+            lap, 1, backend=exact_backend, deflate=deflate, x0=guess)
+        extra_seen.append(float(extra_values[0]))
+        if extra_values[0] > lambda2 + tol:
+            break
+        fresh = extra_vectors[:, 0]
+        for d in deflate:
+            fresh = fresh - (d @ fresh) * d
+        norm = np.linalg.norm(fresh)
+        if norm < 1e-8:
+            break
+        basis = np.column_stack([basis, fresh / norm])
     vector = canonical_in_span(basis, probe)
     # Fold the closure loop's finds into the diagnostic spectrum so the
     # field always shows the first value above the lambda_2 group (the
@@ -314,6 +346,109 @@ def _exact_fiedler_result(graph: Graph, exact_backend: str,
         eigenvalues=eigenvalues,
         backend=exact_backend,
     )
+
+
+def dense_fiedler_results(graph: Graph, members: np.ndarray,
+                          probe: np.ndarray | None = None
+                          ) -> Tuple[np.ndarray, List[FiedlerResult]]:
+    """The canonical Fiedler pairs of same-size components, solved dense
+    in stacks.
+
+    Row ``b`` of the ``(count, n)`` array ``members`` lists one
+    connected component of ``graph`` (``n >= 3`` vertices, ascending; the
+    whole graph when connected).  Returns ``(vectors, results)``:
+    ``results[b]`` is component ``b``'s :class:`FiedlerResult`, exactly
+    :func:`fiedler_vector`'s dense pair of the component alone with
+    ``probe`` (default :func:`~repro.linalg.power.deterministic_start`),
+    and row ``b`` of the ``(count, n)`` array ``vectors`` is its vector.
+
+    One :func:`numpy.linalg.eigh` solves a stack of up to
+    :data:`DENSE_STACK_ENTRIES` entries and counts as one eigensolve
+    (:func:`~repro.linalg.backends.counted_solve`, backend ``"dense"``,
+    span attribute ``batch``: the stack's matrix count).
+    """
+    count, n = members.shape
+    probe = _checked_probe(probe, n)
+    per_stack = max(1, DENSE_STACK_ENTRIES // (n * n))
+    stacks = [_dense_stack(graph, members[start:start + per_stack], probe)
+              for start in range(0, count, per_stack)]
+    if len(stacks) == 1:
+        return stacks[0]
+    return (np.concatenate([vectors for vectors, _ in stacks]),
+            [result for _, results in stacks for result in results])
+
+
+def _dense_stack(graph: Graph, members: np.ndarray, probe: np.ndarray
+                 ) -> Tuple[np.ndarray, List[FiedlerResult]]:
+    """:func:`dense_fiedler_results` for one stack.
+
+    Each step repeats, matrix by matrix, the arithmetic of one dense
+    solve of the component alone (``smallest_eigenpairs`` on the dense
+    backend, then ``canonical_in_span``), so every pair keeps its bits:
+    the constant vector deflated by a shift past the Gershgorin bound, the
+    window of 4 nontrivial eigenvalues doubled while inside the
+    :data:`FIEDLER_GROUP_RTOL` group, and
+    :func:`~repro.linalg.operators.canonical_in_span`'s two QRs and
+    probe projection, here stacked for every simple ``lambda_2``.  A
+    degenerate group, or a probe orthogonal to the pair, takes
+    :func:`~repro.linalg.operators.canonical_in_span` itself.
+    """
+    count, n = members.shape
+    lap = dense_laplacian_stack(graph, members)
+    ones = np.ones(n) / np.sqrt(n)
+    with counted_solve("dense", n, min(n - 1, 4)) as stats:
+        if stats is not None:
+            stats["batch"] = count
+        # CSRMatrix.gershgorin_upper_bound per matrix: a sequential sum
+        # over the dense row adds each entry in CSR order (the zeros
+        # between them add nothing), as bincount sums a CSR row.
+        diagonal = np.diagonal(lap, axis1=1, axis2=2)
+        magnitude = np.cumsum(np.abs(lap), axis=2)[:, :, -1]
+        shift = (diagonal + (magnitude - diagonal)).max(axis=1) + 1.0
+        values, vectors = np.linalg.eigh(
+            lap + shift[:, None, None] * np.outer(ones, ones))
+    # Ascending, so the lambda_2 group is a prefix of the n - 1
+    # nontrivial values (the deflated one is last).
+    lambda2 = values[:, 0]
+    inside = (values[:, :n - 1]
+              <= (lambda2 + _group_tol(lambda2))[:, None]).sum(axis=1)
+    window = np.full(count, min(n - 1, 4))
+    grow = (inside >= window) & (window < n - 1)
+    while grow.any():
+        window[grow] = np.minimum(n - 1, 2 * window[grow])
+        grow = (inside >= window) & (window < n - 1)
+    multiplicity = np.minimum(inside, window)
+
+    out = np.empty((count, n))
+    degenerate = np.flatnonzero(multiplicity > 1).tolist()
+    simple = np.flatnonzero(multiplicity == 1)
+    if simple.size:
+        # Stacked matmuls run, row by row, the BLAS dot of the
+        # one-matrix path (norms included), so each row keeps its bits;
+        # an axis-wise norm, a pairwise sum, would not.
+        basis = np.ascontiguousarray(vectors[simple, :, :1])
+        basis = basis - ones[:, None] * np.matmul(ones, basis)[:, None, :]
+        basis = np.linalg.qr(basis)[0]
+        q = np.linalg.qr(basis)[0]
+        projected = np.matmul(
+            q, np.matmul(q.transpose(0, 2, 1), probe)[:, :, None])[:, :, 0]
+        norms = np.sqrt(np.matmul(projected[:, None, :],
+                                  projected[:, :, None]))[:, 0, 0]
+        found = norms >= 1e-8
+        out[simple[found]] = projected[found] / norms[found, None]
+        for row in np.flatnonzero(~found).tolist():
+            out[simple[row]] = canonical_in_span(basis[row], probe)
+    for b in degenerate:
+        # A fancy-index copy, laid out as the one-matrix path's was.
+        basis = vectors[b][:, np.arange(multiplicity[b])]
+        basis = basis - ones[:, None] * (ones @ basis)
+        out[b] = canonical_in_span(np.linalg.qr(basis)[0], probe)
+    results = [
+        FiedlerResult(value=value, vector=out[b], multiplicity=group,
+                      eigenvalues=values[b, :width].copy(), backend="dense")
+        for b, (value, group, width) in enumerate(zip(
+            lambda2.tolist(), multiplicity.tolist(), window.tolist()))]
+    return out, results
 
 
 def grid_fiedler_result(shape: Sequence[int], weights: Sequence[float],

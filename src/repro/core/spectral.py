@@ -28,13 +28,14 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.core.components import order_labelled_components
 from repro.core.fiedler import (
     FiedlerResult,
     _fiedler_vector,
+    dense_fiedler_results,
     grid_fiedler_result,
+    solves_dense,
 )
-from repro.core.ordering import LinearOrder, order_by_values
+from repro.core.ordering import LinearOrder
 from repro.errors import InvalidParameterError
 from repro.geometry.grid import Grid, _normalize_connectivity
 from repro.geometry.pointset import PointSet
@@ -58,16 +59,17 @@ def snap_ties(values: np.ndarray) -> np.ndarray:
     This maps values to integer group ids, where consecutive sorted
     values closer than :data:`SNAP_TOL` share a group — far above solver
     noise (~1e-13 across backends) and far below genuine eigenvector
-    gaps on any grid this library targets.
+    gaps on any grid this library targets.  A stack of vectors (a 2-D
+    array) snaps row by row.
     """
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    group_of_sorted = np.zeros(len(values), dtype=np.int64)
-    if len(values) > 1:
-        gaps = np.diff(values[order])
-        group_of_sorted[1:] = np.cumsum(gaps > SNAP_TOL)
-    groups = np.empty(len(values), dtype=np.int64)
-    groups[order] = group_of_sorted
+    order = np.argsort(values, axis=-1, kind="stable")
+    group_of_sorted = np.zeros(values.shape, dtype=np.int64)
+    if values.shape[-1] > 1:
+        gaps = np.diff(np.take_along_axis(values, order, axis=-1), axis=-1)
+        group_of_sorted[..., 1:] = np.cumsum(gaps > SNAP_TOL, axis=-1)
+    groups = np.empty(values.shape, dtype=np.int64)
+    np.put_along_axis(groups, order, group_of_sorted, axis=-1)
     return groups
 
 
@@ -107,6 +109,19 @@ class SpectralConfig:
     radius: int = 1
     weight: str = "unit"
     backend: str = "auto"
+
+
+def canonical_config(config: SpectralConfig | None = None
+                     ) -> SpectralConfig:
+    """The one spelling of an order's configuration, which every cache
+    and flight keys it by.
+
+    ``None`` means the defaults, and a connectivity alias (4, 8) takes
+    its name, so every spelling of one order shares one key.  A bad
+    field raises :class:`~repro.errors.InvalidParameterError`, as
+    :class:`SpectralLPM` does.
+    """
+    return SpectralLPM.from_config(config or SpectralConfig()).config
 
 
 class SpectralLPM:
@@ -261,10 +276,13 @@ class SpectralLPM:
 
         Returns ``(order, results)`` where ``results`` is the list of
         :class:`~repro.core.fiedler.FiedlerResult` produced along the way
-        — one per non-trivial connected component, in the order they were
-        solved; empty for trivial graphs (``n <= 2`` components only).
-        Services persist these as solve provenance next to the cached
-        order.
+        — one per connected component of three or more vertices, in
+        order of each component's smallest vertex; empty for trivial
+        graphs (``n <= 2`` components only).  Components that solve
+        dense share one eigensolve per size
+        (:func:`~repro.core.fiedler.dense_fiedler_results`), so a graph
+        can count fewer solves than results.  Services persist these as
+        solve provenance next to the cached order.
         """
         recorder: list = []
         order = self._order_graph(graph, probe, recorder)
@@ -273,25 +291,69 @@ class SpectralLPM:
     def _order_graph(self, graph: Graph, probe: np.ndarray | None,
                      recorder: list | None) -> LinearOrder:
         n = graph.num_vertices
-        if n == 0:
-            return LinearOrder(np.empty(0, dtype=np.int64))
-        if n == 1:
-            return LinearOrder(np.zeros(1, dtype=np.int64))
+        if n <= 2:
+            # Up to two vertices order by id, joined or not: a pair's
+            # Fiedler vector, (+, -)/sqrt(2), has no sign to prefer.
+            return LinearOrder(np.arange(n))
         # One traversal per order: its labels decide connectivity and
-        # cut the components, and no Fiedler solve checks again.  (Two
-        # vertices order by id whether or not they are joined.)
-        if n > 2:
-            labels, count = connected_components(graph)
-            if count > 1:
-                # Per-component calls cannot reuse a whole-graph probe
-                # (the vertex count differs), so they fall back to the
-                # default.
-                return order_labelled_components(
-                    graph, labels, count,
-                    lambda component: self._order_connected(
-                        component, None, recorder),
-                )
-        return self._order_connected(graph, probe, recorder)
+        # cut the components, and no Fiedler solve checks again.
+        labels, count = connected_components(graph)
+        if count > 1:
+            return self._order_components(graph, labels, count, recorder)
+        result = _fiedler_vector(graph, backend=self._config.backend,
+                                 probe=probe, known_connected=True)
+        if recorder is not None:
+            recorder.append(result)
+        return _order_by_fiedler(result)
+
+    def _order_components(self, graph: Graph, labels: np.ndarray,
+                          count: int, recorder: list | None
+                          ) -> LinearOrder:
+        """Each component ordered alone, the orders concatenated in
+        order of each component's smallest vertex
+        (:mod:`repro.core.components`).
+
+        Components of one or two vertices order by id.  Those that
+        solve dense are solved in one stack per size, straight from
+        ``graph`` (:func:`~repro.core.fiedler.dense_fiedler_results`);
+        the rest one by one.  A component cannot use a whole-graph probe
+        (the vertex count differs), so every one takes the default.
+        """
+        backend = self._config.backend
+        sizes = np.bincount(labels, minlength=count)
+        # Vertices by component, ascending within each: every
+        # component's slice is its order by id until it is solved.
+        permutation = np.argsort(labels, kind="stable")
+        starts = np.cumsum(sizes) - sizes
+        results = {}
+        alone = []
+        for size in np.unique(sizes[sizes > 2]).tolist():
+            ids = np.flatnonzero(sizes == size)
+            if not solves_dense(size, backend):
+                alone += ids.tolist()
+                continue
+            slots = starts[ids, None] + np.arange(size)
+            members = permutation[slots]
+            vectors, found = dense_fiedler_results(graph, members)
+            permutation[slots] = np.take_along_axis(
+                members, _fiedler_permutations(vectors), axis=1)
+            results.update(zip(ids.tolist(), found))
+        if alone:
+            # One cut for every component solved alone: the others ride
+            # along as one extra part, which is dropped.
+            part = np.full(count, len(alone))
+            part[alone] = np.arange(len(alone))
+            for component, (sub, vertices) in zip(
+                    alone, graph.split(part[labels], len(alone) + 1)):
+                result = _fiedler_vector(sub, backend=backend,
+                                         known_connected=True)
+                results[component] = result
+                start = starts[component]
+                permutation[start:start + len(vertices)] = \
+                    vertices[_fiedler_permutations(result.vector)]
+        if recorder is not None:
+            recorder.extend(results[c] for c in sorted(results))
+        return LinearOrder(permutation)
 
     def order_grid(self, grid: Grid) -> LinearOrder:
         """The full pipeline on a complete grid domain.
@@ -378,30 +440,19 @@ class SpectralLPM:
         return grid_graph(grid, connectivity=self._config.connectivity,
                           radius=self._config.radius, weight=self._weight)
 
-    # ------------------------------------------------------------------
-    def _order_connected(self, graph: Graph,
-                         probe: np.ndarray | None = None,
-                         recorder: list | None = None) -> LinearOrder:
-        n = graph.num_vertices
-        if n == 1:
-            return LinearOrder(np.zeros(1, dtype=np.int64))
-        if n == 2:
-            # lambda_2 = 2w with vector (+, -)/sqrt(2); with only two
-            # items the stable order is by vertex id.
-            return LinearOrder(np.array([0, 1]))
-        result = _fiedler_vector(graph, backend=self._config.backend,
-                                 probe=probe, known_connected=True)
-        if recorder is not None:
-            recorder.append(result)
-        return _order_by_fiedler(result)
-
     def __repr__(self) -> str:
         return f"SpectralLPM({self.config})"
 
 
 def _order_by_fiedler(result: FiedlerResult) -> LinearOrder:
     """Steps 4-5: sort by the snapped Fiedler entries, ties by vertex id."""
-    return order_by_values(snap_ties(result.vector))
+    return LinearOrder(_fiedler_permutations(result.vector))
+
+
+def _fiedler_permutations(vectors: np.ndarray) -> np.ndarray:
+    """Each row's vertices sorted by snapped Fiedler entry, ties by
+    vertex id (a stable sort of the integer snap groups)."""
+    return np.argsort(snap_ties(vectors), axis=-1, kind="stable")
 
 
 def spectral_order(domain, **kwargs) -> LinearOrder:

@@ -187,6 +187,23 @@ class Graph:
         """
         return self._indptr, self._indices, self._weights
 
+    def row_positions(self, rows: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """Where the CSR entries of ``rows`` sit, row after row.
+
+        Returns ``(positions, lengths)``: ``indices[positions]`` (and
+        ``weights[positions]``) list the neighbours of ``rows[0]``, then
+        those of ``rows[1]``, and so on, each row in CSR order, and
+        ``lengths[i]`` is the entry count of ``rows[i]``.  One gather
+        for any set of rows, so cutting subgraphs costs no loop per row.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        lengths = self._indptr[rows + 1] - self._indptr[rows]
+        ends = np.cumsum(lengths)
+        positions = (np.repeat(self._indptr[rows] - (ends - lengths), lengths)
+                     + np.arange(ends[-1] if len(ends) else 0))
+        return positions, lengths
+
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbour ids of ``v`` (read-only view, ascending)."""
         self._check_vertex(v)
@@ -311,11 +328,9 @@ class Graph:
         starts = np.cumsum(sizes) - sizes
         local = np.empty(n, dtype=np.int64)
         local[members] = np.arange(n) - np.repeat(starts, sizes)
-        row_sizes = degrees[members]
+        gather, row_sizes = self.row_positions(members)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(row_sizes, out=indptr[1:])
-        gather = (np.repeat(self._indptr[members] - indptr[:-1], row_sizes)
-                  + np.arange(indptr[-1]))
         indices = local[self._indices[gather]]
         weights = self._weights[gather]
         parts = []

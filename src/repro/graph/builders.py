@@ -228,8 +228,21 @@ def induced_grid_graph(grid: Grid, cell_indices: Sequence[int],
     if len(cells) and (cells[0] < 0 or cells[-1] >= grid.size):
         raise InvalidParameterError("cell indices out of range")
     full = grid_graph(grid, connectivity, radius, weight)
-    sub, _ = full.subgraph(cells)
-    return sub, cells
+    _, indices, weights = full.csr_arrays()
+    # The cells' rows cut straight from the full grid's CSR arrays, as
+    # Graph.split cuts a part: the relabel keeps order, so every row's
+    # columns stay sorted.
+    relabel = np.full(grid.size, -1, dtype=np.int64)
+    relabel[cells] = np.arange(len(cells))
+    gather, lengths = full.row_positions(cells)
+    kept = relabel[indices[gather]] >= 0
+    row_sizes = np.bincount(np.repeat(np.arange(len(cells)), lengths)[kept],
+                            minlength=len(cells))
+    sub_indptr = np.zeros(len(cells) + 1, dtype=np.int64)
+    np.cumsum(row_sizes, out=sub_indptr[1:])
+    gather = gather[kept]
+    return (Graph(len(cells), sub_indptr, relabel[indices[gather]],
+                  weights[gather]), cells)
 
 
 # ----------------------------------------------------------------------

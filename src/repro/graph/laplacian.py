@@ -53,6 +53,32 @@ def laplacian(graph: Graph) -> CSRMatrix:
     return CSRMatrix(n, new_indptr, out_indices, out_data)
 
 
+def dense_laplacian_stack(graph: Graph, members: np.ndarray) -> np.ndarray:
+    """The dense Laplacians of same-size vertex sets, stacked.
+
+    Row ``b`` of the ``(count, size)`` array ``members`` lists one set
+    of ``graph``'s vertices in ascending order, and no edge may leave a
+    set (a connected component, or the whole graph).  Matrix ``b`` of
+    the ``(count, size, size)`` result is the Laplacian of the subgraph
+    the set induces, vertex ``members[b, i]`` as index ``i``: entry for
+    entry what :func:`laplacian` of that subgraph holds, cut straight
+    from the whole graph's CSR arrays.  Each degree sums its row's
+    weights in CSR order, as :func:`laplacian` does.
+    """
+    count, size = members.shape
+    _, indices, weights = graph.csr_arrays()
+    local = np.empty(graph.num_vertices, dtype=np.int64)
+    local[members] = np.arange(size)
+    rows = members.ravel()
+    gather, lengths = graph.row_positions(rows)
+    row_of = np.repeat(np.arange(count * size), lengths)
+    stack = np.zeros((count * size, size))
+    stack[row_of, local[indices[gather]]] = -weights[gather]
+    stack[np.arange(count * size), local[rows]] = np.bincount(
+        row_of, weights=weights[gather], minlength=count * size)
+    return stack.reshape(count, size, size)
+
+
 def laplacian_matvec(graph: Graph, x: np.ndarray) -> np.ndarray:
     """``L x`` for ``L = D - A``, straight from the graph's CSR arrays.
 

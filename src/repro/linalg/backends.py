@@ -179,11 +179,15 @@ def solver_invocations() -> int:
     Every :func:`smallest_eigenpairs` call counts one, and so does every
     closed-form Fiedler pair of a full radius-1 grid
     (:func:`repro.core.fiedler.grid_fiedler_result`, backend
-    ``"closed-form"``), which stands in for a solve.  It is the count of
-    ``repro_linalg_solve_seconds`` summed over its backend labels, so it
-    never resets and is meant for deltas: record it, run the operation
-    under test, and compare.  Cache layers use it to *prove* a warm path
-    never reached an eigensolver.
+    ``"closed-form"``), which stands in for a solve, and every stack of
+    same-size dense Fiedler solves
+    (:func:`repro.core.fiedler.dense_fiedler_results`, backend
+    ``"dense"``): a graph whose components of three and four vertices
+    solve dense counts two, however many components there are.  It is
+    the count of ``repro_linalg_solve_seconds`` summed over its backend
+    labels, so it never resets and is meant for deltas: record it, run
+    the operation under test, and compare.  Cache layers use it to
+    *prove* a warm path never reached an eigensolver.
     """
     return _SOLVE_SECONDS.total_count()
 
@@ -536,9 +540,12 @@ def counted_solve(backend: str, n: int, k: int
     :func:`solver_invocations`; a block that raises still counts.
     Yields a dict the block may fill with span attributes, allocated
     only while a trace is recording (``None`` otherwise), so the
-    disabled-tracing path pays a single boolean check.  Both
-    :func:`smallest_eigenpairs` and the closed-form grid pair
-    (:func:`repro.core.fiedler.grid_fiedler_result`) solve through it.
+    disabled-tracing path pays a single boolean check.
+    :func:`smallest_eigenpairs`, the closed-form grid pair
+    (:func:`repro.core.fiedler.grid_fiedler_result`) and each stacked
+    dense eigensolve (:func:`repro.core.fiedler.dense_fiedler_results`,
+    which adds the span attribute ``batch``, the matrices in the stack)
+    solve through it.
     """
     _THREAD_TALLY.count = getattr(_THREAD_TALLY, "count", 0) + 1
     sp = span("linalg.solve", backend=backend, n=n, k=k)

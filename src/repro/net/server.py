@@ -52,7 +52,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.caching import SingleFlight
-from repro.core.spectral import SpectralConfig, SpectralLPM
+from repro.core.spectral import SpectralConfig, canonical_config
 from repro.errors import InvalidParameterError
 from repro.net.config import NET_QUEUE_DEPTH, NET_TIMEOUT
 from repro.net.errors import (
@@ -578,8 +578,7 @@ class SpectralServer:
         # Keyed by the canonical config, as the service keys its cache,
         # so every spelling of one order (None, connectivity=4) rides
         # one flight.
-        canonical = SpectralLPM.from_config(config or SpectralConfig())
-        key = order_key(canonical.config, domain_fingerprint(domain))
+        key = order_key(canonical_config(config), domain_fingerprint(domain))
         # The leader always fetches the full artifact: the flight's
         # waiters may want either shape, and the order *is*
         # artifact.order, so bit-identity holds by construction.

@@ -54,7 +54,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.ordering import LinearOrder
-from repro.core.spectral import SpectralConfig, SpectralLPM
+from repro.core.spectral import SpectralConfig, SpectralLPM, \
+    canonical_config
 from repro.errors import InvalidParameterError
 from repro.geometry.grid import Grid
 from repro.geometry.pointset import PointSet
@@ -390,10 +391,10 @@ class OrderingService:
                 f"weight model {weight_names()}; callable weights are "
                 "never cached: order with the SpectralLPM itself"
             )
-        # Keyed by the algorithm's own config: SpectralLPM rejects a bad
-        # field before any key exists, and spells each connectivity one
-        # way, so its aliases share one key.
-        return SpectralLPM.from_config(config).config
+        # Keyed by the canonical config: a bad field raises before any
+        # key exists, and each connectivity has one spelling, so its
+        # aliases share one key.
+        return canonical_config(config)
 
     def _cached_or_compute(self, key: str,
                            compute: Callable[[], OrderArtifact]

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.caching import LRUCache
 from repro.core.ordering import LinearOrder
-from repro.core.spectral import SpectralConfig, SpectralLPM
+from repro.core.spectral import canonical_config
 from repro.errors import InvalidParameterError
 from repro.obs import span
 from repro.parallel import ensure_workers, map_in_threads
@@ -257,8 +257,7 @@ class ShardedIndexFrontend:
         # one index and its page layout.  config= is keyed by the
         # canonical config it resolves to, as the service keys orders,
         # so leaving it out, None and SpectralConfig() are one spelling.
-        keyed = dict(kwargs, config=SpectralLPM.from_config(
-            kwargs.get("config") or SpectralConfig()).config)
+        keyed = dict(kwargs, config=canonical_config(kwargs.get("config")))
         key = (fingerprint, mapping.cache_identity(),
                tuple(sorted((name, repr(value))
                             for name, value in keyed.items())))

@@ -171,6 +171,20 @@ def test_subgraph_rejects_duplicates():
         g.subgraph([1, 1])
 
 
+def test_row_positions_gather_rows_in_the_given_order():
+    g = Graph.from_edges(5, [(0, 1), (0, 3), (1, 2), (3, 4)],
+                         weights=[1.0, 2.0, 3.0, 4.0])
+    indptr, indices, weights = g.csr_arrays()
+    positions, lengths = g.row_positions(np.array([3, 2, 0, 3]))
+    assert list(lengths) == [2, 1, 2, 2]
+    assert list(indices[positions]) == [0, 4, 1, 1, 3, 0, 4]
+    assert list(weights[positions]) == [2.0, 4.0, 3.0, 1.0, 2.0, 2.0, 4.0]
+    empty, none = Graph.empty(3).row_positions(np.array([2, 0]))
+    assert len(empty) == 0 and list(none) == [0, 0]
+    positions, lengths = g.row_positions(np.empty(0, dtype=np.int64))
+    assert len(positions) == 0 and len(lengths) == 0
+
+
 def test_split_cuts_every_part_like_subgraph():
     g = Graph.from_edges(7, [(0, 5), (5, 6), (1, 3), (0, 6)],
                          weights=[1.0, 2.0, 3.0, 4.0])

@@ -126,6 +126,32 @@ def test_induced_grid_graph_dedupes_cells():
     assert list(ids) == [0, 1]
 
 
+@pytest.mark.parametrize("connectivity,radius,weight", [
+    ("orthogonal", 1, "unit"), ("moore", 2, "gaussian"),
+    ("orthogonal", 2, "inverse_manhattan"),
+])
+def test_induced_grid_graph_is_the_full_graphs_subgraph(connectivity, radius,
+                                                        weight):
+    # The induced graph is cut from the full grid's CSR arrays; it must
+    # be the CSR Graph.subgraph builds, array for array and bit for bit.
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        shape = tuple(int(side) for side in
+                      rng.integers(1, 16, size=2 + trial % 2))
+        grid = Grid(shape)
+        cells = rng.choice(grid.size, int(rng.integers(1, grid.size + 1)),
+                           replace=False)
+        graph, ids = induced_grid_graph(grid, cells, connectivity=connectivity,
+                                        radius=radius, weight=weight)
+        expected, _ = grid_graph(grid, connectivity, radius, weight) \
+            .subgraph(np.unique(cells))
+        assert list(ids) == sorted(cells.tolist())
+        assert graph.num_vertices == expected.num_vertices
+        for got, want in zip(graph.csr_arrays(), expected.csr_arrays()):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 def test_induced_grid_graph_validation():
     grid = Grid((3, 3))
     with pytest.raises(InvalidParameterError):
